@@ -80,6 +80,11 @@ def _points(rng, n, bad=(), guard=0.1, box=1.2):
     return out
 
 
+def _within(dt, bound):
+    """The runtime gate as deterministic text: the bound, not the wall time."""
+    return f"{'<' if dt < bound else '>='} {bound:g}s"
+
+
 # ----------------------------------------------------------------------
 # 1. Taylor series of the y(0)=(th1-thinf+1)/(1-thinf) class
 
@@ -103,7 +108,7 @@ def taylor_form1_fidelity():
     dt = time.perf_counter() - t_start
     ok = worst < 1e-12 and min_order >= 11 and dt < 2.0
     return ok, (f"b0/b1 deviation {worst:.2e} (tol 1e-12), residual first "
-                f"nonzero order {min_order} (>= 11), runtime {dt:.2f}s (< 2s)")
+                f"nonzero order {min_order} (>= 11), runtime {_within(dt, 2.0)}")
 
 
 # ----------------------------------------------------------------------
@@ -264,7 +269,7 @@ def connection_matrix_agreement():
     dt = time.perf_counter() - t_start
     ok = worst < 1e-8 and dt < 10.0
     return ok, (f"worst relative deviation {worst:.2e} (tol 1e-8), "
-                f"runtime {dt:.1f}s (< 10s)")
+                f"runtime {_within(dt, 10.0)}")
 
 
 # ----------------------------------------------------------------------
@@ -417,7 +422,7 @@ def seed_self_consistency():
     dt = time.perf_counter() - t_start
     ok = drift < 0.05 and rt < 1e-8 and dt < 5.0
     return ok, (f"leading-term drift {100.0 * drift:.2f}% (< 5%), round-trip "
-                f"scaled error {rt:.2e} (< 1e-8), runtime {dt:.2f}s (< 5s)")
+                f"scaled error {rt:.2e} (< 1e-8), runtime {_within(dt, 5.0)}")
 
 
 # ----------------------------------------------------------------------

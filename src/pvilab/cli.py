@@ -389,7 +389,7 @@ def build_parser():
     sp.add_argument("--rho")
     sp.add_argument("--x", default="1e-3")
     sp.add_argument("--center", default="1")
-    sp.add_argument("--tol", type=float, default=1e-10)
+    sp.add_argument("--tol", type=float, default=1e-12)
     sp.add_argument("--json-in")
 
     sp = add("sweep", cmd_sweep, help="batch series solves over random draws")

@@ -103,7 +103,7 @@ def _pack(a0, ax, a1):
             for k, m in (("0", a0), ("x", ax), ("1", a1))}
 
 
-def build_case_b(thx, thinf, s, r, truncation=2) -> LinearSystem:
+def build_case_b(thx, thinf, s, r) -> LinearSystem:
     """System whose isomonodromic solution is the y(0)=1/(1-thinf) class.
 
     A0, Ax through O(x), A1 through O(x^2), all entries plain Taylor.
@@ -131,7 +131,7 @@ def build_case_b(thx, thinf, s, r, truncation=2) -> LinearSystem:
                         {"s": s, "r": r, "thx": thx, "thinf": thinf})
 
 
-def build_case_a(theta: ThetaParams, r, truncation=2) -> LinearSystem:
+def build_case_a(theta: ThetaParams, r) -> LinearSystem:
     """System for the y(0)=(th1-thinf+1)/(1-thinf) class.
 
     Off-diagonal entries carry x^{+-(th1-thinf+1)} prefactors.
@@ -176,7 +176,7 @@ def build_case_a(theta: ThetaParams, r, truncation=2) -> LinearSystem:
     return LinearSystem(theta, "case-a", _pack(a0, ax, a1), {"r": r})
 
 
-def build_case_c(th0, thx, r1, rho, truncation=2) -> LinearSystem:
+def build_case_c(th0, thx, r1, rho) -> LinearSystem:
     """System for the unipotent class (thinf=1, th1=0); y(0)=(1-r1/rho)^{-1}."""
     if rho == 0:
         raise ValueError("rho must be nonzero")
@@ -215,54 +215,70 @@ def default_radius(x, center) -> float:
 
 @dataclass(frozen=True)
 class Loop:
-    """Counterclockwise polygonal loop around one singularity."""
+    """Circle lambda = center + radius e^{2 pi i orientation t}, t in [0, 1].
+
+    The loop starts and ends at center + radius.  With a basepoint it runs a
+    straight leg from the basepoint to that start and back after the circle.
+    orientation 1 is counterclockwise, -1 clockwise.
+    """
 
     center: complex
     radius: float
     basepoint: complex | None = None
-    n_vertices: int = 64
     orientation: int = 1
-
-    def vertices(self):
-        c, r = complex(self.center), float(self.radius)
-        pts = [c + r * cmath.exp(self.orientation * 2j * math.pi * k / self.n_vertices)
-               for k in range(self.n_vertices + 1)]
-        if self.basepoint is not None and abs(self.basepoint - pts[0]) > 1e-15:
-            pts = [complex(self.basepoint)] + pts + [complex(self.basepoint)]
-        return pts
 
     def to_json(self):
         b = None if self.basepoint is None else [self.basepoint.real, self.basepoint.imag]
         return {"center": [complex(self.center).real, complex(self.center).imag],
-                "radius": self.radius, "basepoint": b,
-                "n_vertices": self.n_vertices, "orientation": self.orientation}
+                "radius": self.radius, "basepoint": b, "orientation": self.orientation}
 
 
 def transport(sys: LinearSystem, x, loop_or_vertices, tol=1e-10) -> np.ndarray:
     """Monodromy of the fundamental solution normalized to I at the start.
 
-    Integrates dPsi/dlambda = A(lambda) Psi edge by edge along the polygon;
-    the result M satisfies Psi_continued = Psi * M for Psi(start) = I.
+    Integrates dPsi/dlambda = A(lambda) Psi along a Loop (its circle in one
+    dp45 call, in the parameter t of Loop, plus the straight basepoint legs)
+    or edge by edge along a polygon given as a list of vertices.  The result
+    M satisfies Psi_continued = Psi * M for Psi(start) = I.
     """
-    verts = (loop_or_vertices.vertices() if isinstance(loop_or_vertices, Loop)
-             else [complex(v) for v in loop_or_vertices])
+    if isinstance(loop_or_vertices, Loop):
+        r = loop_or_vertices.radius
+        if not (math.isfinite(r) and r > 0):
+            raise ValueError(f"loop radius {r} at x = {x} is not a finite positive "
+                             "number (x must stay away from 0 and 1)")
     a0 = sys.residue("0", x)
     axm = sys.residue("x", x)
     a1 = sys.residue("1", x)
     xc = complex(x)
 
-    m = np.eye(2, dtype=complex)
-    for z0, z1 in zip(verts[:-1], verts[1:]):
-        dz = z1 - z0
-        if dz == 0:
-            continue
-
-        def f(t, y, z0=z0, dz=dz):
-            lam = z0 + t * dz
+    def leg(m, path):
+        # path(t) = (lambda, dlambda/dt) for t in [0, 1]
+        def f(t, y):
+            lam, dlam = path(t)
             a = a0 / lam + axm / (lam - xc) + a1 / (lam - 1.0)
-            return dz * (a @ y.reshape(2, 2)).ravel()
+            return dlam * (a @ y.reshape(2, 2)).ravel()
 
-        m = dp45(f, 0.0, 1.0, m.ravel(), tol=tol).reshape(2, 2)
+        return dp45(f, 0.0, 1.0, m.ravel(), tol=tol).reshape(2, 2)
+
+    def edge(m, z0, z1):
+        dz = z1 - z0
+        return m if dz == 0 else leg(m, lambda t: (z0 + t * dz, dz))
+
+    m = np.eye(2, dtype=complex)
+    if isinstance(loop_or_vertices, Loop):
+        lp = loop_or_vertices
+        c, r = complex(lp.center), float(lp.radius)
+        w = 2j * math.pi * lp.orientation
+
+        def circle(t):
+            d = r * cmath.exp(w * t)
+            return c + d, w * d
+
+        b = c + r if lp.basepoint is None else complex(lp.basepoint)
+        return edge(leg(edge(m, b, c + r), circle), c + r, b)
+    verts = [complex(v) for v in loop_or_vertices]
+    for z0, z1 in zip(verts[:-1], verts[1:]):
+        m = edge(m, z0, z1)
     return m
 
 

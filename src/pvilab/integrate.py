@@ -12,19 +12,22 @@ import numpy as np
 
 __all__ = ["StepUnderflow", "dp45"]
 
-# Dormand-Prince tableau
-_A = (
-    (),
-    (1 / 5,),
-    (3 / 40, 9 / 40),
-    (44 / 45, -56 / 15, 32 / 9),
-    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
-    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
-)
+# Dormand-Prince tableau (J. Comput. Appl. Math. 6, 1980).  Row 6 of _A is
+# the fifth-order weight vector, so stage 7 is f at the new point: an
+# accepted step hands it on as stage 1 of the next (first same as last).
+_A = np.array([
+    [0, 0, 0, 0, 0, 0, 0],
+    [1 / 5, 0, 0, 0, 0, 0, 0],
+    [3 / 40, 9 / 40, 0, 0, 0, 0, 0],
+    [44 / 45, -56 / 15, 32 / 9, 0, 0, 0, 0],
+    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729, 0, 0, 0],
+    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656, 0, 0],
+    [35 / 384, 0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0],
+])
 _C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
-_B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0)
-_B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40)
+_B4 = np.array([5179 / 57600, 0, 7571 / 16695, 393 / 640, -92097 / 339200,
+                187 / 2100, 1 / 40])
+_E = _A[6] - _B4
 
 
 class StepUnderflow(RuntimeError):
@@ -34,10 +37,16 @@ class StepUnderflow(RuntimeError):
 def dp45(f, t0, t1, y0, tol=1e-10, h0=None, min_step=1e-14, step_cb=None):
     """Integrate y' = f(t, y) from t0 to t1 (real parameter t).
 
-    y is a complex ndarray.  Local error per step <= tol (mixed
+    y is a complex 1-D ndarray.  Local error per step <= tol (mixed
     absolute/relative).  step_cb, if given, is called as step_cb(t, y) after
     every accepted step and may return a replacement y (chart switches).
     Returns y(t1).
+
+    f is evaluated once at the start and 6 times per attempted step: the
+    last stage of an accepted step is f at the new point and serves as the
+    first stage of the next one.  When step_cb returns a replacement, f is
+    evaluated again at the new state, so f may read state that step_cb
+    changes, provided step_cb then returns a replacement.
     """
     t = float(t0)
     t1 = float(t1)
@@ -48,25 +57,27 @@ def dp45(f, t0, t1, y0, tol=1e-10, h0=None, min_step=1e-14, step_cb=None):
         return y
     h = h0 if h0 is not None else span / 50.0
     h = direction * min(abs(h), span)
-    k = [None] * 7
+    k = np.empty((7, y.size), dtype=complex)
+    k[0] = f(t, y)
     while (t1 - t) * direction > 1e-16:
         if abs(h) > abs(t1 - t):
             h = t1 - t
-        k[0] = f(t, y)
         for i in range(1, 7):
-            yi = y + h * sum(_A[i][j] * k[j] for j in range(i))
+            yi = y + h * (_A[i, :i] @ k[:i])
             k[i] = f(t + _C[i] * h, yi)
-        y5 = y + h * sum(b * ki for b, ki in zip(_B5, k))
-        y4 = y + h * sum(b * ki for b, ki in zip(_B4, k))
-        scale = tol * (1.0 + np.abs(y5).max())
-        err = np.abs(y5 - y4).max() / scale
+        # yi is now the fifth-order solution and k[6] = f(t + h, yi); err
+        # and scale are plain floats, so that t reaches f as a Python float
+        scale = tol * (1.0 + float(np.abs(yi).max()))
+        err = float(np.abs(h * (_E @ k)).max()) / scale
         if err <= 1.0:
-            t += h.real if isinstance(h, complex) else h
-            y = y5
+            t += h
+            y = yi
+            k[0] = k[6]
             if step_cb is not None:
                 y2 = step_cb(t, y)
                 if y2 is not None:
                     y = np.asarray(y2, dtype=complex)
+                    k[0] = f(t, y)
             fac = 2.0 if err == 0 else min(2.0, 0.9 * err ** -0.2)
         else:
             fac = max(0.2, 0.9 * err ** -0.2)

@@ -15,3 +15,9 @@ _BY_NAME = dict(acceptance.CRITERIA)
 def test_criterion(name):
     ok, detail = _BY_NAME[name]()
     assert ok, detail
+
+
+def test_details_are_deterministic():
+    # runtimes gate the checks but stay out of the details, so selftest
+    # output is the same bytes on every run
+    assert acceptance.run_all() == acceptance.run_all()

@@ -77,6 +77,16 @@ def test_validation_errors_exit_2(capsys):
     assert code == 2
 
 
+def test_fuchsian_transport_rejects_degenerate_loop(capsys):
+    for x in ("0", "1"):
+        code, out, err = run_cli(capsys, "fuchsian", "--action", "transport",
+                                 "--case", "b", "--thx", "0.31", "--thinf", "0.44",
+                                 "--s", "0.27", "--r", "1", "--x", x)
+        assert code == 2
+        assert out == ""
+        assert "x = " in err
+
+
 def test_numeric_failure_exits_3(capsys):
     code, _, err = run_cli(capsys, "continue", "--theta", "1,0.6,0,-1.6",
                            "--ic", "0.3,0.15789473684,0.44321329639",

@@ -123,14 +123,36 @@ def test_transport_determinant(sys_a):
     assert abs(det2(m) - want) < 1e-10
 
 
-def test_loop_json_and_vertices():
-    loop = fuchsian.Loop(1.0, 0.25, basepoint=1.5, n_vertices=32)
-    doc = loop.to_json()
-    assert doc["center"] == [1.0, 0.0]
-    assert doc["basepoint"] == [1.5, 0.0]
-    vs = loop.vertices()
-    assert vs[0] == 1.5 and vs[-1] == 1.5
-    assert abs(vs[1] - (1.0 + 0.25)) < 1e-15
+def test_basepoint_loop_is_conjugated_plain_loop(sys_a):
+    """Legs in from and out to a basepoint conjugate the plain loop by the
+    transport U along the leg."""
+    x, c, r, b = 1e-2, 1.0, 0.2, 1.5 + 0.1j
+    m = fuchsian.transport(sys_a, x, fuchsian.Loop(c, r), tol=1e-12)
+    u = fuchsian.transport(sys_a, x, [b, c + r], tol=1e-12)
+    mb = fuchsian.transport(sys_a, x, fuchsian.Loop(c, r, basepoint=b), tol=1e-12)
+    assert np.max(np.abs(mb - inv2(u) @ m @ u)) < 1e-10
+    doc = fuchsian.Loop(c, r, basepoint=b).to_json()
+    assert doc["center"] == [1.0, 0.0] and doc["basepoint"] == [1.5, 0.1]
+
+
+@pytest.mark.parametrize("center", [0.0, "x", 1.0])
+def test_circle_matches_polygon(sys_a, center):
+    x = 1e-2
+    c = x if center == "x" else center
+    r = fuchsian.default_radius(x, c)
+    poly = [c + r * cmath.exp(2j * math.pi * k / 64) for k in range(65)]
+    circle = fuchsian.loop_monodromy(sys_a, x, c, tol=1e-12)
+    polygon = fuchsian.transport(sys_a, x, poly, tol=1e-12)
+    assert np.max(np.abs(circle - polygon)) < 1e-10
+
+
+def test_loop_rejects_degenerate_radius(sys_a):
+    for x in (0.0, 1.0):
+        with pytest.raises(ValueError, match="x = "):
+            fuchsian.loop_monodromy(sys_a, x, 1.0)
+    for r in (0.0, -0.1, math.nan):
+        with pytest.raises(ValueError):
+            fuchsian.transport(sys_a, 1e-2, fuchsian.Loop(1.0, r))
 
 
 def test_y_from_a_matches_series(sys_a):

@@ -69,3 +69,43 @@ def test_step_underflow():
 def test_zero_span_returns_initial():
     y0 = np.array([2.0 + 3.0j])
     assert dp45(lambda t, y: y, 0.3, 0.3, y0)[0] == y0[0]
+
+
+def test_accepted_step_costs_six_evaluations():
+    # a cubic is integrated exactly by both orders, so no step is rejected
+    evals, steps = [], []
+
+    def f(t, y):
+        evals.append(t)
+        return np.array([3.0 * t * t + 0j])
+
+    y = dp45(f, 0.0, 1.0, np.array([0.0 + 0j]), tol=1e-10,
+             step_cb=lambda t, y: steps.append(t))
+    assert y[0] == pytest.approx(1.0, abs=1e-12)
+    assert len(steps) > 1
+    assert len(evals) == 1 + 6 * len(steps)
+
+
+def test_first_stage_recomputed_after_replacement():
+    """f reads state that the callback changes (a chart switch); the stage
+    handed on from the last step is stale then and must not be reused."""
+    state = {"rate": 1.0}
+    evals, switch = [], []
+
+    def f(t, y):
+        evals.append(t)
+        return np.array([state["rate"] + 0j])
+
+    def cb(t, y):
+        if t > 0.3 and not switch:
+            switch.append(t)
+            state["rate"] = 2.0
+            return y.copy()
+        return None
+
+    steps = []
+    y = dp45(f, 0.0, 1.0, np.array([0.0 + 0j]), tol=1e-3, h0=0.1,
+             step_cb=lambda t, y: steps.append(t) or cb(t, y))
+    t_sw = switch[0]
+    assert y[0].real == pytest.approx(t_sw + 2.0 * (1.0 - t_sw), abs=1e-12)
+    assert len(evals) == 2 + 6 * len(steps)
