@@ -9,10 +9,9 @@ precondition was violated), 3 numeric failure.
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -42,7 +41,13 @@ _NUMERIC = (StepUnderflow, ChartThrashError, ObstructionError,
 
 
 def parse_complex(text):
-    return complex(str(text).strip().replace(" ", "").replace("i", "j"))
+    """A finite complex number: a real, or a+bi / a+bj."""
+    text = str(text).strip()
+    s = text.replace(" ", "")
+    z = complex(s[:-1] + "j" if s.endswith("i") else s)
+    if not cmath.isfinite(z):
+        raise ValueError(f"{text!r} is not a finite number")
+    return z
 
 
 def parse_theta(text) -> ThetaParams:
@@ -100,7 +105,13 @@ def rep_from_json(doc) -> MonodromyRep:
 # subcommands
 
 
+def _check_order(args):
+    if args.order < 1:
+        raise ValueError(f"--order must be at least 1, got {args.order}")
+
+
 def cmd_series(args):
+    _check_order(args)
     th = parse_theta(args.theta)
     a = parse_complex(args.a) if args.a is not None else None
     ser = solve_taylor(th, args.klass, a=a, N=args.order)
@@ -272,23 +283,17 @@ def cmd_fuchsian(args):
 def cmd_sweep(args):
     """Taylor coefficients over a reproducible batch of random theta draws."""
     from .acceptance import _theta_draw
+    _check_order(args)
     rng = np.random.default_rng(args.seed)
-    thetas = [_theta_draw(rng) for _ in range(args.count)]
-
-    def one(idx):
-        th = thetas[idx]
+    results = []
+    for idx in range(args.count):
+        th = _theta_draw(rng)
+        row = {"index": idx, "theta": [c2l(t) for t in th.as_tuple()]}
         try:
-            ser = solve_taylor(th, args.klass, N=args.order)
-            return {"index": idx, "theta": [c2l(t) for t in th.as_tuple()],
-                    "coeffs": [c2l(c) for c in ser.c]}
+            row["coeffs"] = [c2l(c) for c in solve_taylor(th, args.klass, N=args.order).c]
         except (ResonanceError, ObstructionError) as e:
-            return {"index": idx, "theta": [c2l(t) for t in th.as_tuple()],
-                    "error": str(e)}
-
-    workers = int(os.environ.get("PVI_LAB_THREADS", "0")) or min(8, args.count or 1)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        results = sorted(pool.map(one, range(args.count)),
-                         key=lambda d: d["index"])
+            row["error"] = str(e)
+        results.append(row)
     emit({"klass": args.klass, "order": args.order, "seed": args.seed,
           "results": results}, args.out)
     return 0

@@ -48,15 +48,6 @@ class GaussParams:
     beta: complex
     gamma: complex
 
-    def log_case_at_0(self):
-        return is_int(self.gamma)
-
-    def log_case_at_1(self):
-        return is_int(self.alpha + self.beta - self.gamma)
-
-    def log_case_at_inf(self):
-        return is_int(self.alpha - self.beta)
-
 
 def poch(q: complex, n: int) -> complex:
     """Pochhammer (q)_n, n any integer; (q)_{-n} = 1/((q-1)...(q-n))."""
@@ -234,11 +225,6 @@ def xi_from_phi(case: int, phi, dphi, z, a=0.0, b=0.0, c=0.0, r=1.0, s=0.0):
         return z * dphi + a * phi
     raise ValueError(
         f"case {case} has no Gauss hypergeometric form; use triangular_monodromy")
-
-
-def phi_from_xi_case8(xi, dxi, z, a, c, r):
-    """Inverse map of the Jordan case (r = -a)."""
-    return (z * (z - 1.0) * dxi + (a * z - c - r) * xi) / (a * (a - c))
 
 
 # ----------------------------------------------------------------------

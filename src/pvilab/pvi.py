@@ -2,8 +2,9 @@
 
 The residual operator is written once over duck-typed "ring elements":
 anything with +, -, * (including scalars on either side) works, so the same
-expression serves pointwise complex evaluation, plain power series,
-log-polynomial series and the one-parameter double series.
+expression serves pointwise complex evaluation and every kind of the
+truncated series ring in series.py (plain power, log-polynomial and
+x^omega double series).
 """
 
 from __future__ import annotations
@@ -52,16 +53,6 @@ class ThetaParams:
 
     def as_tuple(self):
         return (complex(self.th0), complex(self.thx), complex(self.th1), complex(self.thinf))
-
-    # resonance predicates, tolerance 1e-10
-    def any_theta_integer(self) -> bool:
-        return any(is_int(t) for t in self.as_tuple())
-
-    def th1_thinf_resonant(self) -> bool:
-        return is_int(self.th1 + self.thinf) or is_int(self.th1 - self.thinf)
-
-    def th0_thx_resonant(self) -> bool:
-        return is_int(self.th0 + self.thx) or is_int(self.th0 - self.thx)
 
     def theta_sum(self) -> complex:
         return self.th0 + self.thx + self.th1 + self.thinf
@@ -146,8 +137,8 @@ def pvi_residual_expr(x, y, yp, ypp, theta: ThetaParams):
 def pvi_residual_series(series, theta: ThetaParams):
     """Residual of a series object; returns the residual in the same ring.
 
-    The series must provide .variable() (the ring element x at the same
-    truncation) and .deriv().
+    Any ring works whose elements provide .variable() (the element x at the
+    same truncation) and .deriv(), such as series.Series of any kind.
     """
     x = series.variable()
     yp = series.deriv()

@@ -1,14 +1,15 @@
-"""Series rings and the recursive x=0 expansion solver.
+"""The truncated series ring at x = 0 and the order-by-order PVI solvers.
 
-Three truncated rings share one order-matching kernel through the generic
-residual expression in pvi.py:
+One ring, `Series`, holds sum c[k, j] x^(k + off) B^j, where B is
 
-  PSeries   -- plain truncated power series in x
-  LogSeries -- power series whose x^n coefficient is a polynomial in ln x
-  OmegaSeries -- double series in x and Y = a x^omega
+  ln x              (omega is None): the logarithmic families;
+  Y = a x^omega     (omega given):   the one-parameter families.
 
-Each solver class seeds the low-order coefficients with the closed forms
-and lets the kernel determine the rest by order-by-order substitution.
+A 1-D `c` is the width-1 case, a plain power series (the Taylor classes).
+Products are truncated 2-D convolutions; only the derivative depends on
+the kind of B.  The three solvers seed the printed low-order coefficients
+and find the rest with one kernel, `_solve_slots`, through the generic
+residual expression in pvi.py.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from .numerics import BranchSpec, PRINCIPAL, clog, cpow
 from .pvi import ThetaParams, ResonanceError, is_int, pvi_residual_series
 
 __all__ = [
+    "Series",
     "PSeries",
     "LogSeries",
     "OmegaSeries",
@@ -43,79 +45,128 @@ class TrustRadiusWarning(UserWarning):
 
 
 # ----------------------------------------------------------------------
-# plain power series
+# the ring
 
 
-class PSeries:
-    """Truncated power series sum c[k] x^k, k = 0..L-1.
+def _horner(c, z):
+    acc = 0.0 + 0.0j
+    for ck in c[::-1]:
+        acc = acc * z + ck
+    return acc
 
-    Products are truncated at L; all coefficients below L are exact for the
-    polynomial the object represents.
+
+class Series:
+    """sum c[k, j] x^(k + off) B^j with B = ln x (omega None) or Y = a x^omega.
+
+    c has one row per x-order, off .. off + rows - 1, all of them known: a
+    product keeps the smaller number of rows, a sum the lower top order,
+    and a derivative the top order (with coefficient 0 there, as for a
+    polynomial).  A 1-D c is the width-1 case, a plain power series.
     """
 
-    __slots__ = ("c", "meta")
+    # p: the per-order ln-polynomials, set on solve_log_series results only
+    __slots__ = ("c", "off", "omega", "a", "meta", "p")
 
-    def __init__(self, c, meta=None):
+    def __init__(self, c, off=0, omega=None, a=None, meta=None):
         self.c = np.asarray(c, dtype=complex)
+        self.off = off
+        self.omega = None if omega is None else complex(omega)
+        self.a = a
         self.meta = meta or {}
 
-    @property
-    def L(self):
-        return len(self.c)
+    def _new(self, c, off):
+        return Series(c, off, self.omega, self.a)
 
-    @classmethod
-    def zero(cls, L):
-        return cls(np.zeros(L, dtype=complex))
+    def rows(self):
+        """c as a (rows, width) view."""
+        return self.c.reshape(len(self.c), -1)
 
-    @classmethod
-    def var(cls, L):
-        c = np.zeros(L, dtype=complex)
-        c[1] = 1.0
-        return cls(c)
+    def _monomial(self, value, order):
+        """value x^order at the same truncation as self."""
+        c = np.zeros_like(self.c)
+        if 0 <= order - self.off < len(c):
+            c.reshape(len(c), -1)[order - self.off, 0] = value
+        return self._new(c, self.off)
 
     def variable(self):
-        return PSeries.var(self.L)
+        return self._monomial(1.0, 1)
 
     def _lift(self, other):
-        if isinstance(other, PSeries):
-            return other
-        c = np.zeros(self.L, dtype=complex)
-        c[0] = complex(other)
-        return PSeries(c)
+        return other if isinstance(other, Series) else self._monomial(complex(other), 0)
+
+    def _window(self, off, top):
+        """c over the orders off .. top - 1, zero below self.off."""
+        if off == self.off and top == self.off + len(self.c):
+            return self.c
+        out = np.zeros((top - off,) + self.c.shape[1:], dtype=complex)
+        out[self.off - off:] = self.c[: top - self.off]
+        return out
+
+    def _combine(self, other, op):
+        o = self._lift(other)
+        off = min(self.off, o.off)
+        top = min(self.off + len(self.c), o.off + len(o.c))
+        return self._new(op(self._window(off, top), o._window(off, top)), off)
 
     def __add__(self, other):
-        o = self._lift(other)
-        return PSeries(self.c + o.c)
+        return self._combine(other, np.add)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._lift(other)
-        return PSeries(self.c - o.c)
+        return self._combine(other, np.subtract)
 
     def __rsub__(self, other):
-        o = self._lift(other)
-        return PSeries(o.c - self.c)
+        return self._lift(other)._combine(self, np.subtract)
 
     def __neg__(self):
-        return PSeries(-self.c)
+        return self._new(-self.c, self.off)
 
     def __mul__(self, other):
-        if isinstance(other, PSeries):
-            return PSeries(np.convolve(self.c, other.c)[: self.L])
-        return PSeries(self.c * complex(other))
+        if not isinstance(other, Series):
+            return self._new(self.c * complex(other), self.off)
+        n = min(len(self.c), len(other.c))
+        off = self.off + other.off
+        if self.c.ndim == 1:
+            return self._new(np.convolve(self.c, other.c)[:n], off)
+        # rows padded to stride 2w - 1: c[i, p] d[j, q] lands on row i + j,
+        # column p + q <= 2w - 2, so one 1-D convolution does the 2-D one
+        w = self.c.shape[1]
+        s = 2 * w - 1
+        a = np.zeros((n, s), dtype=complex)
+        b = np.zeros((n, s), dtype=complex)
+        a[:, :w], b[:, :w] = self.c[:n], other.c[:n]
+        prod = np.convolve(a.ravel(), b.ravel())[: n * s]
+        return self._new(prod.reshape(n, s)[:, :w], off)
 
     __rmul__ = __mul__
 
     def deriv(self):
-        out = np.zeros(self.L, dtype=complex)
-        out[:-1] = self.c[1:] * np.arange(1, self.L)
-        return PSeries(out)
+        """d/dx: x^n B^j -> x^(n-1) (n + d/dB) B^j for ln x, (n + j omega) for Y.
+
+        The new bottom order x^(off-1) is kept unless the series is a plain
+        power series from x^0, where it vanishes identically.
+        """
+        c = self.rows()
+        n = np.arange(self.off, self.off + len(c))[:, None]
+        if self.omega is None:
+            d = n * c
+            d[:, :-1] += np.arange(1, c.shape[1]) * c[:, 1:]
+        else:
+            d = (n + np.arange(c.shape[1]) * self.omega) * c
+        out = np.zeros((len(c) + 1,) + self.c.shape[1:], dtype=complex)
+        out[:-1] = d.reshape((len(c),) + self.c.shape[1:])
+        if self.c.ndim == 1 and self.off == 0:
+            return self._new(out[1:], 0)
+        return self._new(out, self.off - 1)
 
     # -- evaluation ----------------------------------------------------
 
     def trust_radius(self):
-        """0.5 |b_{N-1}/b_N| clamped to [1e-6, 0.3]; N = last nonzero order."""
+        """0.5 |b_{N-1}/b_N| clamped to [1e-6, 0.3]; N = last nonzero order.
+
+        Of a plain power series only.
+        """
         nz = np.nonzero(np.abs(self.c) > 0)[0]
         if len(nz) < 2:
             return 0.3
@@ -123,290 +174,44 @@ class PSeries:
         r = 0.5 * abs(self.c[n - 1]) / abs(self.c[n]) if self.c[n] != 0 else 0.3
         return min(max(r, 1e-6), 0.3)
 
-    def eval(self, x, branch: BranchSpec = PRINCIPAL):
-        if abs(x) > self.trust_radius():
-            warnings.warn(f"|x| = {abs(x):.3g} beyond trust radius "
-                          f"{self.trust_radius():.3g}", TrustRadiusWarning)
-        # Horner
-        acc = 0.0 + 0.0j
-        for ck in self.c[::-1]:
-            acc = acc * x + ck
-        return acc
+    def eval(self, x, a=None, branch: BranchSpec = PRINCIPAL):
+        """Value at x; Y = a x^omega takes a from self.a unless given.
 
-    def eval_deriv(self, x):
-        return self.deriv().eval(x)
+        A plain power series warns beyond its trust radius.
+        """
+        if self.c.ndim == 1:
+            if abs(x) > self.trust_radius():
+                warnings.warn(f"|x| = {abs(x):.3g} beyond trust radius "
+                              f"{self.trust_radius():.3g}", TrustRadiusWarning)
+            return _horner(self.c, x)
+        if self.omega is None:
+            B = clog(x, branch)
+        else:
+            a = self.a if a is None else a
+            if a is None:
+                raise ValueError("parameter a required for evaluation")
+            B = a * cpow(x, self.omega, branch)
+        return sum(_horner(row, B) * cpow(x, k + self.off, branch)
+                   for k, row in enumerate(self.c))
+
+    def eval_deriv(self, x, a=None, branch: BranchSpec = PRINCIPAL):
+        return self.deriv().eval(x, a, branch)
 
     def to_json(self):
+        """The JSON document of a Taylor-class solution."""
         m = self.meta
         th = m.get("theta")
         return {
             "class": m.get("class"),
             "theta": [[t.real, t.imag] for t in th.as_tuple()] if th else None,
             "a": [m["a"].real, m["a"].imag] if m.get("a") is not None else None,
-            "N": int(m.get("N", self.L - 1)),
+            "N": int(m.get("N", len(self.c) - 1)),
             "coeffs": [[z.real, z.imag] for z in self.c],
         }
 
 
-# ----------------------------------------------------------------------
-# log-polynomial series
-
-
-class LogSeries:
-    """sum_n P_n(ln x) x^n for n = nmin..nmin+len-1; P_n stored low-degree-first.
-
-    nmin may be negative (derivatives introduce x^{-1} terms).
-    """
-
-    __slots__ = ("p", "nmin", "L", "dmax", "meta")
-
-    def __init__(self, p, nmin, L, dmax, meta=None):
-        # p: list of 1-d complex arrays, aligned so p[i] is the poly at x^(nmin+i)
-        self.p = [np.asarray(q, dtype=complex) for q in p]
-        self.nmin = nmin
-        self.L = L            # number of stored x-orders
-        self.dmax = dmax      # hard cap on ln-degree
-        self.meta = meta or {}
-        assert len(self.p) == L
-
-    @classmethod
-    def zero(cls, L, dmax, nmin=0):
-        return cls([np.zeros(1, dtype=complex) for _ in range(L)], nmin, L, dmax)
-
-    @classmethod
-    def var(cls, L, dmax, nmin=0):
-        s = cls.zero(L, dmax, nmin)
-        i = 1 - nmin
-        if 0 <= i < L:
-            s.p[i] = np.array([1.0 + 0.0j])
-        return s
-
-    def variable(self):
-        return LogSeries.var(self.L, self.dmax, self.nmin)
-
-    def _poly(self, n):
-        i = n - self.nmin
-        if 0 <= i < self.L:
-            return self.p[i]
-        return np.zeros(1, dtype=complex)
-
-    def _lift(self, other):
-        if isinstance(other, LogSeries):
-            return other
-        s = LogSeries.zero(self.L, self.dmax, self.nmin)
-        i = -self.nmin
-        if 0 <= i < self.L:
-            s.p[i] = np.array([complex(other)])
-        return s
-
-    @staticmethod
-    def _padd(a, b):
-        n = max(len(a), len(b))
-        out = np.zeros(n, dtype=complex)
-        out[: len(a)] += a
-        out[: len(b)] += b
-        return out
-
-    def _binop(self, other, sign):
-        o = self._lift(other)
-        nmin = min(self.nmin, o.nmin)
-        nmax = min(self.nmin + self.L, o.nmin + o.L)  # common valid range top
-        nmax = max(nmax, nmin + 1)
-        L = nmax - nmin
-        out = LogSeries.zero(L, self.dmax, nmin)
-        for n in range(nmin, nmax):
-            out.p[n - nmin] = self._padd(self._poly(n), sign * o._poly(n))
-        return out
-
-    def __add__(self, other):
-        return self._binop(other, 1.0)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return self._binop(other, -1.0)
-
-    def __rsub__(self, other):
-        return self._lift(other).__sub__(self)
-
-    def __neg__(self):
-        return LogSeries([-q for q in self.p], self.nmin, self.L, self.dmax)
-
-    def __mul__(self, other):
-        if not isinstance(other, LogSeries):
-            return LogSeries([np.asarray(q) * complex(other) for q in self.p],
-                             self.nmin, self.L, self.dmax, self.meta)
-        nmin = self.nmin + other.nmin
-        L = max(min(self.L, other.L), 1)
-        out = LogSeries.zero(L, self.dmax, nmin)
-        for i, a in enumerate(self.p):
-            if not a.any():
-                continue
-            for j, b in enumerate(other.p):
-                if not b.any():
-                    continue
-                n = self.nmin + i + other.nmin + j
-                k = n - nmin
-                if 0 <= k < L:
-                    prod = np.convolve(a, b)
-                    if len(prod) > self.dmax + 1:
-                        prod = prod[: self.dmax + 1]  # saturated; flagged by caller
-                    out.p[k] = self._padd(out.p[k], prod)
-        return out
-
-    __rmul__ = __mul__
-
-    def deriv(self):
-        """d/dx, with d(ln x)/dx = 1/x: x^n P_n -> x^{n-1}(n P_n + P_n')."""
-        nmin = self.nmin - 1
-        out = LogSeries.zero(self.L, self.dmax, nmin)
-        for i, q in enumerate(self.p):
-            n = self.nmin + i
-            dq = (np.arange(1, len(q)) * q[1:]) if len(q) > 1 else np.zeros(0, complex)
-            out.p[i] = self._padd(n * q, dq)
-        return out
-
-    def eval(self, x, branch: BranchSpec = PRINCIPAL):
-        lg = clog(x, branch)
-        acc = 0.0 + 0.0j
-        for i, q in enumerate(self.p):
-            n = self.nmin + i
-            pv = 0.0 + 0.0j
-            for ck in q[::-1]:
-                pv = pv * lg + ck
-            acc += pv * cpow(x, n, branch)
-        return acc
-
-    def eval_deriv(self, x, branch: BranchSpec = PRINCIPAL):
-        return self.deriv().eval(x, branch)
-
-
-# ----------------------------------------------------------------------
-# double series in x and Y = a x^omega
-
-
-class OmegaSeries:
-    """sum_{k,N} c[k,N] x^{k+koff} Y^N with Y = a x^omega."""
-
-    __slots__ = ("c", "koff", "omega", "a", "meta")
-
-    def __init__(self, c, omega, koff=0, a=None, meta=None):
-        self.c = np.asarray(c, dtype=complex)  # shape (K, M+1)
-        self.omega = complex(omega)
-        self.koff = koff
-        self.a = a
-        self.meta = meta or {}
-
-    @classmethod
-    def zero(cls, K, M, omega, koff=0):
-        return cls(np.zeros((K, M + 1), dtype=complex), omega, koff)
-
-    @classmethod
-    def var(cls, K, M, omega, koff=0):
-        s = cls.zero(K, M, omega, koff)
-        i = 1 - koff
-        if 0 <= i < K:
-            s.c[i, 0] = 1.0
-        return s
-
-    def variable(self):
-        return OmegaSeries.var(self.c.shape[0], self.c.shape[1] - 1, self.omega, self.koff)
-
-    def _lift(self, other):
-        if isinstance(other, OmegaSeries):
-            return other
-        s = OmegaSeries.zero(self.c.shape[0], self.c.shape[1] - 1, self.omega, self.koff)
-        i = -self.koff
-        if 0 <= i < s.c.shape[0]:
-            s.c[i, 0] = complex(other)
-        return s
-
-    def _binop(self, other, sign):
-        o = self._lift(other)
-        koff = min(self.koff, o.koff)
-        top = min(self.koff + self.c.shape[0], o.koff + o.c.shape[0])
-        K = max(top - koff, 1)
-        M = min(self.c.shape[1], o.c.shape[1]) - 1
-        out = OmegaSeries.zero(K, M, self.omega, koff)
-        for src, sg in ((self, 1.0), (o, sign)):
-            i0 = src.koff - koff
-            kk = min(src.c.shape[0], K - i0)
-            out.c[i0 : i0 + kk, : M + 1] += sg * src.c[:kk, : M + 1]
-        return out
-
-    def __add__(self, other):
-        return self._binop(other, 1.0)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return self._binop(other, -1.0)
-
-    def __rsub__(self, other):
-        return self._lift(other).__sub__(self)
-
-    def __neg__(self):
-        return OmegaSeries(-self.c, self.omega, self.koff, self.a, self.meta)
-
-    def __mul__(self, other):
-        if not isinstance(other, OmegaSeries):
-            return OmegaSeries(self.c * complex(other), self.omega, self.koff, self.a, self.meta)
-        koff = self.koff + other.koff
-        K = max(min(self.c.shape[0], other.c.shape[0]), 1)
-        M = min(self.c.shape[1], other.c.shape[1]) - 1
-        out = OmegaSeries.zero(K, M, self.omega, koff)
-        ka, Ma = self.c.shape
-        kb, Mb = other.c.shape
-        for i in range(min(ka, K)):
-            for na in range(Ma):
-                v = self.c[i, na]
-                if v == 0:
-                    continue
-                jmax = min(kb, K - i)
-                nmax = min(Mb, M + 1 - na)
-                if jmax > 0 and nmax > 0:
-                    out.c[i : i + jmax, na : na + nmax] += v * other.c[:jmax, :nmax]
-        return out
-
-    __rmul__ = __mul__
-
-    def deriv(self):
-        out = OmegaSeries.zero(self.c.shape[0], self.c.shape[1] - 1, self.omega, self.koff - 1)
-        K, M1 = self.c.shape
-        for N in range(M1):
-            expo = np.arange(K) + self.koff + N * self.omega
-            out.c[:, N] = self.c[:, N] * expo
-        return out
-
-    def eval(self, x, a=None, branch: BranchSpec = PRINCIPAL):
-        if a is None:
-            a = self.a
-        if a is None:
-            raise ValueError("parameter a required for evaluation")
-        Y = a * cpow(x, self.omega, branch)
-        K, M1 = self.c.shape
-        acc = 0.0 + 0.0j
-        xp = [cpow(x, k + self.koff, branch) for k in range(K)]
-        Yp = [Y ** N for N in range(M1)]
-        for i in range(K):
-            for N in range(M1):
-                if self.c[i, N] != 0:
-                    acc += self.c[i, N] * xp[i] * Yp[N]
-        return acc
-
-    def eval_deriv(self, x, a=None, branch: BranchSpec = PRINCIPAL):
-        d = self.deriv()
-        d.a = a if a is not None else self.a
-        return d.eval(x, branch=branch)
-
-    def taylor_column(self):
-        """The N=0 column as a PSeries (valid when koff <= 0)."""
-        c = np.zeros(self.c.shape[0] + self.koff, dtype=complex)
-        for i in range(self.c.shape[0]):
-            k = i + self.koff
-            if 0 <= k < len(c):
-                c[k] = self.c[i, 0]
-        return PSeries(c)
+# the ring under the names of the three kinds it covers
+PSeries = LogSeries = OmegaSeries = Series
 
 
 # ----------------------------------------------------------------------
@@ -419,24 +224,62 @@ def residual_leading_order(res, floor=1e-9):
     Returns None if every stored coefficient is below it (exact solution to
     truncation).  The floor is relative to the largest stored coefficient.
     """
-    if isinstance(res, PSeries):
-        mags = np.abs(res.c)
-        orders = np.arange(len(mags))
-    elif isinstance(res, LogSeries):
-        mags = np.array([np.abs(q).max() if len(q) else 0.0 for q in res.p])
-        orders = np.arange(res.nmin, res.nmin + res.L)
-    elif isinstance(res, OmegaSeries):
-        mags = np.abs(res.c).max(axis=1)
-        orders = np.arange(res.koff, res.koff + res.c.shape[0])
-    else:
-        raise TypeError(type(res))
+    mags = np.abs(res.rows()).max(axis=1)
     scale = mags.max()
     if scale == 0:
         return None
     idx = np.nonzero(mags > floor * max(scale, 1.0))[0]
     if len(idx) == 0:
         return None
-    return int(orders[idx[0]])
+    return int(res.off + idx[0])
+
+
+# ----------------------------------------------------------------------
+# the order-by-order kernel
+
+
+def _solve_slots(residual_of, c, slots, what, cols=slice(None)):
+    """Solve the unknown coefficients c[slots] (zero on entry) in place.
+
+    residual_of(c) is the PVI residual of the series with coefficients c.
+    One probe per slot sets it to 1.  The controlling x-order m is the first
+    where a probe moves the residual columns `cols` by more than 1e-8 of the
+    largest move; every lower order must already vanish to 1e-9 of the
+    residual.  One slot, paired with one column, is solved by division (a
+    linear coefficient below 1e-10 is a resonance); several slots, the
+    ln-coefficients of one P_n, by least squares over the columns of order
+    m, consistent to 1e-7.  `what` names the step in error messages.
+    """
+    res = residual_of(c)
+    r0 = res.rows()[:, cols]
+    probes = []
+    for s in slots:
+        c[s] = 1.0
+        probes.append(residual_of(c).rows()[:, cols])
+        c[s] = 0.0
+    diffs = [r - r0 for r in probes]
+    reach = np.max([np.abs(d).max(axis=1) for d in diffs], axis=0)
+    if reach.max() == 0:
+        raise ObstructionError(f"{what}: coefficient does not enter the residual")
+    m = int(np.nonzero(reach > 1e-8 * reach.max())[0][0])
+    noise = 1e-9 * max(1.0, np.abs(r0).max())
+    bad = np.nonzero(np.abs(r0[:m]).max(axis=1) > noise)[0]
+    if len(bad):
+        raise ObstructionError(
+            f"{what}: residual obstruction at order {res.off + bad[0]} (resonance?)")
+    if len(slots) == 1:
+        clin = diffs[0][m, 0]
+        if abs(clin) < 1e-10 * max(1.0, np.abs(probes[0]).max()):
+            raise ResonanceError(f"{what}: resonant (vanishing linear coefficient)")
+        c[slots[0]] = -r0[m, 0] / clin
+        return
+    A = np.stack([d[m] for d in diffs], axis=1)
+    sol, *_ = np.linalg.lstsq(A, -r0[m], rcond=None)
+    resid = np.abs(A @ sol + r0[m]).max()
+    if resid > 1e-7 * max(1.0, np.abs(r0[m]).max()):
+        raise ObstructionError(f"{what}: inconsistent linear system (residual {resid:.2e})")
+    for s, v in zip(slots, sol):
+        c[s] = v
 
 
 # ----------------------------------------------------------------------
@@ -494,61 +337,25 @@ TAYLOR_CLASSES = ("form1", "riuffa", "form2", "form3",
                   "taylor1+", "taylor1-", "taylor2", "taylor3", "generic")
 
 
-def _first_diff_slot(r0, r1, rel=1e-8):
-    d = np.abs(r1.c - r0.c)
-    scale = d.max()
-    if scale == 0:
-        return None, None
-    idx = np.nonzero(d > rel * scale)[0]
-    if len(idx) == 0:
-        return None, None
-    m = int(idx[0])
-    return m, (r1.c[m] - r0.c[m])
-
-
-def solve_taylor(theta: ThetaParams, klass: str, a=None, N: int = 12) -> PSeries:
+def solve_taylor(theta: ThetaParams, klass: str, a=None, N: int = 12) -> Series:
     """Order-by-order solution of PVI in the given Taylor class.
 
-    A single kernel: seed the class's fixed low-order coefficients, then for
-    each order n solve the (linear) condition that the residual's next
-    coefficient vanishes.  Free parameters are inserted at the orders where
-    the class's resonance makes the linear coefficient vanish.
+    Seed the class's fixed low-order coefficients, then solve each b_n from
+    the first residual order it reaches, on the residual through x^(n+7).
+    Free parameters are inserted at the orders where the class's resonance
+    makes the linear coefficient vanish.
     """
     fixed, free = _taylor_seed(theta, klass, a)
-    L = N + 8
-    b = np.zeros(N + 1, dtype=complex)
+    b = np.zeros(N + 8, dtype=complex)
     for k, v in fixed.items():
         b[k] = v
-
-    def residual_with(bvec):
-        c = np.zeros(L, dtype=complex)
-        c[: len(bvec)] = bvec
-        return pvi_residual_series(PSeries(c), theta)
-
-    start = max(fixed.keys()) + 1
-    for n in range(start, N + 1):
+    for n in range(max(fixed) + 1, N + 1):
         if n in free:
             b[n] = free[n] if free[n] is not None else 0.0
             continue
-        r0 = residual_with(b)
-        bp = b.copy()
-        bp[n] = 1.0
-        r1 = residual_with(bp)
-        m, clin = _first_diff_slot(r0, r1)
-        if m is None:
-            raise ObstructionError(f"order {n}: coefficient does not enter the residual")
-        # residual must already vanish below the slot b_n controls
-        noise = 1e-9 * max(1.0, np.abs(r0.c).max())
-        bad = np.nonzero(np.abs(r0.c[:m]) > noise)[0]
-        if len(bad):
-            raise ObstructionError(
-                f"order {n}: residual obstruction at order {bad[0]} (resonance?)")
-        if abs(clin) < 1e-10 * max(1.0, np.abs(r1.c).max()):
-            raise ResonanceError(f"order {n}: resonant (vanishing linear coefficient)")
-        b[n] = -r0.c[m] / clin
-    out = PSeries(b)
-    out.meta = {"class": klass, "theta": theta, "a": a, "N": N}
-    return out
+        _solve_slots(lambda v: pvi_residual_series(Series(v[: n + 8]), theta),
+                     b, [n], f"order {n}")
+    return Series(b[: N + 1], meta={"class": klass, "theta": theta, "a": a, "N": N})
 
 
 # ----------------------------------------------------------------------
@@ -556,8 +363,8 @@ def solve_taylor(theta: ThetaParams, klass: str, a=None, N: int = 12) -> PSeries
 
 
 def solve_log_series(theta: ThetaParams, shape: str, r: complex, N: int = 3,
-                     B1=None) -> LogSeries:
-    """Logarithmic x=0 families.
+                     B1=None) -> Series:
+    """Logarithmic x=0 families, sum_n P_n(ln x) x^n.
 
     shape2 (th0 != +-thx): P1(ln x) = (thx^2-th0^2)/4 ln^2 x - 2(r+th0/2) ln x
                           + 4 r (r+th0)/(thx^2-th0^2)
@@ -565,76 +372,33 @@ def solve_log_series(theta: ThetaParams, shape: str, r: complex, N: int = 3,
 
     If B1 is given for shape2 it overrides r via B1 = -2r - th0.
     Higher P_n are found by a linear least-squares solve against the
-    residual, with the ln-degree of P_n capped at 2n+2.
+    residual, with the ln-degree of P_n capped at 2n+2 and that of the
+    ring at 2N+10; each P_n is solved on the residual through x^(n+4).
+    The result keeps x-orders through N+6 (zero above N) and carries `.p`,
+    the list of P_n with trailing zeros trimmed.
     """
     t0, tx, t1, ti = theta.as_tuple()
-    dmax = 2 * N + 4
     if shape == "shape2":
         _check(abs(t0 - tx) > 1e-10 and abs(t0 + tx) > 1e-10, "shape2 needs th0 != +-thx")
         if B1 is not None:
             r = -(B1 + t0) / 2.0
         d2 = tx * tx - t0 * t0
-        P1 = np.array([4.0 * r * (r + t0) / d2, -2.0 * r - t0, d2 / 4.0], dtype=complex)
+        P1 = [4.0 * r * (r + t0) / d2, -2.0 * r - t0, d2 / 4.0]
     elif shape in ("shape3+", "shape3-"):
         sgn = 1.0 if shape.endswith("+") else -1.0
         _check(abs(t0 - sgn * tx) < 1e-10, f"{shape} needs th0 = {'+' if sgn>0 else '-'}thx")
-        P1 = np.array([r, sgn * t0], dtype=complex)
+        P1 = [r, sgn * t0]
     else:
         raise ValueError(f"unknown log shape {shape!r}")
 
     # the residual window loses ~3 x-orders to derivatives and truncation
-    L = N + 7
-    polys = [np.zeros(1, dtype=complex) for _ in range(L)]
-    polys[1] = P1
-
-    def residual_of(ps):
-        return pvi_residual_series(LogSeries([q.copy() for q in ps], 0, L, dmax + 6), theta)
-
+    c = np.zeros((N + 7, 2 * N + 11), dtype=complex)
+    c[1, : len(P1)] = P1
     for n in range(2, N + 1):
-        deg = min(2 * n + 2, dmax)
-        r0 = residual_of(polys)
-        # probe each ln-power of P_n
-        cols = []
-        for j in range(deg + 1):
-            probe = [q.copy() for q in polys]
-            e = np.zeros(j + 1, dtype=complex)
-            e[j] = 1.0
-            probe[n] = e
-            rj = residual_of(probe)
-            cols.append((rj, r0))
-        # first x-order where any probe differs from the baseline
-        diff_mag = None
-        for rj, _ in cols:
-            Lc = min(rj.L, r0.L)
-            m0 = min(rj.nmin, r0.nmin)
-            dm = np.zeros(Lc + 4)
-            for nn in range(Lc + 4):
-                d = LogSeries._padd(rj._poly(m0 + nn), -r0._poly(m0 + nn))
-                dm[nn] = np.abs(d).max() if len(d) else 0.0
-            diff_mag = dm if diff_mag is None else np.maximum(diff_mag, dm)
-        if diff_mag is None or diff_mag.max() == 0:
-            raise ObstructionError(f"x-order {n}: P_n does not enter the residual")
-        m0 = min(r0.nmin, min(rj.nmin for rj, _ in cols))
-        slots = np.nonzero(diff_mag > 1e-8 * diff_mag.max())[0]
-        m = m0 + int(slots[0])
-        # assemble least squares at x-order m (all ln-degrees)
-        width = dmax + 8
-        rhs = np.zeros(width, dtype=complex)
-        q0 = r0._poly(m)
-        rhs[: len(q0)] = q0
-        A = np.zeros((width, deg + 1), dtype=complex)
-        for j, (rj, _) in enumerate(cols):
-            d = LogSeries._padd(rj._poly(m), -q0)
-            A[: len(d), j] = d
-        sol, *_ = np.linalg.lstsq(A, -rhs, rcond=None)
-        resid = np.abs(A @ sol + rhs).max()
-        if resid > 1e-7 * max(1.0, np.abs(rhs).max()):
-            raise ObstructionError(f"x-order {n}: inconsistent linear system (residual {resid:.2e})")
-        polys[n] = np.trim_zeros(sol, "b") if np.any(sol) else np.zeros(1, dtype=complex)
-        if len(polys[n]) == 0:
-            polys[n] = np.zeros(1, dtype=complex)
-    out = LogSeries(polys, 0, L, dmax + 6)
-    out.meta = {"shape": shape, "theta": theta, "r": r, "N": N}
+        _solve_slots(lambda v: pvi_residual_series(Series(v[: n + 7]), theta),
+                     c, [(n, j) for j in range(2 * n + 3)], f"x-order {n}")
+    out = Series(c, meta={"shape": shape, "theta": theta, "r": r, "N": N})
+    out.p = [np.trim_zeros(q, "b") if q.any() else q[:1] for q in c]
     return out
 
 
@@ -643,13 +407,14 @@ def solve_log_series(theta: ThetaParams, shape: str, r: complex, N: int = 3,
 
 
 def solve_omega_series(theta: ThetaParams, branch: str, a, K: int = 6, M: int = 2,
-                       omega_sign: int = 1) -> OmegaSeries:
+                       omega_sign: int = 1) -> Series:
     """One-parameter family y = sum_N y_N(x) (a x^omega)^N.
 
     branch selects the N=0 Taylor column: riuffa (omega = +-(th1+thinf-1))
     or form1 (omega = +-(thinf-th1-1)).  The N=1, x^0 coefficient is the
     normalization b0/(thinf-1) * sign so the two leading terms reproduce the
-    printed one-parameter asymptotics with a identified with r.
+    printed one-parameter asymptotics with a identified with r.  Each
+    c[k, N] is solved from column N of the residual through x^(k+2).
     """
     t0, tx, t1, ti = theta.as_tuple()
     if branch == "riuffa":
@@ -665,40 +430,13 @@ def solve_omega_series(theta: ThetaParams, branch: str, a, K: int = 6, M: int = 
         raise ResonanceError(f"omega = {omega} outside |Re omega| < 1, omega != 0")
 
     y0 = solve_taylor(theta, branch, N=K)
-    b0 = y0.c[0]
-    grid = np.zeros((K + 1, M + 1), dtype=complex)
-    grid[: K + 1, 0] = y0.c
-
-    def residual_of(g):
-        s = OmegaSeries.zero(K + 5, M, omega)
-        s.c[: K + 1, :] = g
-        return pvi_residual_series(s, theta)
-
+    g = np.zeros((K + 5, M + 1), dtype=complex)
+    g[: K + 1, 0] = y0.c
+    g[0, 1] = omega_sign * y0.c[0] / (ti - 1.0)
     for N in range(1, M + 1):
-        for k in range(0, K + 1):
-            if N == 1 and k == 0:
-                grid[0, 1] = omega_sign * b0 / (ti - 1.0)
-                continue
-            r0 = residual_of(grid)
-            gp = grid.copy()
-            gp[k, N] = 1.0
-            r1 = residual_of(gp)
-            dcol = np.abs(r1.c[:, N] - r0.c[:, N])
-            if dcol.max() == 0:
-                raise ObstructionError(f"slot (k={k}, N={N}) does not enter the residual")
-            idx = np.nonzero(dcol > 1e-8 * dcol.max())[0]
-            m = int(idx[0])
-            clin = r1.c[m, N] - r0.c[m, N]
-            noise = 1e-9 * max(1.0, np.abs(r0.c[:, N]).max())
-            bad = np.nonzero(np.abs(r0.c[:m, N]) > noise)[0]
-            if len(bad):
-                raise ObstructionError(f"column {N}: obstruction at x-order {bad[0] + r0.koff}")
-            if abs(clin) < 1e-10 * max(1.0, np.abs(r1.c).max()):
-                raise ResonanceError(f"slot (k={k}, N={N}) resonant")
-            grid[k, N] = -r0.c[m, N] / clin
-    out = OmegaSeries.zero(K + 1, M, omega)
-    out.c[:, :] = grid
-    out.a = a
-    out.meta = {"branch": branch, "theta": theta, "a": a, "K": K, "M": M,
-                "omega": omega}
-    return out
+        for k in range(1 if N == 1 else 0, K + 1):
+            _solve_slots(lambda v: pvi_residual_series(Series(v[: k + 5], omega=omega), theta),
+                         g, [(k, N)], f"slot (k={k}, N={N})", cols=slice(N, N + 1))
+    return Series(g[: K + 1], omega=omega, a=a,
+                  meta={"branch": branch, "theta": theta, "a": a, "K": K, "M": M,
+                        "omega": omega})

@@ -23,6 +23,29 @@ def test_parse_complex_notations():
     assert parse_complex(" -2j ") == -2j
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1+nani", "infi"])
+def test_non_finite_values_exit_2(capsys, value):
+    with pytest.raises(ValueError, match="finite"):
+        parse_complex(value)
+    code, out, err = run_cli(capsys, "series", f"--theta={value},0.57,0.31,0.44",
+                             "--class", "form1")
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and repr(value) in err
+
+
+@pytest.mark.parametrize("command", ["series", "sweep"])
+@pytest.mark.parametrize("order", ["0", "-3"])
+def test_order_below_one_exits_2(capsys, command, order):
+    argv = [command, "--order", order]
+    if command == "series":
+        argv += ["--theta", THETA, "--class", "form1"]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: --order must be at least 1, got {order}\n"
+
+
 def test_parse_theta_validates_arity():
     with pytest.raises(ValueError):
         parse_theta("1,2,3")
@@ -121,8 +144,7 @@ def test_hypergeom_oracle_deviation(capsys):
     assert json.loads(out)["deviation"] < 1e-8
 
 
-def test_sweep_is_seeded_and_sorted(capsys, monkeypatch):
-    monkeypatch.setenv("PVI_LAB_THREADS", "2")
+def test_sweep_is_seeded_and_sorted(capsys):
     _, out1, _ = run_cli(capsys, "sweep", "--count", "4", "--order", "4",
                          "--seed", "11")
     _, out2, _ = run_cli(capsys, "sweep", "--count", "4", "--order", "4",

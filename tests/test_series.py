@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from pvilab.pvi import ResonanceError, ThetaParams, pvi_residual_series
-from pvilab.series import (LogSeries, PSeries, TAYLOR_CLASSES,
+from pvilab.series import (TAYLOR_CLASSES, ObstructionError, Series,
                            TrustRadiusWarning, residual_leading_order,
                            solve_log_series, solve_omega_series, solve_taylor)
 
@@ -12,15 +12,93 @@ TH = ThetaParams(0.23, 0.57, 0.31, 0.44)
 
 
 def test_pseries_ring_ops():
-    x = PSeries.var(6)
+    x = Series([0, 1, 0, 0, 0, 0])
     s = (1.0 + x) * (1.0 - x) + x * x
     assert np.max(np.abs(s.c - np.array([1, 0, 0, 0, 0, 0]))) == 0
     assert np.max(np.abs((x * x * x).deriv().c
                          - np.array([0, 0, 3, 0, 0, 0]))) == 0
 
 
+def _naive_product(a, b):
+    """c[i, p] d[j, q] summed into (i + j, p + q) within the truncation."""
+    rows, w = min(len(a), len(b)), a.shape[1]
+    out = np.zeros((rows, w), dtype=complex)
+    for i in range(len(a)):
+        for p in range(w):
+            for j in range(len(b)):
+                for q in range(w):
+                    if i + j < rows and p + q < w:
+                        out[i + j, p + q] += a[i, p] * b[j, q]
+    return out
+
+
+def _naive_deriv(c, off, omega):
+    """x^n B^j -> x^(n-1) (n B^j + j B^(j-1)) for B = ln x, (n + j omega) for Y."""
+    out = np.zeros((len(c) + 1, c.shape[1]), dtype=complex)
+    for k in range(len(c)):
+        for j in range(c.shape[1]):
+            n = k + off
+            if omega is None:
+                out[k, j] += n * c[k, j]
+                if j:
+                    out[k, j - 1] += j * c[k, j]
+            else:
+                out[k, j] += (n + j * omega) * c[k, j]
+    return out
+
+
+@pytest.mark.parametrize("shape,off,omega", [
+    ((7,), 0, None),            # plain power series
+    ((6, 4), -1, None),         # ln x
+    ((6, 3), 0, 0.3 + 0.1j),    # Y = a x^omega
+])
+def test_ring_matches_naive_reference(shape, off, omega):
+    rng = np.random.default_rng(7)
+    ca, cb = (rng.normal(size=shape) + 1j * rng.normal(size=shape) for _ in range(2))
+    a, b = Series(ca, off, omega), Series(cb[:-1], 1, omega)
+    prod = a * b
+    assert prod.off == off + 1
+    assert np.allclose(prod.rows(), _naive_product(a.rows(), b.rows()), rtol=0, atol=1e-12)
+    d = a.deriv()
+    ref = _naive_deriv(a.rows(), off, omega)
+    if len(shape) == 1:
+        # a power series from x^0 keeps x^0 as its lowest order
+        assert d.off == 0 and d.c.shape == shape
+        assert np.allclose(d.c, ref[1:, 0], rtol=0, atol=1e-12)
+    else:
+        assert d.off == off - 1 and d.c.shape == (shape[0] + 1, shape[1])
+        assert np.allclose(d.c, ref, rtol=0, atol=1e-12)
+    # the top order is kept, with coefficient 0
+    assert not d.rows()[-1].any()
+
+
+def test_residual_leading_order_reads_the_offset():
+    res = Series([[0, 0], [1e-12, 0], [0, 3.0]], off=-2)
+    assert residual_leading_order(res) == 0
+    assert residual_leading_order(Series(np.zeros((3, 2)), off=-2)) is None
+
+
+def test_solver_result_shapes():
+    tay = solve_taylor(TH, "form1", N=6)
+    assert tay.c.shape == (7,)
+    tay.c = tay.c.copy()
+    assert not hasattr(tay, "p")
+    for shape, th, n1 in (("shape2", TH, 3),
+                          ("shape3+", ThetaParams(0.37, 0.37, 0.31, 0.44), 2),
+                          ("shape3-", ThetaParams(0.37, -0.37, 0.31, 0.44), 2)):
+        ls = solve_log_series(th, shape, 0.2, N=3)
+        assert ls.p is ls.p and isinstance(ls.p, list)
+        assert len(ls.p[1]) == n1
+        assert all(len(q) == 1 or q[-1] != 0 for q in ls.p)
+        assert ls.meta["N"] == 3
+    om = solve_omega_series(TH, "form1", a=0.15, K=5, M=2)
+    assert om.c.shape == (6, 3)
+    assert om.omega is not None and om.a == 0.15
+    assert not hasattr(om, "p")
+
+
 def test_pseries_eval_warns_beyond_trust_radius():
-    s = PSeries(np.array([1.0, 1.0, 1e6], dtype=complex))
+    s = Series(np.array([1.0, 1.0, 1e6], dtype=complex))
     with pytest.warns(TrustRadiusWarning):
         s.eval(0.2)
 
@@ -58,6 +136,15 @@ def test_form1_resonance_raises():
         solve_taylor(ThetaParams(0.23, 0.57, 0.5, 0.5), "form1")
     with pytest.raises(ResonanceError):
         solve_taylor(ThetaParams(0.23, 0.57, 0.31, 1.0), "form1")
+
+
+def test_generic_class_obstructs_off_the_printed_leading_value():
+    b0 = solve_taylor(TH, "form1", N=6).c[0]
+    assert np.array_equal(solve_taylor(TH, "generic", a=b0, N=6).c,
+                          solve_taylor(TH, "form1", N=6).c)
+    # y(0) = 0.5 leaves the x^0 residual nonzero below the slot b_1 controls
+    with pytest.raises(ObstructionError, match="obstruction at order 0"):
+        solve_taylor(TH, "generic", a=0.5, N=6)
 
 
 def test_form2_rejects_generic_theta():
