@@ -22,7 +22,6 @@ __all__ = [
     "trig_amp_phase",
     "r_from_amp_phase",
     "three_term_value",
-    "chazy_image",
 ]
 
 _TOL = 1e-10
@@ -35,7 +34,7 @@ class OutOfStripError(ValueError):
 @dataclass(frozen=True)
 class CriticalSeed:
     kind: str           # power-generic | trig | one-param-sum | one-param-diff |
-                        # log-generic | log-special+ | log-special- | chazy
+                        # log-generic | log-special+ | log-special-
     theta: ThetaParams
     sigma: complex = 0.0
     r: complex = 0.0
@@ -146,8 +145,6 @@ def seed_value(seed: CriticalSeed, x, branch: BranchSpec = PRINCIPAL, three_term
         sgn = 1.0 if seed.kind.endswith("+") else -1.0
         f = r + sgn * t0 * lg
         return x * f, f + sgn * t0
-    if seed.kind == "chazy":
-        return chazy_image(seed.theta, r, x, branch=branch)
     raise ValueError(f"unknown seed kind {seed.kind}")
 
 
@@ -187,31 +184,3 @@ def trig_amp_phase(sigma, theta: ThetaParams, r):
 def r_from_amp_phase(sigma, A, phi):
     return sigma * A * cmath.exp(-1j * phi) / 2.0
 
-
-def chazy_image(theta: ThetaParams, r, x, branch: BranchSpec = PRINCIPAL):
-    """Logarithmic-leading behavior in the th1^2 != (thinf-1)^2 regime.
-
-    Returns (y, y') of the two printed terms.  For th1^2 = (thinf-1)^2 the
-    second branch +-1/((thinf-1) ln x) applies (branch="second" not needed:
-    selected automatically).
-    """
-    _, _, t1, ti = theta.as_tuple()
-    d = t1 * t1 - (ti - 1.0) ** 2
-    lg = clog(x, branch)
-    if abs(d) < _TOL:
-        # second printed branch: thinf -+ th1 = 1
-        if abs(ti - 1.0) < _TOL:
-            raise ValueError("thinf = 1 leaves both branch denominators zero")
-        c = 1.0 / ((ti - 1.0) * lg)
-        y = c * (1.0 - r / ((ti - 1.0) * lg))
-        # d/dx [c1/ln + c2/ln^2], c1=1/(ti-1), c2=-r/(ti-1)^2
-        c1 = 1.0 / (ti - 1.0)
-        c2 = -r / (ti - 1.0) ** 2
-        yp = (-c1 / (lg * lg) - 2.0 * c2 / (lg ** 3)) / x
-        return y, yp
-    # main branch: 4/(d ln^2 x) [1 + (8r + 4(thinf-1))/d * 1/ln x]
-    c2 = 4.0 / d
-    c3 = 4.0 * (8.0 * r + 4.0 * (ti - 1.0)) / (d * d)
-    y = c2 / (lg * lg) + c3 / (lg ** 3)
-    yp = (-2.0 * c2 / (lg ** 3) - 3.0 * c3 / (lg ** 4)) / x
-    return y, yp

@@ -15,7 +15,7 @@ import sys
 
 import numpy as np
 
-from . import acceptance, fuchsian
+from . import fuchsian
 from .asymptotics import make_seed, seed_value
 from .continuation import ChartThrashError, PathPlan, integrate
 from .hypergeom import connection_matrix, connection_oracle
@@ -26,11 +26,12 @@ from .monodromy import (MonodromyRep, TraceData, build_case_a, build_case_b,
 from .numerics import PoleError, SingularMatrixError, tr2
 from .pvi import ResonanceError, SingularConfigError, ThetaParams
 from .series import ObstructionError, residual_leading_order, solve_taylor
-from .symmetries import (XY_GENERATORS, act_theta, act_xy, sigma_image)
+from .symmetries import XY_GENERATORS, MapPoleError, act_theta, act_xy, sigma_image
 
 SCHEMA_VERSION = 1
 
-_VALIDATION = (ResonanceError, SingularConfigError, PoleError,
+# MapPoleError is a ZeroDivisionError, so it must be caught here first
+_VALIDATION = (ResonanceError, SingularConfigError, PoleError, MapPoleError,
                SingularMatrixError, ValueError, KeyError, json.JSONDecodeError)
 _NUMERIC = (StepUnderflow, ChartThrashError, ObstructionError,
             ZeroDivisionError, ArithmeticError, RuntimeError)
@@ -139,9 +140,7 @@ def cmd_continue(args):
     th = parse_theta(args.theta)
     x0, y0, yp0 = (parse_complex(p) for p in args.ic.split(","))
     verts = [parse_complex(p) for p in args.path.split(";")]
-    traj = integrate((x0, y0, yp0), th, PathPlan(tuple(verts), args.tol),
-                     tol=args.tol, switch_threshold=args.switch_threshold,
-                     hysteresis=args.hysteresis, max_switches=args.max_switches)
+    traj = integrate((x0, y0, yp0), th, PathPlan(tuple(verts), args.tol), tol=args.tol)
     xf, yf, ypf = traj.final()
     if args.csv_out:
         traj.to_csv(args.csv_out)
@@ -152,16 +151,20 @@ def cmd_continue(args):
     return 0
 
 
+def _build_case(args, build, *flags):
+    """build() on the parsed flags that --case needs, naming the first one missing."""
+    missing = [f for f in flags if getattr(args, f) is None]
+    if missing:
+        raise ValueError(f"--{missing[0]} is required for --case {args.case}")
+    return build(*((parse_theta if f == "theta" else parse_complex)(getattr(args, f))
+                   for f in flags))
+
+
 def _build_rep(args):
-    if args.case == "a":
-        return build_case_a(parse_theta(args.theta))
-    if args.case == "b":
-        return build_case_b(parse_complex(args.thx), parse_complex(args.thinf),
-                            parse_complex(args.s), parse_complex(args.r))
-    if args.case == "c":
-        return build_case_c(parse_complex(args.th0), parse_complex(args.thx),
-                            parse_complex(args.s))
-    raise ValueError(f"unknown case {args.case!r}")
+    cases = {"a": (build_case_a, "theta"),
+             "b": (build_case_b, "thx", "thinf", "s", "r"),
+             "c": (build_case_c, "th0", "thx", "s")}
+    return _build_case(args, *cases[args.case])
 
 
 def cmd_monodromy(args):
@@ -238,32 +241,19 @@ def cmd_hypergeom(args):
 
 
 def _build_system(args):
-    if args.case == "a":
-        return fuchsian.build_case_a(parse_theta(args.theta), parse_complex(args.r))
-    if args.case == "b":
-        return fuchsian.build_case_b(parse_complex(args.thx), parse_complex(args.thinf),
-                                     parse_complex(args.s), parse_complex(args.r))
-    if args.case == "c":
-        return fuchsian.build_case_c(parse_complex(args.th0), parse_complex(args.thx),
-                                     parse_complex(args.r1), parse_complex(args.rho))
-    raise ValueError(f"unknown case {args.case!r}")
+    if args.case is None:
+        raise ValueError(f"--case is required for --action {args.action}")
+    cases = {"a": (fuchsian.build_case_a, "theta", "r"),
+             "b": (fuchsian.build_case_b, "thx", "thinf", "s", "r"),
+             "c": (fuchsian.build_case_c, "th0", "thx", "r1", "rho")}
+    return _build_case(args, *cases[args.case])
 
 
 def cmd_fuchsian(args):
     if args.action == "build":
         emit(_build_system(args).to_json(), args.out)
         return 0
-    sys_ = _build_system(args)
     x = parse_complex(args.x)
-    if args.action == "transport":
-        center = parse_complex(args.center)
-        m = fuchsian.loop_monodromy(sys_, x, center, tol=args.tol)
-        emit({"center": c2l(center), "x": c2l(x), "matrix": m2l(m),
-              "trace": c2l(tr2(m))}, args.out)
-        return 0
-    if args.action == "y-from-A":
-        emit({"x": c2l(x), "y": c2l(fuchsian.y_from_A(sys_, x))}, args.out)
-        return 0
     if args.action == "appendix2":
         spec = load_json(args.json_in)
         lead = l2m(spec["leading"])
@@ -276,6 +266,16 @@ def cmd_fuchsian(args):
             k1, k2, lam1 = fuchsian.appendix2_recursion(
                 "IRR2", lead, coeffs, spec.get("n", 2), x=x)
             emit({"K1": m2l(k1), "K2": m2l(k2), "Lambda1": m2l(lam1)}, args.out)
+        return 0
+    sys_ = _build_system(args)
+    if args.action == "transport":
+        center = parse_complex(args.center)
+        m = fuchsian.loop_monodromy(sys_, x, center, tol=args.tol)
+        emit({"center": c2l(center), "x": c2l(x), "matrix": m2l(m),
+              "trace": c2l(tr2(m))}, args.out)
+        return 0
+    if args.action == "y-from-A":
+        emit({"x": c2l(x), "y": c2l(fuchsian.y_from_A(sys_, x))}, args.out)
         return 0
     raise ValueError(f"unknown fuchsian action {args.action!r}")
 
@@ -300,6 +300,7 @@ def cmd_sweep(args):
 
 
 def cmd_selftest(args):
+    from . import acceptance
     rows = [(n, bool(ok), d) for n, ok, d in acceptance.run_all()]
     for name, ok, detail in rows:
         print(f"{'PASS' if ok else 'FAIL'}  {name}: {detail}", file=sys.stderr)
@@ -341,9 +342,6 @@ def build_parser():
     sp.add_argument("--ic", required=True, help="x0,y0,yp0")
     sp.add_argument("--path", required=True, help="semicolon-separated vertices")
     sp.add_argument("--tol", type=float, default=1e-10)
-    sp.add_argument("--switch-threshold", type=float, default=1e-3)
-    sp.add_argument("--hysteresis", type=float, default=3.0)
-    sp.add_argument("--max-switches", type=int, default=10)
     sp.add_argument("--csv-out", default=None)
 
     sp = add("monodromy", cmd_monodromy, help="closed-form monodromy matrices")

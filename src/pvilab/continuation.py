@@ -1,10 +1,11 @@
 """Numeric continuation of PVI solutions along complex-x paths.
 
-Integrates the first-order system (y, y') with the embedded 5(4) pair,
-switching to the reciprocal charts u = 1/y, 1/(y-1), 1/(y-x) near the
-singular set of the right-hand side, and provides seed-consistency
-diagnostics (series and critical-behavior seeds vs the integrated
-trajectory).
+Integrates the first-order system (y, y') with the embedded 5(4) pair in
+the y chart, switching to the one pole chart w = 1/y where |y| grows large
+(movable poles).  Crossings of y = 0, 1, x at a regular x are integrated in
+the y chart: there the simple pole of the right-hand side is removable on
+a solution.  Also provides seed-consistency diagnostics (series and
+critical-behavior seeds vs the integrated trajectory).
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ from __future__ import annotations
 import cmath
 import csv
 import io
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,7 +33,7 @@ __all__ = [
     "seed_and_verify",
 ]
 
-CHARTS = ("y", "inv_y", "inv_y1", "inv_yx")
+CHARTS = ("y", "inv_y")
 
 SWITCH_THRESHOLD = 1e-3
 HYSTERESIS = 3.0
@@ -42,30 +42,21 @@ X_CLEARANCE = 1e-6     # paths must stay this far from x = 0, 1
 
 
 class ChartThrashError(RuntimeError):
-    """Ten or more chart switches within one path segment."""
-
-
-def _chart_center(chart: str, x: complex) -> complex:
-    return {"inv_y": 0.0, "inv_y1": 1.0, "inv_yx": x}[chart]
+    """MAX_SWITCHES or more chart switches within one path segment."""
 
 
 def to_chart(chart: str, x, y, yp):
     """(y, y') -> chart state (w, w'); exact closed-form change of variables."""
     if chart == "y":
         return complex(y), complex(yp)
-    c = _chart_center(chart, complex(x))
-    dc = 1.0 if chart == "inv_yx" else 0.0   # dc/dx
-    w = 1.0 / (y - c)
-    return w, -(yp - dc) * w * w
+    w = 1.0 / y
+    return w, -yp * w * w
 
 
 def from_chart(chart: str, x, w, wp):
     if chart == "y":
         return complex(w), complex(wp)
-    c = _chart_center(chart, complex(x))
-    dc = 1.0 if chart == "inv_yx" else 0.0
-    y = c + 1.0 / w
-    return y, dc - wp / (w * w)
+    return 1.0 / w, -wp / (w * w)
 
 
 def _seg_point_dist(a: complex, b: complex, p: complex) -> float:
@@ -134,7 +125,8 @@ class Trajectory:
 
         Cross-checks the partial-fraction right-hand side against the
         denominator-cleared residual polynomial; samples closer than
-        `guard` to the singular set are skipped (their chart handles them).
+        `guard` to the singular set are skipped (pvi_rhs is ill-conditioned
+        there).
         """
         worst = 0.0
         for x, y, yp, _ in self.samples:
@@ -163,20 +155,16 @@ class Trajectory:
         return text
 
 
-def _distances(x, y):
-    return {"inv_y": abs(y), "inv_y1": abs(y - 1.0), "inv_yx": abs(y - x)}
-
-
-def integrate(ic, theta: ThetaParams, path, tol=1e-10,
-              switch_threshold=SWITCH_THRESHOLD, hysteresis=HYSTERESIS,
-              max_switches=MAX_SWITCHES) -> Trajectory:
+def integrate(ic, theta: ThetaParams, path, tol=1e-10) -> Trajectory:
     """Continue (y, y') from ic = (x0, y0, y0') along the path.
 
-    Near the singular set of the right-hand side the integration proceeds
-    in the reciprocal chart of the closest point among {0, 1, x} (the
-    u = 1/y chart also covers movable poles).  Switch-backs use a 3x
-    hysteresis band; crossing max_switches switches within one segment
-    raises ChartThrashError.
+    Integrates in the y chart, and in the one pole chart w = 1/y while
+    |y| is large: it enters inv_y when |y| > 1/SWITCH_THRESHOLD and
+    leaves it when 1/|y| > HYSTERESIS * SWITCH_THRESHOLD.  Crossings of
+    y = 0, 1, x stay in the y chart, where the pole of the right-hand side
+    is removable on a solution; accuracy there falls as the path passes
+    closer to the crossing.  MAX_SWITCHES switches within one segment
+    raise ChartThrashError.
     """
     if not isinstance(path, PathPlan):
         path = PathPlan(tuple(path), tol)
@@ -210,22 +198,13 @@ def integrate(ic, theta: ThetaParams, path, tol=1e-10,
             chart = state["chart"]
             yv, ypv = from_chart(chart, x, s[0], s[1])
             traj.record(x, yv, ypv, chart)
-            d = _distances(x, yv)
-            new = chart
             if chart == "y":
-                near = min(d, key=d.get)
-                if d[near] < switch_threshold:
-                    new = near
-                elif abs(yv) > 1.0 / switch_threshold:
-                    new = "inv_y"          # movable pole: same reciprocal chart
+                new = "inv_y" if abs(yv) > 1.0 / SWITCH_THRESHOLD else chart
             else:
-                inside = d[chart] if chart != "inv_y" else min(d["inv_y"], 1.0 / max(abs(yv), 1e-300))
-                if inside > hysteresis * switch_threshold:
-                    near = min(d, key=d.get)
-                    new = near if d[near] < switch_threshold else "y"
+                new = "y" if 1.0 / abs(yv) > HYSTERESIS * SWITCH_THRESHOLD else chart
             if new != chart:
                 state["switches"] += 1
-                if state["switches"] >= max_switches:
+                if state["switches"] >= MAX_SWITCHES:
                     raise ChartThrashError(
                         f"{state['switches']} chart switches in segment to {b}")
                 traj.events.append({"kind": "chart-switch", "x": x,

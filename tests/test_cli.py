@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from pvilab import continuation
 from pvilab.cli import main, parse_complex, parse_theta, rep_from_json
 
 THETA = "0.23,0.57,0.31,0.44"
@@ -110,14 +111,67 @@ def test_fuchsian_transport_rejects_degenerate_loop(capsys):
         assert "x = " in err
 
 
-def test_numeric_failure_exits_3(capsys):
+def test_numeric_failure_exits_3(capsys, monkeypatch):
+    # y = x/(x + 1.6) keeps 2 < |y| < 4 on the path: the charts ping-pong
+    monkeypatch.setattr(continuation, "SWITCH_THRESHOLD", 0.5)
+    monkeypatch.setattr(continuation, "HYSTERESIS", 0.5)
+    monkeypatch.setattr(continuation, "MAX_SWITCHES", 2)
     code, _, err = run_cli(capsys, "continue", "--theta", "1,0.6,0,-1.6",
-                           "--ic", "0.3,0.15789473684,0.44321329639",
-                           "--path", "0.3;0.6",
-                           "--switch-threshold", "0.5", "--hysteresis", "0.5",
-                           "--max-switches", "2")
+                           "--ic=-2.3,3.285714285714287,3.2653061224489823",
+                           "--path=-2.3;-2.6")
     assert code == 3
     assert "ChartThrashError" in err
+
+
+def test_continue_through_y_equals_1(capsys):
+    # rational solution y = x/(0.3 x + 1.4) passes 1e-3 from y = 1 near x = 2
+    code, out, _ = run_cli(
+        capsys, "continue", "--theta", "1,0.4,-0.7,-0.7",
+        "--ic", "0.5+0.1i,0.3237080802196888+0.058250811350586677i,"
+                "0.5820718504600523-0.022540257367082307i",
+        "--path", "0.5+0.1i;2+0.001i;2.8+0.1i")
+    assert code == 0
+    fin = json.loads(out)["final"]
+    x, y = complex(*fin["x"]), complex(*fin["y"])
+    assert x == 2.8 + 0.1j
+    exact = x / (0.3 * x + 1.4)
+    assert abs(y - exact) / (1.0 + abs(exact)) < 1e-6
+
+
+CASE_FLAGS = {
+    "monodromy": {"a": {"theta": THETA},
+                  "b": {"thx": "0.31", "thinf": "0.44", "s": "0.27", "r": "1"},
+                  "c": {"th0": "0.21", "thx": "0.33", "s": "0.27"}},
+    "fuchsian": {"a": {"theta": THETA, "r": "1"},
+                 "b": {"thx": "0.31", "thinf": "0.44", "s": "0.27", "r": "1"},
+                 "c": {"th0": "0.21", "thx": "0.33", "r1": "1", "rho": "0.5"}},
+}
+
+
+@pytest.mark.parametrize("command, case, flag", [
+    (command, case, flag) for command, cases in CASE_FLAGS.items()
+    for case, flags in cases.items() for flag in flags])
+def test_missing_case_flag_is_named(capsys, command, case, flag):
+    argv = [command, "--case", case]
+    if command == "fuchsian":
+        argv += ["--action", "build"]
+    for other, value in CASE_FLAGS[command][case].items():
+        if other != flag:
+            argv += [f"--{other}", value]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: --{flag} is required for --case {case}\n"
+
+
+def test_fuchsian_appendix2_needs_no_case(capsys, tmp_path):
+    spec = tmp_path / "irr1.json"
+    spec.write_text(json.dumps({"kind": "IRR1", "leading": [[[1, 0], [0, 0]], [[0, 0], [-1, 0]]],
+                                "coeffs": [[[[0.5, 0], [0.2, 0]], [[0.3, 0], [-0.5, 0]]]]}))
+    code, out, _ = run_cli(capsys, "fuchsian", "--action", "appendix2",
+                           "--json-in", str(spec))
+    assert code == 0
+    assert json.loads(out)["Omega1"] == [[[0.5, 0.0], [0.0, 0.0]], [[0.0, 0.0], [-0.5, 0.0]]]
 
 
 def test_continue_csv_and_summary(capsys, tmp_path):
@@ -135,6 +189,14 @@ def test_symmetry_rejects_xy_for_parameter_only_generators(capsys):
     code, _, _ = run_cli(capsys, "symmetry", "--gen", "w2", "--theta", THETA,
                          "--xy", "0.3,0.5")
     assert code == 2
+
+
+def test_symmetry_map_pole_exits_2(capsys):
+    code, out, err = run_cli(capsys, "symmetry", "--gen", "x2", "--theta", THETA,
+                             "--xy", "0,0.7")
+    assert code == 2
+    assert out == ""
+    assert err == "error: x2 pole at y = 0 or x = 0\n"
 
 
 def test_hypergeom_oracle_deviation(capsys):

@@ -1,11 +1,13 @@
 """Numeric continuation: charts, path validation, and seed verification."""
 
 import io
+import math
 import warnings
 
 import numpy as np
 import pytest
 
+from pvilab import continuation
 from pvilab.asymptotics import make_seed
 from pvilab.continuation import (CHARTS, ChartThrashError, PathPlan,
                                  from_chart, integrate, seed_and_verify,
@@ -71,16 +73,49 @@ def test_residual_audit_is_small():
     assert t.residual_audit() < 1e-12
 
 
-def test_chart_thrash_raises():
-    # rational solution y = x/(x + 1.6) hugs y ~ 0.16 near x ~ 0.3; with an
-    # absurd switch threshold and no hysteresis margin the charts ping-pong
+def test_chart_thrash_raises(monkeypatch):
+    # rational solution y = x/(x + 1.6) keeps 2 < |y| < 4 on x in [-2.6, -2.3];
+    # inv_y is entered above |y| = 2 and left below |y| = 4, so the charts
+    # ping-pong on every step
+    monkeypatch.setattr(continuation, "SWITCH_THRESHOLD", 0.5)
+    monkeypatch.setattr(continuation, "HYSTERESIS", 0.5)
+    monkeypatch.setattr(continuation, "MAX_SWITCHES", 2)
     th = ThetaParams(1.0, 0.6, 0.0, -1.6)
-    x0 = 0.3
+    x0 = -2.3
     y0 = rational_solution_theta0_1(th, x0)
     yp0 = 1.6 / (x0 + 1.6) ** 2
     with pytest.raises(ChartThrashError):
-        integrate((x0, y0, yp0), th, PathPlan((x0, 0.6)), tol=1e-10,
-                  switch_threshold=0.5, hysteresis=0.5, max_switches=2)
+        integrate((x0, y0, yp0), th, PathPlan((x0, -2.6)), tol=1e-10)
+
+
+def _rational_a(x):
+    # th = (1, 0.4, -0.7, -0.7): y = x/(0.3 x + 1.4)
+    return x / (0.3 * x + 1.4), 1.4 / (0.3 * x + 1.4) ** 2
+
+
+def _rational_b(x):
+    # th = (-2, 1.5, 0.2, 0.3): y = (q^2 - 1.5 - 0.2 x^2)/(0.7 q), q = 1.5 + 0.2 x
+    q = 1.5 + 0.2 * x
+    nu, de = q * q - 1.5 - 0.2 * x * x, 0.7 * q
+    return nu / de, (0.4 * q - 0.4 * x) / de - nu * 0.14 / de ** 2
+
+
+@pytest.mark.parametrize("theta, exact, path", [
+    # y passes 1e-3 from y = 1 near x = 2, and from y = x near x = -4/3
+    ((1.0, 0.4, -0.7, -0.7), _rational_a, (0.5 + 0.1j, 2.0 + 0.001j, 2.8 + 0.1j)),
+    ((1.0, 0.4, -0.7, -0.7), _rational_a, (0.5 + 0.1j, -4.0 / 3.0 + 0.001j, -2.0 + 0.1j)),
+    # y = 0 at x0 = (0.6 - sqrt(0.84))/0.32
+    ((-2.0, 1.5, 0.2, 0.3), _rational_b,
+     (-0.5 + 0.5j, (0.6 - math.sqrt(0.84)) / 0.32 - 0.001j, -1.5 + 0.3j)),
+], ids=["y=1", "y=x", "y=0"])
+def test_crossing_stays_in_y_chart(theta, exact, path):
+    y0, yp0 = exact(path[0])
+    t = integrate((path[0], y0, yp0), ThetaParams(*theta), PathPlan(path), tol=1e-10)
+    xf, yf, ypf = t.final()
+    y, yp = exact(xf)
+    assert xf == path[-1]
+    assert max(abs(yf - y) / (1.0 + abs(y)), abs(ypf - yp) / (1.0 + abs(yp))) < 1e-6
+    assert t.events == []
 
 
 def test_trajectory_csv_columns():
