@@ -30,9 +30,10 @@ from .symmetries import XY_GENERATORS, MapPoleError, act_theta, act_xy, sigma_im
 
 SCHEMA_VERSION = 1
 
-# MapPoleError is a ZeroDivisionError, so it must be caught here first
+# MapPoleError is a ZeroDivisionError, so it must be caught here first;
+# OSError is a --json-in, --out or --csv-out path that cannot be opened
 _VALIDATION = (ResonanceError, SingularConfigError, PoleError, MapPoleError,
-               SingularMatrixError, ValueError, KeyError, json.JSONDecodeError)
+               SingularMatrixError, ValueError, KeyError, json.JSONDecodeError, OSError)
 _NUMERIC = (StepUnderflow, ChartThrashError, ObstructionError,
             ZeroDivisionError, ArithmeticError, RuntimeError)
 
@@ -106,13 +107,21 @@ def rep_from_json(doc) -> MonodromyRep:
 # subcommands
 
 
-def _check_order(args):
-    if args.order < 1:
-        raise ValueError(f"--order must be at least 1, got {args.order}")
+def _require(args, context, *flags):
+    """Raise naming the first of flags that was not given."""
+    missing = [f for f in flags if getattr(args, f) is None]
+    if missing:
+        raise ValueError(f"--{missing[0].replace('_', '-')} is required for {context}")
+
+
+def _at_least_one(args, *flags):
+    for f in flags:
+        if getattr(args, f) < 1:
+            raise ValueError(f"--{f} must be at least 1, got {getattr(args, f)}")
 
 
 def cmd_series(args):
-    _check_order(args)
+    _at_least_one(args, "order")
     th = parse_theta(args.theta)
     a = parse_complex(args.a) if args.a is not None else None
     ser = solve_taylor(th, args.klass, a=a, N=args.order)
@@ -153,9 +162,7 @@ def cmd_continue(args):
 
 def _build_case(args, build, *flags):
     """build() on the parsed flags that --case needs, naming the first one missing."""
-    missing = [f for f in flags if getattr(args, f) is None]
-    if missing:
-        raise ValueError(f"--{missing[0]} is required for --case {args.case}")
+    _require(args, f"--case {args.case}", *flags)
     return build(*((parse_theta if f == "theta" else parse_complex)(getattr(args, f))
                    for f in flags))
 
@@ -190,13 +197,12 @@ def cmd_identity_check(args):
 
 
 def cmd_invert(args):
-    if args.what == "s-b":
+    if args.what in ("s-b", "s-c"):
+        _require(args, f"--what {args.what}", "json_in")
         rep = rep_from_json(load_json(args.json_in))
-        val = invert_s_case_b(rep)
-    elif args.what == "s-c":
-        rep = rep_from_json(load_json(args.json_in))
-        val = invert_s_case_c(rep)
+        val = (invert_s_case_b if args.what == "s-b" else invert_s_case_c)(rep)
     elif args.what == "r":
+        _require(args, "--what r", "theta", "t0x", "t1x", "t01")
         th = parse_theta(args.theta)
         traces = TraceData(parse_complex(args.t0x), parse_complex(args.t1x),
                            parse_complex(args.t01))
@@ -255,6 +261,7 @@ def cmd_fuchsian(args):
         return 0
     x = parse_complex(args.x)
     if args.action == "appendix2":
+        _require(args, "--action appendix2", "json_in")
         spec = load_json(args.json_in)
         lead = l2m(spec["leading"])
         coeffs = [l2m(m) for m in spec["coeffs"]]
@@ -283,7 +290,7 @@ def cmd_fuchsian(args):
 def cmd_sweep(args):
     """Taylor coefficients over a reproducible batch of random theta draws."""
     from .acceptance import _theta_draw
-    _check_order(args)
+    _at_least_one(args, "order", "count")
     rng = np.random.default_rng(args.seed)
     results = []
     for idx in range(args.count):

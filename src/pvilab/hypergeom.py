@@ -1,9 +1,11 @@
 """Gauss hypergeometric machinery: series, logarithmic second solutions,
 2x2 first-order reductions, and the closed-form connection matrices.
 
-The connection matrices are pure Gamma/exponential products; an independent
-numeric oracle (ODE transport between local solution bases) lives here too,
-so the closed forms are never trusted on faith.
+The connection matrices are pure Gamma/exponential products.  An
+independent numeric oracle lives here too, so the closed forms are never
+trusted on faith: one builder, `kummer_bases`, gives Kummer's local solution
+bases at 0, 1 and infinity from the Gauss parameters (a, b, c) alone, and
+ODE transport carries them between the singular points.
 """
 
 from __future__ import annotations
@@ -15,8 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .integrate import dp45
-from .numerics import (ARG_0_2PI, PRINCIPAL, BranchSpec, PoleError, clog,
-                       cpow, gamma, digamma, inv2, mat2)
+from .numerics import PoleError, clog, cpow, gamma, digamma, inv2, mat2
 from .pvi import ThetaParams, ResonanceError, is_int
 
 __all__ = [
@@ -28,8 +29,7 @@ __all__ = [
     "xi_from_phi",
     "connection_matrix",
     "connection_oracle",
-    "local_basis_case_a",
-    "local_basis_case_c",
+    "kummer_bases",
     "ode_transport",
     "triangular_monodromy",
     "reducible_u",
@@ -97,33 +97,9 @@ def gauss_f_deriv(alpha, beta, gamma_, z) -> complex:
     return alpha * beta / gamma_ * gauss_f(alpha + 1.0, beta + 1.0, gamma_ + 1.0, z)
 
 
-def norlund_g1_deriv(u, v, w: int, z, ln_minus_z=None) -> complex:
-    """d/dz of norlund_g1 (same branch convention)."""
-    w = int(round(complex(w).real))
-    z = complex(z)
-    acc = 0.0 + 0.0j
-    sign = 1.0
-    for n in range(1, w):
-        acc += sign * math.factorial(n - 1) * poch(u, -n) * poch(v, -n) / poch(w, -n) \
-            * (-n) * z ** (-n - 1)
-        sign = -sign
-    if ln_minus_z is None:
-        ln_minus_z = cmath.log(-z)
-    acc += gauss_f_deriv(u, v, w, z) * ln_minus_z + gauss_f(u, v, w, z) / z
-    coeff = 1.0 + 0.0j
-    psum = 0.0 + 0.0j
-    for n in range(4000):
-        term = coeff * (digamma(1.0 - u - n) + digamma(v + n) - digamma(w + n) - digamma(1.0 + n))
-        if n >= 1:
-            psum += term * n * z ** (n - 1)
-        if n > 2 and abs(term) * abs(z) ** (n - 1) * n < 1e-16 * (1.0 + abs(psum)):
-            break
-        coeff *= (u + n) * (v + n) / ((n + 1.0) * (w + n))
-    return acc + psum
-
-
-def norlund_g1(u, v, w: int, z, ln_minus_z=None) -> complex:
-    """Norlund's logarithmic solution g1(u, v, w; z), w a positive integer.
+def norlund_g1(u, v, w: int, z, ln_minus_z=None):
+    """Norlund's logarithmic solution g1(u, v, w; z), w a positive integer,
+    and its z-derivative, as the pair (g1, g1').
 
     g1 = sum_{n=1}^{w-1} (-1)^{n-1} (n-1)! (u)_{-n}(v)_{-n}/(w)_{-n} z^{-n}
          + F(u,v,w;z) ln(-z)
@@ -141,23 +117,30 @@ def norlund_g1(u, v, w: int, z, ln_minus_z=None) -> complex:
     z = complex(z)
     if abs(z) >= 1.0:
         raise ValueError("g1 series requires |z| < 1")
-    acc = 0.0 + 0.0j
+    acc = dacc = 0.0 + 0.0j
     sign = 1.0
     for n in range(1, w):
-        acc += sign * math.factorial(n - 1) * poch(u, -n) * poch(v, -n) / poch(w, -n) * z ** (-n)
+        t = sign * math.factorial(n - 1) * poch(u, -n) * poch(v, -n) / poch(w, -n) * z ** (-n)
+        acc += t
+        dacc -= n * t / z
         sign = -sign
     if ln_minus_z is None:
         ln_minus_z = cmath.log(-z)
-    acc += gauss_f(u, v, w, z) * ln_minus_z
+    f = gauss_f(u, v, w, z)
+    acc += f * ln_minus_z
+    dacc += gauss_f_deriv(u, v, w, z) * ln_minus_z + f / z
     coeff = 1.0 + 0.0j
-    psum = 0.0 + 0.0j
+    psum = dsum = 0.0 + 0.0j
     for n in range(4000):
         term = coeff * (digamma(1.0 - u - n) + digamma(v + n) - digamma(w + n) - digamma(1.0 + n))
         psum += term * z ** n
-        if n > 2 and abs(term * z ** n) < 1e-16 * (1.0 + abs(psum)):
+        dsum += term * n * z ** (n - 1)
+        # stop once both tails are negligible
+        if (n > 2 and abs(term * z ** n) < 1e-16 * (1.0 + abs(psum))
+                and abs(term) * abs(z) ** (n - 1) * n < 1e-16 * (1.0 + abs(dsum))):
             break
         coeff *= (u + n) * (v + n) / ((n + 1.0) * (w + n))
-    return acc + psum
+    return acc + psum, dacc + dsum
 
 
 # ----------------------------------------------------------------------
@@ -298,118 +281,83 @@ def connection_matrix(which: str, theta: ThetaParams, flip_th1=False) -> np.ndar
 
 
 # ----------------------------------------------------------------------
-# local solution bases of the two connection problems
+# local solution bases (Kummer's solutions, DLMF 15.10.11-15.10.16)
 
 
-def local_basis_case_a(theta: ThetaParams, flip_th1=False):
-    """Gauss parameters and the three local bases (as value/derivative callables).
+def _frame(w, dw, dz, cols):
+    """Frame [[w^e f, ...], [d/dmu of each]] from columns (e, f(z), f'(z)), where
+    dw and dz are the mu-derivatives of w and z; principal powers."""
+    out = np.empty((2, 2), dtype=complex)
+    for j, (e, f, df) in enumerate(cols):
+        pw = cpow(w, e)
+        out[:, j] = pw * f, pw * (e * dw / w * f + df * dz)
+    return out
 
-    Basis convention: phi1 analytic (exponent 0), phi2 carries the singular
-    exponent.  Powers of mu use arg in (0, 2pi); powers of 1-mu use the
-    principal branch.
+
+def _gauss_pair(al, be, ga, z):
+    return gauss_f(al, be, ga, z), gauss_f_deriv(al, be, ga, z)
+
+
+def kummer_bases(p: GaussParams):
+    """Kummer's local solution bases of the Gauss equation at 0, 1 and infinity.
+
+    Returns (at0, at1, atinf); each maps mu to the frame [[f1, f2], [f1', f2']]:
+      at 0:   F(a,b;c;mu),  mu^{1-c} F(a-c+1, b-c+1; 2-c; mu)
+      at 1:   F(a,b;a+b-c+1;1-mu),  (1-mu)^{c-a-b} F(c-a, c-b; c-a-b+1; 1-mu)
+      at inf: mu^{-a} F(a, a-c+1; a-b+1; 1/mu),  mu^{-b} F(b, b-c+1; b-a+1; 1/mu)
+    with principal powers.  A frame raises ResonanceError when its series
+    has a non-positive integer lower parameter (logarithmic case).
     """
+    a, b, c = p.alpha, p.beta, p.gamma
+
+    def at0(mu):
+        return _frame(mu, 1.0, 1.0, [
+            (0.0, *_gauss_pair(a, b, c, mu)),
+            (1.0 - c, *_gauss_pair(a - c + 1.0, b - c + 1.0, 2.0 - c, mu))])
+
+    def at1(mu):
+        w = 1.0 - mu
+        return _frame(w, -1.0, -1.0, [
+            (0.0, *_gauss_pair(a, b, a + b - c + 1.0, w)),
+            (c - a - b, *_gauss_pair(c - a, c - b, c - a - b + 1.0, w))])
+
+    def atinf(mu):
+        z = 1.0 / mu
+        return _frame(mu, 1.0, -z * z, [
+            (-a, *_gauss_pair(a, a - c + 1.0, a - b + 1.0, z)),
+            (-b, *_gauss_pair(b, b - c + 1.0, b - a + 1.0, z))])
+
+    return at0, at1, atinf
+
+
+def _norlund_atinf(p: GaussParams):
+    """Frame at infinity when w = b - a + 1 is a positive integer:
+    mu^{-b} g1(b, b-c+1, w; 1/mu) with ln(-1/mu) = i pi - ln mu, and Kummer's
+    mu^{-b} F(b, b-c+1; w; 1/mu)."""
+    b, c = p.beta, p.gamma
+    w = int(round((b - p.alpha).real)) + 1
+
+    def atinf(mu):
+        z = 1.0 / mu
+        g1 = norlund_g1(b, b - c + 1.0, w, z, ln_minus_z=1j * math.pi - clog(mu))
+        return _frame(mu, 1.0, -z * z, [(-b, *g1), (-b, *_gauss_pair(b, b - c + 1.0, w, z))])
+
+    return atinf
+
+
+def _gauss_params(which: str, theta: ThetaParams, flip_th1=False) -> GaussParams:
+    """(a, b, c) behind connection matrix `which`: c = th0 + 1, a + b = th0 + thx + 1,
+    and a - b + 1 = thinf - th1 (C0inf, C01; th1 -> -th1 with flip_th1) or -1
+    (the unipotent Cinf0, C01c)."""
     t0, tx, t1, ti = theta.as_tuple()
-    if flip_th1:
-        t1 = -t1
-    al = t0 / 2 + tx / 2 + ti / 2 - t1 / 2          # "a"
-    be = t0 / 2 + tx / 2 + t1 / 2 - ti / 2 + 1.0    # "b + 1"
-    ga = t0 + 1.0                                   # "c + 1"
-
-    def at0(mu):
-        f1 = gauss_f(al, be, 1.0 + t0, mu)
-        d1 = gauss_f_deriv(al, be, 1.0 + t0, mu)
-        a2 = tx / 2 - t0 / 2 + ti / 2 - t1 / 2
-        b2 = tx / 2 - t0 / 2 + t1 / 2 - ti / 2 + 1.0
-        p = cpow(mu, -t0, PRINCIPAL)
-        f2s = gauss_f(a2, b2, 1.0 - t0, mu)
-        d2s = gauss_f_deriv(a2, b2, 1.0 - t0, mu)
-        f2 = p * f2s
-        d2 = p * (-t0 / mu * f2s + d2s)
-        return np.array([[f1, f2], [d1, d2]], dtype=complex)
-
-    def at1(mu):
-        f1 = gauss_f(al, be, 1.0 + tx, 1.0 - mu)
-        d1 = -gauss_f_deriv(al, be, 1.0 + tx, 1.0 - mu)
-        a2 = t0 / 2 - tx / 2 + ti / 2 - t1 / 2
-        b2 = t0 / 2 - tx / 2 + t1 / 2 - ti / 2 + 1.0
-        p = cpow(1.0 - mu, -tx, PRINCIPAL)
-        f2s = gauss_f(a2, b2, 1.0 - tx, 1.0 - mu)
-        d2s = gauss_f_deriv(a2, b2, 1.0 - tx, 1.0 - mu)
-        f2 = p * f2s
-        d2 = p * (tx / (1.0 - mu) * f2s - d2s)
-        return np.array([[f1, f2], [d1, d2]], dtype=complex)
-
-    def atinf(mu):
-        e1 = -t0 / 2 - tx / 2 - ti / 2 + t1 / 2
-        a2 = tx / 2 - t0 / 2 + ti / 2 - t1 / 2
-        f1s = gauss_f(al, a2, ti - t1, 1.0 / mu)
-        d1s = gauss_f_deriv(al, a2, ti - t1, 1.0 / mu)
-        p1 = cpow(mu, e1, PRINCIPAL)
-        f1 = p1 * f1s
-        d1 = p1 * (e1 / mu * f1s - d1s / (mu * mu))
-        e2 = -t0 / 2 - tx / 2 - t1 / 2 + ti / 2 - 1.0
-        b2 = tx / 2 - t0 / 2 + t1 / 2 - ti / 2 + 1.0
-        f2s = gauss_f(be, b2, 2.0 + t1 - ti, 1.0 / mu)
-        d2s = gauss_f_deriv(be, b2, 2.0 + t1 - ti, 1.0 / mu)
-        p2 = cpow(mu, e2, PRINCIPAL)
-        f2 = p2 * f2s
-        d2 = p2 * (e2 / mu * f2s - d2s / (mu * mu))
-        return np.array([[f1, f2], [d1, d2]], dtype=complex)
-
-    return GaussParams(al, be, ga), at0, at1, atinf
-
-
-def local_basis_case_c(theta: ThetaParams, arg_1_minus_mu_base=None):
-    """Local bases of the unipotent-at-infinity connection problem.
-
-    alpha - beta = -2: the basis at infinity is (g1-type logarithmic, plain F).
-    Powers of 1-mu use arg in (arg_1_minus_mu_base, arg_1_minus_mu_base+2pi).
-    """
-    t0, tx, _, _ = theta.as_tuple()
-    al = t0 / 2 + tx / 2 - 0.5
-    be = t0 / 2 + tx / 2 + 1.5
-    ga = t0 + 1.0
-    br1 = PRINCIPAL if arg_1_minus_mu_base is None else BranchSpec(arg_1_minus_mu_base)
-
-    def at0(mu):
-        f1 = gauss_f(al, be, 1.0 + t0, mu)
-        d1 = gauss_f_deriv(al, be, 1.0 + t0, mu)
-        a2 = -t0 / 2 + tx / 2 - 0.5
-        b2 = -t0 / 2 + tx / 2 + 1.5
-        p = cpow(mu, -t0, PRINCIPAL)
-        f2s = gauss_f(a2, b2, 1.0 - t0, mu)
-        d2s = gauss_f_deriv(a2, b2, 1.0 - t0, mu)
-        return np.array([[f1, p * f2s], [d1, p * (-t0 / mu * f2s + d2s)]], dtype=complex)
-
-    def at1(mu):
-        f1 = gauss_f(al, be, 1.0 + tx, 1.0 - mu)
-        d1 = -gauss_f_deriv(al, be, 1.0 + tx, 1.0 - mu)
-        a2 = t0 / 2 - tx / 2 - 0.5
-        b2 = t0 / 2 - tx / 2 + 1.5
-        p = cpow(1.0 - mu, -tx, br1)
-        f2s = gauss_f(a2, b2, 1.0 - tx, 1.0 - mu)
-        d2s = gauss_f_deriv(a2, b2, 1.0 - tx, 1.0 - mu)
-        return np.array([[f1, p * f2s], [d1, p * (tx / (1.0 - mu) * f2s - d2s)]], dtype=complex)
-
-    u = t0 / 2 + tx / 2 + 1.5
-    v = -t0 / 2 + tx / 2 + 1.5
-    e = -t0 / 2 - tx / 2 - 1.5
-
-    def atinf(mu):
-        p = cpow(mu, e, PRINCIPAL)
-        # ln(-1/mu) with -mu = e^{-i pi} mu
-        lmz = -(clog(mu, PRINCIPAL) - 1j * math.pi)
-        f1s = norlund_g1(u, v, 3, 1.0 / mu, ln_minus_z=lmz)
-        f2s = gauss_f(u, v, 3.0, 1.0 / mu)
-        d2s = gauss_f_deriv(u, v, 3.0, 1.0 / mu)
-        d1s = norlund_g1_deriv(u, v, 3, 1.0 / mu, ln_minus_z=lmz) * (-1.0 / (mu * mu))
-        f1 = p * f1s
-        d1 = p * (e / mu * f1s + d1s)
-        f2 = p * f2s
-        d2 = p * (e / mu * f2s - d2s / (mu * mu))
-        return np.array([[f1, f2], [d1, d2]], dtype=complex)
-
-    return GaussParams(al, be, ga), at0, at1, atinf
+    if which in ("C0inf", "C01"):
+        d = ti + t1 if flip_th1 else ti - t1
+    elif which in ("Cinf0", "C01c"):
+        d = -1.0
+    else:
+        raise ValueError(f"unknown connection matrix {which!r}")
+    h = (t0 + tx) / 2
+    return GaussParams(h + d / 2, h - d / 2 + 1.0, t0 + 1.0)
 
 
 # ----------------------------------------------------------------------
@@ -450,47 +398,35 @@ def ode_transport(p: GaussParams, z0, W0, path, tol=1e-12):
 def connection_oracle(which: str, theta: ThetaParams, flip_th1=False, tol=1e-12):
     """Numeric basis-change matrix, computed with no Gamma functions at all.
 
-    For the 0-1 connections both series bases converge at mu = 1/2 and the
-    matrix is solved directly.  For the 0-infinity connections the basis at
-    0 is continued to mu = 2i along the upper half-plane (arg mu stays in
-    (0, pi), consistent with the arg in (0, 2pi) prescription).
+    The local bases are `kummer_bases` of the Gauss parameters behind
+    `which`; Cinf0 (b - a = 2) takes the Norlund logarithmic frame at
+    infinity instead.  For the 0-1 connections both series bases converge at
+    mu = 1/2 and the matrix is solved directly.  For the 0-infinity
+    connections the basis at 0 is continued to mu = 2i through the upper
+    half-plane, where arg mu stays in (0, pi) and the principal powers of mu
+    at both ends are the continued ones.
     """
-    if which in ("C0inf", "C01"):
-        p, at0, at1, atinf = local_basis_case_a(theta, flip_th1=flip_th1)
-    else:
-        p, at0, at1, atinf = local_basis_case_c(theta)
+    p = _gauss_params(which, theta, flip_th1)
+    at0, at1, atinf = kummer_bases(p)
     if which in ("C01", "C01c"):
-        mu = 0.5
-        W0 = at0(mu)
-        W1 = at1(mu)
         # [phi^(0)] = [phi^(1)] C
-        return inv2(W1) @ W0
+        return inv2(at1(0.5)) @ at0(0.5)
     mu_t = 2.0j
     W0 = ode_transport(p, 0.3, at0(0.3), [0.3 + 0.9j, mu_t], tol=tol)
-    Winf = atinf(mu_t)
-    if which == "C0inf":
-        # [phi^(0)] = [phi^(inf)] C
-        return inv2(Winf) @ W0
     if which == "Cinf0":
         # [phi^(inf)] = [phi^(0)] C
-        return inv2(W0) @ Winf
-    raise ValueError(which)
+        return inv2(W0) @ _norlund_atinf(p)(mu_t)
+    # [phi^(0)] = [phi^(inf)] C
+    return inv2(atinf(mu_t)) @ W0
 
 
 def reducible_u(theta: ThetaParams, a, x):
-    """u = u1 + a u2 and u' for the vanishing-theta-sum solution family."""
-    t0, tx, t1, ti = theta.as_tuple()
-    al, be, ga = 2.0 - ti, 1.0 + tx, 2.0 - ti - t1
-    u1 = gauss_f(al, be, ga, x)
-    du1 = gauss_f_deriv(al, be, ga, x)
-    e = ti + t1 - 1.0
-    a2, b2, g2 = t1 + 1.0, -t0, ti + t1
-    p = cpow(x, e)
-    f2 = gauss_f(a2, b2, g2, x)
-    d2 = gauss_f_deriv(a2, b2, g2, x)
-    u2 = p * f2
-    du2 = p * (e / x * f2 + d2)
-    return u1 + a * u2, du1 + a * du2
+    """u = u1 + a u2 and u' for the vanishing-theta-sum solution family,
+    (u1, u2) the Kummer basis at 0 of 2F1(2 - thinf, 1 + thx; 2 - thinf - th1)."""
+    _, tx, t1, ti = theta.as_tuple()
+    at0 = kummer_bases(GaussParams(2.0 - ti, 1.0 + tx, 2.0 - ti - t1))[0]
+    u, du = at0(x) @ (1.0, a)
+    return complex(u), complex(du)
 
 
 # ----------------------------------------------------------------------

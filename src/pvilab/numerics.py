@@ -18,7 +18,6 @@ __all__ = [
     "BranchSpec",
     "PRINCIPAL",
     "ARG_0_2PI",
-    "ARG_MINUS_2PI_0",
     "gamma",
     "digamma",
     "cpow",
@@ -30,7 +29,6 @@ __all__ = [
     "conjugate_by",
     "exp_diag_sigma3",
     "SIGMA3",
-    "ID2",
 ]
 
 
@@ -50,10 +48,9 @@ class SingularMatrixError(ValueError):
 class BranchSpec:
     """Half-open argument interval (lower, lower + 2*pi] for log and power.
 
-    The default reproduces the principal branch arg in (-pi, pi].  The two
-    non-principal branches used by the connection problems (arg in (0, 2pi)
-    around mu = 0, and the lambda - 1 = (1 - lambda) e^{i pi} choice) are
-    spelled out at call sites, never via global state.
+    The default reproduces the principal branch arg in (-pi, pi].  A
+    non-principal branch is passed explicitly at its call site, never via
+    global state.
     """
 
     lower: float = -math.pi
@@ -74,7 +71,6 @@ class BranchSpec:
 
 PRINCIPAL = BranchSpec()
 ARG_0_2PI = BranchSpec(0.0)
-ARG_MINUS_2PI_0 = BranchSpec(-2.0 * math.pi)
 
 
 def clog(z: complex, branch: BranchSpec = PRINCIPAL) -> complex:
@@ -180,7 +176,6 @@ def digamma(z: complex) -> complex:
 # 2x2 complex matrices (plain ndarray, helpers enforce the invariants)
 
 SIGMA3 = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-ID2 = np.eye(2, dtype=complex)
 
 
 def mat2(a, b, c, d) -> np.ndarray:

@@ -2,7 +2,7 @@
 
 Generators:
   x1, x2, x3 : the three basic coordinate changes (with printed (x,y)-maps)
-  w1..w4     : reflections (theta-action and sigma-image only)
+  w1..w4     : reflections (theta-action only; w2 also has a sigma-image)
   l1..l4     : shifts (theta-action and sigma-image only)
   t          : th1 -> -th1 keeping the same solution
   n          : th swap (thx,th0,th1,thinf) -> (th1, thinf-1, thx, th0+1),
@@ -10,7 +10,9 @@ Generators:
   q          : x -> 1/x rescaling y = ytilde(t)/t; theta-action swaps thx, th1
 
 The (x, y)-actions of w* and l* are deliberately not implemented (only
-their parameter actions are known in closed form here).
+their parameter actions are known in closed form here).  Sigma-images are
+tabulated only for l1..l4, w2 and x3; the other generators' images are not
+known here.
 """
 
 from __future__ import annotations
@@ -105,19 +107,12 @@ def act_xy(gen: str, x, y):
 
 def sigma_image(gen: str, sigma, th: ThetaParams):
     """Image of the x->0 exponent sigma under one generator."""
-    t0, tx, t1, ti = th.as_tuple()
     table = {
         "l1": sigma + 1.0,
         "l4": sigma + 1.0,
         "l2": sigma - 1.0,
         "l3": sigma - 1.0,
-        "w1": -(t1 + ti),
-        "t": -(t1 + ti),
         "w2": sigma,
-        "w3": t1 + ti - 2.0,
-        "w4": t1 + ti - 2.0,
-        "x1": t0 - ti,
-        "x2": t1 - t0,
         "x3": sigma,
     }
     if gen not in table:

@@ -47,6 +47,27 @@ def test_order_below_one_exits_2(capsys, command, order):
     assert err == f"error: --order must be at least 1, got {order}\n"
 
 
+@pytest.mark.parametrize("argv, name", [
+    (["invert", "--what", "s-b"], "--json-in"),
+    (["invert", "--what", "s-c"], "--json-in"),
+    (["fuchsian", "--action", "appendix2"], "--json-in"),
+    (["identity-check", "--json-in", "TMP/missing.json"], "TMP/missing.json"),
+    (["series", "--theta", THETA, "--class", "form1", "--out", "TMP/no/x.json"],
+     "TMP/no/x.json"),
+    (["invert", "--what", "r", "--theta", THETA, "--t1x", "0.3", "--t01", "0.4"], "--t0x"),
+    (["invert", "--what", "r", "--theta", THETA, "--t0x", "0.3", "--t01", "0.4"], "--t1x"),
+    (["invert", "--what", "r", "--theta", THETA, "--t0x", "0.3", "--t1x", "0.4"], "--t01"),
+    (["sweep", "--count", "-3"], "--count"),
+    (["symmetry", "--gen", "x1", "--theta", THETA, "--sigma", "0.3"], "'x1'"),
+])
+def test_bad_flag_or_path_exits_2_naming_it(capsys, tmp_path, argv, name):
+    code, out, err = run_cli(capsys, *(a.replace("TMP", str(tmp_path)) for a in argv))
+    assert code == 2
+    assert out == ""
+    assert "Traceback" not in err
+    assert name.replace("TMP", str(tmp_path)) in err
+
+
 def test_parse_theta_validates_arity():
     with pytest.raises(ValueError):
         parse_theta("1,2,3")

@@ -7,9 +7,10 @@ import mpmath
 import numpy as np
 import pytest
 
+from pvilab import hypergeom
 from pvilab.hypergeom import (GaussParams, connection_matrix,
                               connection_oracle, gauss_f, gauss_f_deriv,
-                              norlund_g1, norlund_g1_deriv, ode_transport,
+                              kummer_bases, norlund_g1, ode_transport,
                               poch, reduction_matrices, triangular_monodromy,
                               xi_from_phi)
 from pvilab.numerics import inv2, mat2
@@ -47,10 +48,9 @@ def test_norlund_g1_satisfies_the_ode():
     u, v, w = 0.37, 0.83, 3
     z = -0.3
     h = 1e-5
-    fp = norlund_g1_deriv(u, v, w, z)
-    fpp = (norlund_g1_deriv(u, v, w, z + h)
-           - norlund_g1_deriv(u, v, w, z - h)) / (2.0 * h)
-    f = norlund_g1(u, v, w, z)
+    f, fp = norlund_g1(u, v, w, z)
+    fpp = (norlund_g1(u, v, w, z + h)[1]
+           - norlund_g1(u, v, w, z - h)[1]) / (2.0 * h)
     res = z * (1.0 - z) * fpp + (w - (u + v + 1.0) * z) * fp - u * v * f
     assert abs(res) < 1e-3
 
@@ -107,6 +107,29 @@ def test_connection_matrix_vs_oracle_c01c():
     assert np.max(np.abs(got - ref)) < 1e-8 * np.max(np.abs(ref))
 
 
+@pytest.mark.parametrize("which", ["C0inf", "C01"])
+def test_connection_oracle_flips_th1(which):
+    got = connection_matrix(which, TH, flip_th1=True)
+    ref = connection_oracle(which, TH, flip_th1=True)
+    assert np.max(np.abs(got - ref)) < 1e-8 * np.max(np.abs(ref))
+    assert np.max(np.abs(got - connection_oracle(which, TH))) > 1e-2 * np.max(np.abs(ref))
+
+
+def test_reducible_u_matches_mpmath():
+    # u = F(2 - thinf, 1 + thx; c; x) + a x^{1-c} F(th1 + 1, -th0; 2 - c; x),
+    # c = 2 - thinf - th1, on a vanishing theta sum
+    t0, tx, t1 = 0.23, -0.41, 0.17
+    ti = -(t0 + tx + t1)
+    a, x = 0.6 - 0.3j, 0.35 + 0.1j
+    c = 2.0 - ti - t1
+    ref = lambda z: (mpmath.hyp2f1(2.0 - ti, 1.0 + tx, c, z)
+                     + a * z ** (1.0 - c) * mpmath.hyp2f1(t1 + 1.0, -t0, 2.0 - c, z))
+    u, du = hypergeom.reducible_u(ThetaParams(t0, tx, t1, ti), a, x)
+    assert type(u) is complex and type(du) is complex
+    assert abs(u - complex(ref(x))) < 1e-13
+    assert abs(du - complex(mpmath.diff(ref, mpmath.mpc(x)))) < 1e-12
+
+
 def test_connection_matrix_resonance_raises():
     with pytest.raises(ResonanceError):
         connection_matrix("C01", ThetaParams(0.23, 1.0, 0.31, 0.44))
@@ -123,6 +146,28 @@ def test_ode_transport_reproduces_series():
 
     got = ode_transport(p, z0, frame(z0), [z1], tol=1e-13)
     assert abs(got[0, 0] - frame(z1)[0, 0]) < 1e-11
+
+
+KUMMER = GaussParams(0.37 + 0.1j, -0.61, 1.41)
+# Cinf0's Gauss parameters: b - a = 2, so the frame at infinity is logarithmic
+UNIPOTENT = hypergeom._gauss_params("Cinf0", TH)
+
+
+@pytest.mark.parametrize("p, frame, z0, z1", [
+    (KUMMER, 0, 0.3, 0.5 + 0.2j),
+    (KUMMER, 1, 0.7, 0.55 + 0.2j),
+    (KUMMER, 2, 2.0j, 1.5 + 1.5j),
+    (UNIPOTENT, 0, 0.3, 0.5 + 0.2j),
+    (UNIPOTENT, 1, 0.7, 0.55 + 0.2j),
+    (UNIPOTENT, "norlund", 2.0j, 1.5 + 1.5j),
+])
+def test_local_frames_solve_the_gauss_equation(p, frame, z0, z1):
+    """Each local frame, carried by ODE transport, must match itself at the
+    endpoint: value and derivative columns solve the same Gauss equation."""
+    at = hypergeom._norlund_atinf(p) if frame == "norlund" else kummer_bases(p)[frame]
+    got = ode_transport(p, z0, at(z0), [z1], tol=1e-13)
+    want = at(z1)
+    assert np.max(np.abs(got - want)) < 1e-10 * np.max(np.abs(want))
 
 
 def test_triangular_monodromy_vs_fuchsian_transport():

@@ -1,6 +1,7 @@
 """Generator actions on theta, sigma and (x, y)."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pvilab.pvi import ThetaParams
 from pvilab.symmetries import (GENERATORS, XY_GENERATORS, act_theta,
@@ -65,14 +66,21 @@ def test_sigma_image_shifts():
     assert sigma_image("l2", 0.3, TH) == pytest.approx(-0.7)
 
 
-def test_sigma_image_word_tracks_theta():
-    # x1 then x1 must restore sigma when the exponent data is consistent:
-    # sigma -> th0 - thinf -> (image theta) th0' - thinf' = th1 - thinf
-    th2 = act_theta("x1", TH)
-    s1 = sigma_image("x1", 0.3, TH)
-    s2 = sigma_image_word(["x1", "x1"], 0.3, TH)
-    assert s1 == pytest.approx(TH.th0 - TH.thinf)
-    assert s2 == pytest.approx(th2.th0 - th2.thinf)
+@pytest.mark.parametrize("gen", ["w1", "t", "w3", "w4", "x1", "x2"])
+def test_sigma_image_not_tabulated(gen):
+    # no closed-form image of sigma is known for these generators
+    with pytest.raises(ValueError, match="no tabulated sigma-image"):
+        sigma_image(gen, 0.3, TH)
+
+
+_FINITE = st.complex_numbers(max_magnitude=10.0, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=50, deadline=None)
+@given(gen=st.sampled_from(["w2", "x3"]), sigma=_FINITE,
+       theta=st.tuples(_FINITE, _FINITE, _FINITE, _FINITE))
+def test_involutive_generators_restore_sigma(gen, sigma, theta):
+    assert sigma_image_word([gen, gen], sigma, ThetaParams(*theta)) == sigma
 
 
 def test_transport_solution_maps_grids():
