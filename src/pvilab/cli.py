@@ -93,14 +93,20 @@ def load_json(path):
         return json.load(fh)
 
 
-def rep_from_json(doc) -> MonodromyRep:
-    mats = {k: l2m(v) for k, v in doc["matrices"].items()}
+def rep_from_json(doc, path=None) -> MonodromyRep:
+    """The representation in a `monodromy` document; a missing key is named
+    together with the --json-in path it was read from."""
+    try:
+        mats = {k: l2m(v) for k, v in doc["matrices"].items()}
+        M0, Mx, M1, Minf = (mats[k] for k in ("M0", "Mx", "M1", "Minf"))
+    except KeyError as e:
+        src = f"--json-in {path}" if path else "representation"
+        raise ValueError(f"{src}: missing key {e.args[0]!r}") from None
     theta = doc.get("theta")
     th = ThetaParams(*(l2c(p) for p in theta)) if theta else None
     params = {k: l2c(v) for k, v in doc.get("params", {}).items()}
-    return MonodromyRep(mats["M0"], mats["Mx"], mats["M1"], mats["Minf"],
-                        tuple(doc.get("order", ())), case=doc.get("case", ""),
-                        theta=th, params=params)
+    return MonodromyRep(M0, Mx, M1, Minf, tuple(doc.get("order", ())),
+                        case=doc.get("case", ""), theta=th, params=params)
 
 
 # ----------------------------------------------------------------------
@@ -118,6 +124,12 @@ def _at_least_one(args, *flags):
     for f in flags:
         if getattr(args, f) < 1:
             raise ValueError(f"--{f} must be at least 1, got {getattr(args, f)}")
+
+
+def _finite_positive(args, flag):
+    value = getattr(args, flag)
+    if not (value > 0 and cmath.isfinite(value)):
+        raise ValueError(f"--{flag} must be finite and positive, got {value}")
 
 
 def cmd_series(args):
@@ -146,6 +158,7 @@ def cmd_seed(args):
 
 
 def cmd_continue(args):
+    _finite_positive(args, "tol")
     th = parse_theta(args.theta)
     x0, y0, yp0 = (parse_complex(p) for p in args.ic.split(","))
     verts = [parse_complex(p) for p in args.path.split(";")]
@@ -180,7 +193,7 @@ def cmd_monodromy(args):
 
 
 def cmd_identity_check(args):
-    rep = rep_from_json(load_json(args.json_in))
+    rep = rep_from_json(load_json(args.json_in), args.json_in)
     if args.theta:
         th = parse_theta(args.theta)
     elif rep.theta is not None:
@@ -199,7 +212,7 @@ def cmd_identity_check(args):
 def cmd_invert(args):
     if args.what in ("s-b", "s-c"):
         _require(args, f"--what {args.what}", "json_in")
-        rep = rep_from_json(load_json(args.json_in))
+        rep = rep_from_json(load_json(args.json_in), args.json_in)
         val = (invert_s_case_b if args.what == "s-b" else invert_s_case_c)(rep)
     elif args.what == "r":
         _require(args, "--what r", "theta", "t0x", "t1x", "t01")
@@ -276,6 +289,7 @@ def cmd_fuchsian(args):
         return 0
     sys_ = _build_system(args)
     if args.action == "transport":
+        _finite_positive(args, "tol")
         center = parse_complex(args.center)
         m = fuchsian.loop_monodromy(sys_, x, center, tol=args.tol)
         emit({"center": c2l(center), "x": c2l(x), "matrix": m2l(m),

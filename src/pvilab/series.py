@@ -9,7 +9,8 @@ A 1-D `c` is the width-1 case, a plain power series (the Taylor classes).
 Products are truncated 2-D convolutions; only the derivative depends on
 the kind of B.  The three solvers seed the printed low-order coefficients
 and find the rest with one kernel, `_solve_slots`, through the generic
-residual expression in pvi.py.
+residual expression in pvi.py: probe the residual, then solve at the
+controlling order.
 """
 
 from __future__ import annotations
@@ -238,26 +239,36 @@ def residual_leading_order(res, floor=1e-9):
 # the order-by-order kernel
 
 
-def _solve_slots(residual_of, c, slots, what, cols=slice(None)):
-    """Solve the unknown coefficients c[slots] (zero on entry) in place.
+def _probe(residual_of, c, slots):
+    """The residual of c, and the move of its rows when each slot alone is 1.
 
-    residual_of(c) is the PVI residual of the series with coefficients c.
-    One probe per slot sets it to 1.  The controlling x-order m is the first
-    where a probe moves the residual columns `cols` by more than 1e-8 of the
-    largest move; every lower order must already vanish to 1e-9 of the
-    residual.  One slot, paired with one column, is solved by division (a
-    linear coefficient below 1e-10 is a resonance); several slots, the
-    ln-coefficients of one P_n, by least squares over the columns of order
-    m, consistent to 1e-7.  `what` names the step in error messages.
+    residual_of(c) is the PVI residual of the series with coefficients c;
+    the slots are zero on entry and on exit.
     """
     res = residual_of(c)
-    r0 = res.rows()[:, cols]
-    probes = []
+    r0 = res.rows()
+    moves = []
     for s in slots:
         c[s] = 1.0
-        probes.append(residual_of(c).rows()[:, cols])
+        moves.append(residual_of(c).rows() - r0)
         c[s] = 0.0
-    diffs = [r - r0 for r in probes]
+    return res, moves
+
+
+def _solve_slots(res, moves, c, slots, what, cols=slice(None)):
+    """Solve the unknown coefficients c[slots] (zero on entry) in place.
+
+    res is the residual at c and moves[i] the move of its rows when c[slots[i]]
+    is set to 1 (see _probe).  The controlling x-order m is the first where a
+    move in the residual columns `cols` exceeds 1e-8 of the largest move;
+    every lower order must already vanish to 1e-9 of the residual.  One slot,
+    paired with one column, is solved by division (a linear coefficient below
+    1e-10 is a resonance); several slots, the ln-coefficients of one P_n, by
+    least squares over the columns of order m, consistent to 1e-7.  `what`
+    names the step in error messages.
+    """
+    r0 = res.rows()[:, cols]
+    diffs = [d[:, cols] for d in moves]
     reach = np.max([np.abs(d).max(axis=1) for d in diffs], axis=0)
     if reach.max() == 0:
         raise ObstructionError(f"{what}: coefficient does not enter the residual")
@@ -269,7 +280,7 @@ def _solve_slots(residual_of, c, slots, what, cols=slice(None)):
             f"{what}: residual obstruction at order {res.off + bad[0]} (resonance?)")
     if len(slots) == 1:
         clin = diffs[0][m, 0]
-        if abs(clin) < 1e-10 * max(1.0, np.abs(probes[0]).max()):
+        if abs(clin) < 1e-10 * max(1.0, np.abs(r0 + diffs[0]).max()):
             raise ResonanceError(f"{what}: resonant (vanishing linear coefficient)")
         c[slots[0]] = -r0[m, 0] / clin
         return
@@ -353,13 +364,41 @@ def solve_taylor(theta: ThetaParams, klass: str, a=None, N: int = 12) -> Series:
         if n in free:
             b[n] = free[n] if free[n] is not None else 0.0
             continue
-        _solve_slots(lambda v: pvi_residual_series(Series(v[: n + 8]), theta),
-                     b, [n], f"order {n}")
+        res, moves = _probe(lambda v: pvi_residual_series(Series(v[: n + 8]), theta),
+                            b, [n])
+        _solve_slots(res, moves, b, [n], f"order {n}")
     return Series(b[: N + 1], meta={"class": klass, "theta": theta, "a": a, "N": N})
 
 
 # ----------------------------------------------------------------------
 # log-polynomial families (sigma = 0)
+
+
+def _ln_shift(d, k):
+    """d times (ln x)^k: the ln-columns of d moved up by k, truncated."""
+    out = np.zeros_like(d)
+    out[:, k:] = d[:, : d.shape[1] - k]
+    return out
+
+
+def _log_moves(residual_of, c, n):
+    """The residual and its moves for the slots c[n, j] of x^n L^j, L = ln x,
+    j = 0 .. 2n + 2, from three probes, j = 0, 1, 2.
+
+    On the rows through the controlling order x^(n+2) the residual is linear
+    in P_n (its square enters from x^(2n+1) on), and PVI is of second order:
+    the move of delta = x^n L^j is P0 delta + P1 delta' + P2 delta'' with
+      delta'  = x^(n-1) (n L^j + j L^(j-1)),
+      delta'' = x^(n-2) (n(n-1) L^j + (2n-1) j L^(j-1) + j(j-1) L^(j-2)).
+    So it is S^j a + j S^(j-1) b + j(j-1) S^(j-2) c for the ln-shift S and
+    three series a, b, c independent of j, which the probes fix.
+    """
+    res, (a, d1, d2) = _probe(residual_of, c, [(n, 0), (n, 1), (n, 2)])
+    b = d1 - _ln_shift(a, 1)
+    cc = (d2 - _ln_shift(a, 2) - 2.0 * _ln_shift(b, 1)) / 2.0
+    return res, [a, d1, d2] + [
+        _ln_shift(a, j) + j * _ln_shift(b, j - 1) + j * (j - 1) * _ln_shift(cc, j - 2)
+        for j in range(3, 2 * n + 3)]
 
 
 def solve_log_series(theta: ThetaParams, shape: str, r: complex, N: int = 3,
@@ -373,7 +412,9 @@ def solve_log_series(theta: ThetaParams, shape: str, r: complex, N: int = 3,
     If B1 is given for shape2 it overrides r via B1 = -2r - th0.
     Higher P_n are found by a linear least-squares solve against the
     residual, with the ln-degree of P_n capped at 2n+2 and that of the
-    ring at 2N+10; each P_n is solved on the residual through x^(n+4).
+    ring at 2N+10.  Each P_n is solved on the residual through its
+    controlling order x^(n+2) (rows x^-2 .. x^(n+2)), from one base
+    residual and three probes (see _log_moves).
     The result keeps x-orders through N+6 (zero above N) and carries `.p`,
     the list of P_n with trailing zeros trimmed.
     """
@@ -391,12 +432,11 @@ def solve_log_series(theta: ThetaParams, shape: str, r: complex, N: int = 3,
     else:
         raise ValueError(f"unknown log shape {shape!r}")
 
-    # the residual window loses ~3 x-orders to derivatives and truncation
     c = np.zeros((N + 7, 2 * N + 11), dtype=complex)
     c[1, : len(P1)] = P1
     for n in range(2, N + 1):
-        _solve_slots(lambda v: pvi_residual_series(Series(v[: n + 7]), theta),
-                     c, [(n, j) for j in range(2 * n + 3)], f"x-order {n}")
+        res, moves = _log_moves(lambda v: pvi_residual_series(Series(v[: n + 5]), theta), c, n)
+        _solve_slots(res, moves, c, [(n, j) for j in range(2 * n + 3)], f"x-order {n}")
     out = Series(c, meta={"shape": shape, "theta": theta, "r": r, "N": N})
     out.p = [np.trim_zeros(q, "b") if q.any() else q[:1] for q in c]
     return out
@@ -435,8 +475,11 @@ def solve_omega_series(theta: ThetaParams, branch: str, a, K: int = 6, M: int = 
     g[0, 1] = omega_sign * y0.c[0] / (ti - 1.0)
     for N in range(1, M + 1):
         for k in range(1 if N == 1 else 0, K + 1):
-            _solve_slots(lambda v: pvi_residual_series(Series(v[: k + 5], omega=omega), theta),
-                         g, [(k, N)], f"slot (k={k}, N={N})", cols=slice(N, N + 1))
+            res, moves = _probe(
+                lambda v: pvi_residual_series(Series(v[: k + 5], omega=omega), theta),
+                g, [(k, N)])
+            _solve_slots(res, moves, g, [(k, N)], f"slot (k={k}, N={N})",
+                         cols=slice(N, N + 1))
     return Series(g[: K + 1], omega=omega, a=a,
                   meta={"branch": branch, "theta": theta, "a": a, "K": K, "M": M,
                         "omega": omega})

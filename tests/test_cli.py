@@ -245,3 +245,35 @@ def test_module_entry_point():
     assert proc.returncode == 0
     doc = json.loads(proc.stdout)
     assert doc["theta_image"][0] == [0.31, 0.0]
+
+
+TRANSPORT_B = ["fuchsian", "--action", "transport", "--case", "b", "--thx", "0.31",
+               "--thinf", "0.44", "--s", "0.27", "--r", "1"]
+CONTINUE_IC = ["continue", "--theta", "0.21,0.33,0.17,0.52",
+               "--ic", "0.01,1.35258971,-0.15817967", "--path", "0.01;0.1"]
+
+
+@pytest.mark.parametrize("argv", [TRANSPORT_B, CONTINUE_IC], ids=["transport", "continue"])
+@pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf"])
+def test_tol_not_finite_and_positive_exits_2(capsys, argv, tol):
+    code, out, err = run_cli(capsys, *argv, f"--tol={tol}")
+    assert code == 2
+    assert out == ""
+    assert err == f"error: --tol must be finite and positive, got {float(tol)}\n"
+
+
+@pytest.mark.parametrize("command", [["identity-check"], ["invert", "--what", "s-b"]])
+def test_representation_missing_key_names_key_and_path(capsys, tmp_path, command):
+    p = tmp_path / "rep.json"
+    p.write_text(json.dumps({"x": 1}))
+    code, out, err = run_cli(capsys, *command, "--json-in", str(p))
+    assert (code, out) == (2, "")
+    assert err == f"error: --json-in {p}: missing key 'matrices'\n"
+    run_cli(capsys, "monodromy", "--case", "b", "--thx", "0.31", "--thinf", "0.44",
+            "--s", "0.27", "--r", "1.0", "--out", str(p))
+    doc = json.loads(p.read_text())
+    del doc["matrices"]["Minf"]
+    p.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, *command, "--json-in", str(p))
+    assert (code, out) == (2, "")
+    assert err == f"error: --json-in {p}: missing key 'Minf'\n"

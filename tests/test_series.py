@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from pvilab import series
 from pvilab.pvi import ResonanceError, ThetaParams, pvi_residual_series
 from pvilab.series import (TAYLOR_CLASSES, ObstructionError, Series,
                            TrustRadiusWarning, residual_leading_order,
@@ -200,3 +201,48 @@ def test_omega_series_residual_small():
 def test_omega_series_integer_omega_raises():
     with pytest.raises(ResonanceError):
         solve_omega_series(ThetaParams(0.23, 0.57, 0.3, 1.3), "form1", a=0.1)
+
+
+def _all_probe_log_reference(theta, P1, N):
+    """P_2 .. P_N with every ln-coefficient of P_n probed on the residual
+    through x^(n+4) and solved by least squares at its order x^(n+2)."""
+    c = np.zeros((N + 7, 2 * N + 11), dtype=complex)
+    c[1, : len(P1)] = P1
+    for n in range(2, N + 1):
+        def rows(v):
+            res = pvi_residual_series(Series(v[: n + 7]), theta)
+            assert res.off == -2
+            return res.rows()
+        r0 = rows(c)
+        moves = []
+        for j in range(2 * n + 3):
+            c[n, j] = 1.0
+            moves.append(rows(c) - r0)
+            c[n, j] = 0.0
+        m = n + 4    # the row of x^(n+2)
+        A = np.stack([d[m] for d in moves], axis=1)
+        c[n, : 2 * n + 3] = np.linalg.lstsq(A, -r0[m], rcond=None)[0]
+    return c
+
+
+@pytest.mark.parametrize("shape,theta", [
+    ("shape2", TH),
+    ("shape3+", ThetaParams(0.37, 0.37, 0.31, 0.44)),
+    ("shape3-", ThetaParams(0.37, -0.37, 0.31, 0.44)),
+])
+def test_log_series_matches_all_probe_reference(shape, theta):
+    ls = solve_log_series(theta, shape, 0.4 + 0.1j, N=5)
+    ref = _all_probe_log_reference(theta, ls.p[1], 5)
+    assert np.abs(ls.c - ref).max() <= 1e-10 * np.abs(ref).max()
+
+
+def test_log_series_makes_four_residual_evaluations_per_order(monkeypatch):
+    calls = []
+
+    def counted(s, theta):
+        calls.append(len(s.c))
+        return pvi_residual_series(s, theta)
+    monkeypatch.setattr(series, "pvi_residual_series", counted)
+    solve_log_series(TH, "shape2", 0.1, N=5)
+    # one base residual and three probes per order, on the rows x^0 .. x^(n+4)
+    assert calls == [n + 5 for n in range(2, 6) for _ in range(4)]
