@@ -23,7 +23,7 @@ from .hypergeom import connection_matrix, connection_oracle
 from .monodromy import (build_case_a, build_case_b, build_case_c,
                         check_identity, invert_s_case_b, invert_s_case_c)
 from .numerics import SIGMA3, PoleError, inv2, mat2, tr2, det2
-from .pvi import (ResonanceError, ThetaParams, pvi_residual_expr,
+from .pvi import (ResonanceError, ThetaParams, _theta_draw, pvi_residual_expr,
                   pvi_residual_series, rational_solution_theta0_1,
                   rational_solution_theta0_minus2)
 from .series import residual_leading_order, solve_taylor
@@ -48,16 +48,6 @@ def _retry(make, n=400):
         except (ResonanceError, PoleError, ValueError):
             continue
     raise RuntimeError("could not draw admissible parameters")
-
-
-def _theta_draw(rng, margin=0.08):
-    """Real theta with every relevant combination away from the integers."""
-    while True:
-        t0, tx, t1, ti = (rng.uniform(0.12, 0.88) * rng.choice((-1.0, 1.0))
-                          for _ in range(4))
-        combos = (t0, tx, t1, ti, ti - 1.0, t1 - ti, t1 + ti, t0 + tx, t0 - tx)
-        if all(abs(c - round(c)) > margin for c in combos):
-            return ThetaParams(t0, tx, t1, ti)
 
 
 def _nonint(rng, margin=0.1):

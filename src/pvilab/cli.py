@@ -12,30 +12,28 @@ import argparse
 import cmath
 import json
 import sys
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import fuchsian
-from .asymptotics import make_seed, seed_value
-from .continuation import ChartThrashError, PathPlan, integrate
-from .hypergeom import connection_matrix, connection_oracle
-from .integrate import StepUnderflow
-from .monodromy import (MonodromyRep, TraceData, build_case_a, build_case_b,
-                        build_case_c, check_identity, invert_s_case_b,
-                        invert_s_case_c, r_from_monodromy, sigma_from_traces)
-from .numerics import PoleError, SingularMatrixError, tr2
-from .pvi import ResonanceError, SingularConfigError, ThetaParams
-from .series import ObstructionError, residual_leading_order, solve_taylor
-from .symmetries import XY_GENERATORS, MapPoleError, act_theta, act_xy, sigma_image
+from .pvi import ResonanceError, ThetaParams
+from .symmetries import MapPoleError
+
+if TYPE_CHECKING:
+    from .monodromy import MonodromyRep
 
 SCHEMA_VERSION = 1
 
-# MapPoleError is a ZeroDivisionError, so it must be caught here first;
-# OSError is a --json-in, --out or --csv-out path that cannot be opened
-_VALIDATION = (ResonanceError, SingularConfigError, PoleError, MapPoleError,
-               SingularMatrixError, ValueError, KeyError, json.JSONDecodeError, OSError)
-_NUMERIC = (StepUnderflow, ChartThrashError, ObstructionError,
-            ZeroDivisionError, ArithmeticError, RuntimeError)
+# Each subcommand imports the modules it runs, so a cold start loads only
+# those.  The errors are caught by their base classes: every validation
+# error of pvilab (ResonanceError, SingularConfigError, PoleError,
+# SingularMatrixError, json.JSONDecodeError) is a ValueError, and every
+# numeric failure (StepUnderflow, ChartThrashError, ObstructionError) a
+# RuntimeError.  MapPoleError is a ZeroDivisionError, so it must be caught
+# here first; OSError is a --json-in, --out or --csv-out path that cannot be
+# opened.
+_VALIDATION = (MapPoleError, ValueError, KeyError, OSError)
+_NUMERIC = (ArithmeticError, RuntimeError)
 
 
 # ----------------------------------------------------------------------
@@ -93,20 +91,59 @@ def load_json(path):
         return json.load(fh)
 
 
-def rep_from_json(doc, path=None) -> MonodromyRep:
-    """The representation in a `monodromy` document; a missing key is named
-    together with the --json-in path it was read from."""
+_REQUIRED = object()
+
+
+def _field(doc, key, convert, path, default=_REQUIRED):
+    """convert(doc[key]) for a document read from the --json-in `path`, or
+    `default` if the key is missing and a default is given.
+
+    A document that is not a JSON object, a missing required key, or a value
+    that convert rejects is a ValueError naming the path and the key.
+    """
+    src = f"--json-in {path}" if path else "representation"
+    if not isinstance(doc, dict):
+        raise ValueError(f"{src}: expected a JSON object with key {key!r}, "
+                         f"got {type(doc).__name__}")
+    if key not in doc:
+        if default is not _REQUIRED:
+            return default
+        raise ValueError(f"{src}: missing key {key!r}")
     try:
-        mats = {k: l2m(v) for k, v in doc["matrices"].items()}
-        M0, Mx, M1, Minf = (mats[k] for k in ("M0", "Mx", "M1", "Minf"))
-    except KeyError as e:
-        src = f"--json-in {path}" if path else "representation"
-        raise ValueError(f"{src}: missing key {e.args[0]!r}") from None
-    theta = doc.get("theta")
-    th = ThetaParams(*(l2c(p) for p in theta)) if theta else None
-    params = {k: l2c(v) for k, v in doc.get("params", {}).items()}
-    return MonodromyRep(M0, Mx, M1, Minf, tuple(doc.get("order", ())),
-                        case=doc.get("case", ""), theta=th, params=params)
+        return convert(doc[key])
+    except (TypeError, ValueError, KeyError, IndexError, AttributeError) as e:
+        raise ValueError(f"{src}: bad value for key {key!r}: {e}") from None
+
+
+def _matrix2(rows):
+    m = l2m(rows)
+    if m.shape != (2, 2):
+        raise ValueError(f"expected a 2x2 matrix of [re, im] pairs, got shape {m.shape}")
+    return m
+
+
+def _theta(pairs):
+    if pairs is None:
+        return None
+    if len(pairs) != 4:
+        raise ValueError(f"expected four [re, im] pairs th0, thx, th1, thinf, got {len(pairs)}")
+    return ThetaParams(*(l2c(p) for p in pairs))
+
+
+def _params(doc):
+    return {k: l2c(v) for k, v in doc.items()}
+
+
+def rep_from_json(doc, path=None) -> MonodromyRep:
+    """The representation in a `monodromy` document; a missing or malformed
+    key is named together with the --json-in path it was read from."""
+    from .monodromy import MonodromyRep
+    mats = _field(doc, "matrices", dict, path)
+    M0, Mx, M1, Minf = (_field(mats, k, _matrix2, path) for k in ("M0", "Mx", "M1", "Minf"))
+    return MonodromyRep(M0, Mx, M1, Minf, _field(doc, "order", tuple, path, ()),
+                        case=_field(doc, "case", str, path, ""),
+                        theta=_field(doc, "theta", _theta, path, None),
+                        params=_field(doc, "params", _params, path, {}))
 
 
 # ----------------------------------------------------------------------
@@ -133,11 +170,12 @@ def _finite_positive(args, flag):
 
 
 def cmd_series(args):
+    from .pvi import pvi_residual_series
+    from .series import residual_leading_order, solve_taylor
     _at_least_one(args, "order")
     th = parse_theta(args.theta)
     a = parse_complex(args.a) if args.a is not None else None
     ser = solve_taylor(th, args.klass, a=a, N=args.order)
-    from .pvi import pvi_residual_series
     lead = residual_leading_order(pvi_residual_series(ser, th))
     doc = ser.to_json()
     doc["residual_first_nonzero_order"] = lead
@@ -146,6 +184,7 @@ def cmd_series(args):
 
 
 def cmd_seed(args):
+    from .asymptotics import make_seed, seed_value
     th = parse_theta(args.theta)
     seed = make_seed(parse_complex(args.sigma), th, parse_complex(args.r))
     doc = seed.to_json()
@@ -158,6 +197,7 @@ def cmd_seed(args):
 
 
 def cmd_continue(args):
+    from .continuation import PathPlan, integrate
     _finite_positive(args, "tol")
     th = parse_theta(args.theta)
     x0, y0, yp0 = (parse_complex(p) for p in args.ic.split(","))
@@ -181,6 +221,7 @@ def _build_case(args, build, *flags):
 
 
 def _build_rep(args):
+    from .monodromy import build_case_a, build_case_b, build_case_c
     cases = {"a": (build_case_a, "theta"),
              "b": (build_case_b, "thx", "thinf", "s", "r"),
              "c": (build_case_c, "th0", "thx", "s")}
@@ -193,6 +234,7 @@ def cmd_monodromy(args):
 
 
 def cmd_identity_check(args):
+    from .monodromy import check_identity
     rep = rep_from_json(load_json(args.json_in), args.json_in)
     if args.theta:
         th = parse_theta(args.theta)
@@ -210,6 +252,8 @@ def cmd_identity_check(args):
 
 
 def cmd_invert(args):
+    from .monodromy import (TraceData, invert_s_case_b, invert_s_case_c,
+                            r_from_monodromy, sigma_from_traces)
     if args.what in ("s-b", "s-c"):
         _require(args, f"--what {args.what}", "json_in")
         rep = rep_from_json(load_json(args.json_in), args.json_in)
@@ -232,6 +276,7 @@ def cmd_invert(args):
 
 
 def cmd_symmetry(args):
+    from .symmetries import XY_GENERATORS, act_theta, act_xy, sigma_image
     th = parse_theta(args.theta)
     doc = {"generator": args.gen,
            "theta_image": [c2l(t) for t in act_theta(args.gen, th).as_tuple()]}
@@ -248,6 +293,7 @@ def cmd_symmetry(args):
 
 
 def cmd_hypergeom(args):
+    from .hypergeom import connection_matrix, connection_oracle
     th = parse_theta(args.theta)
     cmat = connection_matrix(args.which, th)
     doc = {"which": args.which, "matrix": m2l(cmat)}
@@ -260,6 +306,7 @@ def cmd_hypergeom(args):
 
 
 def _build_system(args):
+    from . import fuchsian
     if args.case is None:
         raise ValueError(f"--case is required for --action {args.action}")
     cases = {"a": (fuchsian.build_case_a, "theta", "r"),
@@ -268,23 +315,48 @@ def _build_system(args):
     return _build_case(args, *cases[args.case])
 
 
+def _kind(value):
+    if value not in ("IRR1", "IRR2"):
+        raise ValueError(f"expected 'IRR1' or 'IRR2', got {value!r}")
+    return value
+
+
+def _coeffs(need):
+    def convert(mats):
+        out = [_matrix2(m) for m in mats]
+        if len(out) < need:
+            raise ValueError(f"expected at least {need} matrices, got {len(out)}")
+        return out
+    return convert
+
+
+def _positive_int(n):
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+        raise ValueError(f"expected an integer >= 1, got {n!r}")
+    return n
+
+
 def cmd_fuchsian(args):
+    from . import fuchsian
+    from .numerics import tr2
     if args.action == "build":
         emit(_build_system(args).to_json(), args.out)
         return 0
     x = parse_complex(args.x)
     if args.action == "appendix2":
         _require(args, "--action appendix2", "json_in")
-        spec = load_json(args.json_in)
-        lead = l2m(spec["leading"])
-        coeffs = [l2m(m) for m in spec["coeffs"]]
-        if spec["kind"] == "IRR1":
-            gs, om1 = fuchsian.appendix2_recursion("IRR1", lead, coeffs,
-                                                   spec.get("n", 1))
+        path = args.json_in
+        spec = load_json(path)
+        kind = _field(spec, "kind", _kind, path)
+        lead = _field(spec, "leading", _matrix2, path)
+        # IRR1 reads D1; IRR2 reads E1 and E2
+        coeffs = _field(spec, "coeffs", _coeffs(1 if kind == "IRR1" else 2), path)
+        n = _field(spec, "n", _positive_int, path, 1 if kind == "IRR1" else 2)
+        if kind == "IRR1":
+            gs, om1 = fuchsian.appendix2_recursion("IRR1", lead, coeffs, n)
             emit({"G": [m2l(gm) for gm in gs], "Omega1": m2l(om1)}, args.out)
         else:
-            k1, k2, lam1 = fuchsian.appendix2_recursion(
-                "IRR2", lead, coeffs, spec.get("n", 2), x=x)
+            k1, k2, lam1 = fuchsian.appendix2_recursion("IRR2", lead, coeffs, n, x=x)
             emit({"K1": m2l(k1), "K2": m2l(k2), "Lambda1": m2l(lam1)}, args.out)
         return 0
     sys_ = _build_system(args)
@@ -303,7 +375,8 @@ def cmd_fuchsian(args):
 
 def cmd_sweep(args):
     """Taylor coefficients over a reproducible batch of random theta draws."""
-    from .acceptance import _theta_draw
+    from .pvi import _theta_draw
+    from .series import ObstructionError, solve_taylor
     _at_least_one(args, "order", "count")
     rng = np.random.default_rng(args.seed)
     results = []

@@ -58,6 +58,16 @@ class ThetaParams:
         return self.th0 + self.thx + self.th1 + self.thinf
 
 
+def _theta_draw(rng, margin=0.08):
+    """Real theta with every relevant combination away from the integers."""
+    while True:
+        t0, tx, t1, ti = (rng.uniform(0.12, 0.88) * rng.choice((-1.0, 1.0))
+                          for _ in range(4))
+        combos = (t0, tx, t1, ti, ti - 1.0, t1 - ti, t1 + ti, t0 + tx, t0 - tx)
+        if all(abs(c - round(c)) > margin for c in combos):
+            return ThetaParams(t0, tx, t1, ti)
+
+
 @dataclass(frozen=True)
 class AbgdParams:
     alpha: complex
@@ -123,13 +133,19 @@ def pvi_residual_expr(x, y, yp, ypp, theta: ThetaParams):
     ym1 = y - 1.0
     ymx = y - x
     yy1 = y * ym1
-    d = x2 * xm1_2 * yy1 * ymx  # full denominator
-    r = d * ypp
-    r = r - 0.5 * (x2 * xm1_2) * (ym1 * ymx + y * ymx + yy1) * (yp * yp)
-    r = r + (x * xm1_2 + x2 * xm1) * yy1 * ymx * yp + x2 * xm1_2 * yy1 * yp
-    r = r - p.alpha * (yy1 * ymx) * (yy1 * ymx)
-    r = r - p.beta * x * (ym1 * ymx) * (ym1 * ymx)
-    r = r - p.gamma * xm1 * (y * ymx) * (y * ymx)
+    # each shared product once, with its operands in the order of the
+    # textbook form, so that the result keeps its bytes
+    q = x2 * xm1_2          # x^2 (x-1)^2
+    qy = q * yy1            # x^2 (x-1)^2 y (y-1)
+    u = yy1 * ymx           # y (y-1) (y-x)
+    v = ym1 * ymx           # (y-1) (y-x)
+    w = y * ymx             # y (y-x)
+    r = qy * ymx * ypp      # the full denominator times y''
+    r = r - 0.5 * q * (v + w + yy1) * (yp * yp)
+    r = r + (x * xm1_2 + x2 * xm1) * yy1 * ymx * yp + qy * yp
+    r = r - p.alpha * u * u
+    r = r - p.beta * x * v * v
+    r = r - p.gamma * xm1 * w * w
     r = r - p.delta * x * xm1 * (yy1 * yy1)
     return r
 

@@ -9,8 +9,11 @@ A 1-D `c` is the width-1 case, a plain power series (the Taylor classes).
 Products are truncated 2-D convolutions; only the derivative depends on
 the kind of B.  The three solvers seed the printed low-order coefficients
 and find the rest with one kernel, `_solve_slots`, through the generic
-residual expression in pvi.py: probe the residual, then solve at the
-controlling order.
+residual expression in pvi.py: evaluate the residual, take the move of each
+unknown coefficient, then solve at the controlling order.  The moves come
+from probes (`_probe`, one residual evaluation each) or are assembled from
+PVI's second-order structure: a Taylor order n >= _WINDOW + 3 takes no probe
+(`_taylor_move`), a log-series order three (`_log_moves`).
 """
 
 from __future__ import annotations
@@ -76,7 +79,10 @@ class Series:
         self.meta = meta or {}
 
     def _new(self, c, off):
-        return Series(c, off, self.omega, self.a)
+        """A series of the same kind; c is already a complex array."""
+        out = object.__new__(Series)
+        out.c, out.off, out.omega, out.a, out.meta = c, off, self.omega, self.a, {}
+        return out
 
     def rows(self):
         """c as a (rows, width) view."""
@@ -259,13 +265,14 @@ def _solve_slots(res, moves, c, slots, what, cols=slice(None)):
     """Solve the unknown coefficients c[slots] (zero on entry) in place.
 
     res is the residual at c and moves[i] the move of its rows when c[slots[i]]
-    is set to 1 (see _probe).  The controlling x-order m is the first where a
-    move in the residual columns `cols` exceeds 1e-8 of the largest move;
-    every lower order must already vanish to 1e-9 of the residual.  One slot,
-    paired with one column, is solved by division (a linear coefficient below
-    1e-10 is a resonance); several slots, the ln-coefficients of one P_n, by
-    least squares over the columns of order m, consistent to 1e-7.  `what`
-    names the step in error messages.
+    is set to 1: probed (_probe) or assembled from probes (_taylor_move,
+    _log_moves); every check below treats both alike.  The controlling
+    x-order m is the first where a move in the residual columns `cols`
+    exceeds 1e-8 of the largest move; every lower order must already vanish
+    to 1e-9 of the residual.  One slot, paired with one column, is solved by
+    division (a linear coefficient below 1e-10 is a resonance); several
+    slots, the ln-coefficients of one P_n, by least squares over the columns
+    of order m, consistent to 1e-7.  `what` names the step in error messages.
     """
     r0 = res.rows()[:, cols]
     diffs = [d[:, cols] for d in moves]
@@ -348,24 +355,73 @@ TAYLOR_CLASSES = ("form1", "riuffa", "form2", "form3",
                   "taylor1+", "taylor1-", "taylor2", "taylor3", "generic")
 
 
+# W: order n of a Taylor class is solved on the residual rows x^0 .. x^(n+W-1).
+# b_n^2 first enters at x^(2n), so from n = W on those rows are linear in b_n.
+_WINDOW = 8
+
+
+def _taylor_move(probed, k, n):
+    """The move of the rows x^n .. x^(n + W - 1) when b_n is set to 1, from
+    `probed`, the probed moves of x^k, x^(k+1), x^(k+2) on their own rows
+    x^k .. x^(k + W - 1), for some k >= W.
+
+    The residual is F(x, y, x y', x^2 y'') with F a polynomial: every y' in
+    pvi_residual_expr carries a factor x and every y'' a factor x^2.  The maps
+    y, x y', x^2 y'' keep the x-order of x^m, so order j of F and of its
+    partial derivatives F_0, F_1, F_2 in those three arguments depends on
+    b_0 .. b_j only.  On the window rows the residual is linear in b_n
+    (n >= W), and delta = x^n has x delta' = n x^n, x^2 delta'' = n(n-1) x^n,
+    so the move is x^n (F_0 + n F_1 + n(n-1) F_2): zero below x^n, and its
+    row x^(n+j) is A_j + n B_j + n(n-1) C_j with A_j, B_j, C_j order j of
+    F_0, F_1, F_2.  For j <= W - 1 these depend on b_0 .. b_(W-1) alone, which
+    are final from n = W on, so they are the same at every such n and the
+    three probes fix them:
+      C = (m_(k+2) - 2 m_(k+1) + m_k)/2,  B = m_(k+1) - m_k - 2k C,
+      A = m_k - k B - k(k-1) C.
+    """
+    m0, m1, m2 = probed
+    c = (m2 - 2.0 * m1 + m0) / 2.0
+    b = m1 - m0 - 2.0 * k * c
+    a = m0 - k * b - k * (k - 1) * c
+    return a + n * b + n * (n - 1) * c
+
+
 def solve_taylor(theta: ThetaParams, klass: str, a=None, N: int = 12) -> Series:
     """Order-by-order solution of PVI in the given Taylor class.
 
     Seed the class's fixed low-order coefficients, then solve each b_n from
-    the first residual order it reaches, on the residual through x^(n+7).
+    the first residual order it reaches, on the residual through
+    x^(n + _WINDOW - 1).  Through n = _WINDOW + 2 the move of b_n is probed
+    (one base residual and one with b_n = 1); from there on it is assembled
+    from the probed moves of orders _WINDOW .. _WINDOW + 2 (see _taylor_move),
+    and each order takes one residual evaluation.  Every check of
+    _solve_slots runs on the assembled move as on a probed one.
     Free parameters are inserted at the orders where the class's resonance
     makes the linear coefficient vanish.
     """
     fixed, free = _taylor_seed(theta, klass, a)
-    b = np.zeros(N + 8, dtype=complex)
+    b = np.zeros(N + _WINDOW, dtype=complex)
     for k, v in fixed.items():
         b[k] = v
+    # the moves of x^k, k = W, W+1, W+2, on their rows x^k .. x^(k+W-1); every
+    # class fixes or frees only orders below W, so these three are probed
+    probed = []
     for n in range(max(fixed) + 1, N + 1):
         if n in free:
             b[n] = free[n] if free[n] is not None else 0.0
             continue
-        res, moves = _probe(lambda v: pvi_residual_series(Series(v[: n + 8]), theta),
-                            b, [n])
+
+        def residual_of(v):
+            return pvi_residual_series(Series(v[: n + _WINDOW]), theta)
+        if len(probed) < 3:
+            res, moves = _probe(residual_of, b, [n])
+            if n >= _WINDOW:
+                probed.append(moves[0][n:])
+        else:
+            res = residual_of(b)
+            move = np.zeros_like(res.rows())
+            move[n:] = _taylor_move(probed, _WINDOW, n)
+            moves = [move]
         _solve_slots(res, moves, b, [n], f"order {n}")
     return Series(b[: N + 1], meta={"class": klass, "theta": theta, "a": a, "N": N})
 

@@ -277,3 +277,20 @@ def test_representation_missing_key_names_key_and_path(capsys, tmp_path, command
     code, out, err = run_cli(capsys, *command, "--json-in", str(p))
     assert (code, out) == (2, "")
     assert err == f"error: --json-in {p}: missing key 'Minf'\n"
+
+
+@pytest.mark.parametrize("command, doc, key", [
+    (["identity-check"], [1, 2], "matrices"),
+    (["identity-check"], {"matrices": {"M0": 3, "Mx": 1, "M1": 1, "Minf": 1}}, "M0"),
+    (["fuchsian", "--action", "appendix2"], [1], "kind"),
+    (["fuchsian", "--action", "appendix2"], {"kind": "IRR1", "leading": 3, "coeffs": []},
+     "leading"),
+    (["fuchsian", "--action", "appendix2"], {"kind": "IRR1"}, "leading"),
+], ids=["list", "int-matrix", "appendix2-list", "int-leading", "no-leading"])
+def test_malformed_json_in_exits_2_naming_path_and_key(capsys, tmp_path, command, doc, key):
+    p = tmp_path / "in.json"
+    p.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, *command, "--json-in", str(p))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: --json-in {p}: ") and repr(key) in err
+    assert err.count("\n") == 1

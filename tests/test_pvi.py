@@ -86,3 +86,41 @@ def test_reducible_solution_satisfies_pvi():
 def test_reducible_solution_requires_zero_sum():
     with pytest.raises(ResonanceError):
         reducible_solution(TH, 0.1, 0.3)
+
+
+def _textbook_residual(x, y, yp, ypp, theta):
+    """pvi_residual_expr as first written, each product spelled out where it
+    is used (35 ring products on a series)."""
+    p = theta_to_abgd(theta)
+    x2 = x * x
+    xm1 = x - 1.0
+    xm1_2 = xm1 * xm1
+    ym1 = y - 1.0
+    ymx = y - x
+    yy1 = y * ym1
+    d = x2 * xm1_2 * yy1 * ymx
+    r = d * ypp
+    r = r - 0.5 * (x2 * xm1_2) * (ym1 * ymx + y * ymx + yy1) * (yp * yp)
+    r = r + (x * xm1_2 + x2 * xm1) * yy1 * ymx * yp + x2 * xm1_2 * yy1 * yp
+    r = r - p.alpha * (yy1 * ymx) * (yy1 * ymx)
+    r = r - p.beta * x * (ym1 * ymx) * (ym1 * ymx)
+    r = r - p.gamma * xm1 * (y * ymx) * (y * ymx)
+    r = r - p.delta * x * xm1 * (yy1 * yy1)
+    return r
+
+
+def test_residual_expr_keeps_the_bytes_of_the_textbook_form():
+    from pvilab.series import Series
+    rng = np.random.default_rng(3)
+    th = ThetaParams(0.23 + 0.1j, 0.57, -0.31, 0.44)
+    for _ in range(20):
+        x, y, yp, ypp = rng.normal(size=4) + 1j * rng.normal(size=4)
+        got = pvi_residual_expr(x, y, yp, ypp, th)
+        assert got == _textbook_residual(x, y, yp, ypp, th)
+    for shape, omega in (((12,), None), ((9, 5), None), ((9, 3), 0.3 + 0.1j)):
+        y = Series(rng.normal(size=shape) + 1j * rng.normal(size=shape), 0, omega)
+        x, yp = y.variable(), y.deriv()
+        ypp = yp.deriv()
+        got = pvi_residual_expr(x, y, yp, ypp, th)
+        want = _textbook_residual(x, y, yp, ypp, th)
+        assert got.off == want.off and np.array_equal(got.c, want.c)

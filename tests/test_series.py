@@ -246,3 +246,86 @@ def test_log_series_makes_four_residual_evaluations_per_order(monkeypatch):
     solve_log_series(TH, "shape2", 0.1, N=5)
     # one base residual and three probes per order, on the rows x^0 .. x^(n+4)
     assert calls == [n + 5 for n in range(2, 6) for _ in range(4)]
+
+
+# the taylor-series benchmark's base points, one per Taylor class
+TAYLOR_BASE = [
+    ("form1", TH, None),
+    ("riuffa", ThetaParams(0.23, 0.57, 0.31, -1.11), None),
+    ("form2", ThetaParams(0.3, 0.3, -1.5, 1.5), 0.4),
+    ("form3", ThetaParams(0.3, 0.5, 0.0, 1.0), 0.7),
+    ("taylor1+", ThetaParams(1.0, 0.4, -0.7, -0.7), None),
+    ("taylor1-", ThetaParams(0.23 + 0.3j, 0.57, 0.31, 0.44), None),
+    ("taylor2", ThetaParams(0.3, 0.7, 0.56, 0.44), 0.3),
+    ("taylor3", ThetaParams(0.0, 0.0, 0.31, 0.44), 0.5),
+    ("generic", TH, (0.31 - 0.44 + 1.0) / (1.0 - 0.44)),
+]
+
+
+def _probed_move(theta, b, n, t=1.0):
+    """The move of the residual rows x^0 .. x^(n+7) per unit of b_n, probed
+    with b_n = t, b_0 .. b_(n-1) from b and every higher slot zero.
+
+    For n >= 8 those rows are linear in b_n.  A unit probe carries rounding
+    of the order of the base residual, which on a growing series exceeds the
+    move (1.8e-12 of it for form2 at n = 48); a probe with t = 2^20 scales
+    the move, exactly, above that residual.
+    """
+    c = np.zeros(n + 8, dtype=complex)
+    c[:n] = b[:n]
+    r0 = pvi_residual_series(Series(c), theta).rows()
+    c[n] = t
+    return (pvi_residual_series(Series(c), theta).rows() - r0) / t
+
+
+@pytest.mark.parametrize("klass,theta,a", TAYLOR_BASE, ids=[k for k, _, _ in TAYLOR_BASE])
+def test_assembled_taylor_move_matches_the_probed_move(monkeypatch, klass, theta, a):
+    moves = {}
+    solve_slots = series._solve_slots
+
+    def recording(res, mv, c, slots, what, cols=slice(None)):
+        moves[slots[0]] = mv[0].copy()
+        return solve_slots(res, mv, c, slots, what, cols)
+    monkeypatch.setattr(series, "_solve_slots", recording)
+    b = solve_taylor(theta, klass, a=a, N=48).c
+    for n in range(11, 49):
+        want = _probed_move(theta, b, n, t=2.0 ** 20)
+        assert not want[:n].any()
+        assert np.abs(moves[n] - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def _all_probe_taylor(theta, klass, a, N):
+    """solve_taylor with b_n probed at every order on the rows x^0 .. x^(n+7)."""
+    fixed, free = series._taylor_seed(theta, klass, a)
+    b = np.zeros(N + 8, dtype=complex)
+    for k, v in fixed.items():
+        b[k] = v
+    for n in range(max(fixed) + 1, N + 1):
+        if n in free:
+            b[n] = free[n] if free[n] is not None else 0.0
+            continue
+        res, moves = series._probe(
+            lambda v: pvi_residual_series(Series(v[: n + 8]), theta), b, [n])
+        series._solve_slots(res, moves, b, [n], f"order {n}")
+    return b[: N + 1]
+
+
+@pytest.mark.parametrize("klass,theta,a", TAYLOR_BASE, ids=[k for k, _, _ in TAYLOR_BASE])
+def test_taylor_matches_all_probe_reference(klass, theta, a):
+    got = solve_taylor(theta, klass, a=a, N=48).c
+    ref = _all_probe_taylor(theta, klass, a, 48)
+    assert np.all(np.abs(got - ref) <= 1e-11 * np.maximum(1.0, np.abs(ref)))
+
+
+def test_taylor_makes_two_residual_evaluations_per_order_then_one(monkeypatch):
+    calls = []
+
+    def counted(s, theta):
+        calls.append(len(s.c))
+        return pvi_residual_series(s, theta)
+    monkeypatch.setattr(series, "pvi_residual_series", counted)
+    solve_taylor(TH, "form1", N=14)
+    # a base residual and a probe through n = 10, then the base residual
+    # alone, on the rows x^0 .. x^(n+7)
+    assert calls == ([n + 8 for n in range(1, 11) for _ in range(2)]
+                     + [n + 8 for n in range(11, 15)])
