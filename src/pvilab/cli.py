@@ -40,21 +40,31 @@ _NUMERIC = (ArithmeticError, RuntimeError)
 # parsing / serialization
 
 
-def parse_complex(text):
-    """A finite complex number: a real, or a+bi / a+bj."""
+def parse_complex(text, flag=None):
+    """A finite complex number: a real, or a+bi / a+bj.  Errors name `flag`."""
     text = str(text).strip()
     s = text.replace(" ", "")
-    z = complex(s[:-1] + "j" if s.endswith("i") else s)
+    where = f"{flag}: " if flag else ""
+    try:
+        z = complex(s[:-1] + "j" if s.endswith("i") else s)
+    except ValueError:
+        raise ValueError(f"{where}{text!r} is not a number") from None
     if not cmath.isfinite(z):
-        raise ValueError(f"{text!r} is not a finite number")
+        raise ValueError(f"{where}{text!r} is not a finite number")
     return z
 
 
-def parse_theta(text) -> ThetaParams:
-    parts = [parse_complex(p) for p in str(text).split(",")]
-    if len(parts) != 4:
-        raise ValueError("--theta needs four comma-separated values th0,thx,th1,thinf")
-    return ThetaParams(*parts)
+def parse_values(text, flag, names, sep=","):
+    """The numbers of a flag that takes len(names) values split by sep."""
+    parts = str(text).split(sep)
+    if len(parts) != len(names):
+        raise ValueError(f"{flag} needs {len(names)} values {sep.join(names)}, "
+                         f"got {text!r}")
+    return [parse_complex(p, flag) for p in parts]
+
+
+def parse_theta(text, flag="--theta") -> ThetaParams:
+    return ThetaParams(*parse_values(text, flag, ("th0", "thx", "th1", "thinf")))
 
 
 def c2l(z):
@@ -174,7 +184,7 @@ def cmd_series(args):
     from .series import residual_leading_order, solve_taylor
     _at_least_one(args, "order")
     th = parse_theta(args.theta)
-    a = parse_complex(args.a) if args.a is not None else None
+    a = parse_complex(args.a, "--a") if args.a is not None else None
     ser = solve_taylor(th, args.klass, a=a, N=args.order)
     lead = residual_leading_order(pvi_residual_series(ser, th))
     doc = ser.to_json()
@@ -186,10 +196,10 @@ def cmd_series(args):
 def cmd_seed(args):
     from .asymptotics import make_seed, seed_value
     th = parse_theta(args.theta)
-    seed = make_seed(parse_complex(args.sigma), th, parse_complex(args.r))
+    seed = make_seed(parse_complex(args.sigma, "--sigma"), th, parse_complex(args.r, "--r"))
     doc = seed.to_json()
     if args.x is not None:
-        x = parse_complex(args.x)
+        x = parse_complex(args.x, "--x")
         y, yp = seed_value(seed, x, three_term=args.three_term)
         doc["at"] = {"x": c2l(x), "y": c2l(y), "yp": c2l(yp)}
     emit(doc, args.out)
@@ -200,8 +210,8 @@ def cmd_continue(args):
     from .continuation import PathPlan, integrate
     _finite_positive(args, "tol")
     th = parse_theta(args.theta)
-    x0, y0, yp0 = (parse_complex(p) for p in args.ic.split(","))
-    verts = [parse_complex(p) for p in args.path.split(";")]
+    x0, y0, yp0 = parse_values(args.ic, "--ic", ("x0", "y0", "yp0"))
+    verts = [parse_complex(p, "--path") for p in args.path.split(";")]
     traj = integrate((x0, y0, yp0), th, PathPlan(tuple(verts), args.tol), tol=args.tol)
     xf, yf, ypf = traj.final()
     if args.csv_out:
@@ -216,7 +226,7 @@ def cmd_continue(args):
 def _build_case(args, build, *flags):
     """build() on the parsed flags that --case needs, naming the first one missing."""
     _require(args, f"--case {args.case}", *flags)
-    return build(*((parse_theta if f == "theta" else parse_complex)(getattr(args, f))
+    return build(*((parse_theta if f == "theta" else parse_complex)(getattr(args, f), f"--{f}")
                    for f in flags))
 
 
@@ -261,9 +271,9 @@ def cmd_invert(args):
     elif args.what == "r":
         _require(args, "--what r", "theta", "t0x", "t1x", "t01")
         th = parse_theta(args.theta)
-        traces = TraceData(parse_complex(args.t0x), parse_complex(args.t1x),
-                           parse_complex(args.t01))
-        sigma = (parse_complex(args.sigma) if args.sigma is not None
+        traces = TraceData(parse_complex(args.t0x, "--t0x"), parse_complex(args.t1x, "--t1x"),
+                           parse_complex(args.t01, "--t01"))
+        sigma = (parse_complex(args.sigma, "--sigma") if args.sigma is not None
                  else sigma_from_traces(traces.t0x))
         val = r_from_monodromy(sigma, th, traces)
         emit({"what": args.what, "value": c2l(val), "sigma": c2l(sigma)},
@@ -281,11 +291,11 @@ def cmd_symmetry(args):
     doc = {"generator": args.gen,
            "theta_image": [c2l(t) for t in act_theta(args.gen, th).as_tuple()]}
     if args.sigma is not None:
-        doc["sigma_image"] = c2l(sigma_image(args.gen, parse_complex(args.sigma), th))
+        doc["sigma_image"] = c2l(sigma_image(args.gen, parse_complex(args.sigma, "--sigma"), th))
     if args.xy is not None:
         if args.gen not in XY_GENERATORS:
             raise ValueError(f"generator {args.gen!r} has no pointwise (x,y)-action")
-        x, y = (parse_complex(p) for p in args.xy.split(","))
+        x, y = parse_values(args.xy, "--xy", ("x", "y"))
         xx, yy = act_xy(args.gen, x, y)
         doc["xy_image"] = {"x": c2l(xx), "y": c2l(yy)}
     emit(doc, args.out)
@@ -342,7 +352,7 @@ def cmd_fuchsian(args):
     if args.action == "build":
         emit(_build_system(args).to_json(), args.out)
         return 0
-    x = parse_complex(args.x)
+    x = parse_complex(args.x, "--x")
     if args.action == "appendix2":
         _require(args, "--action appendix2", "json_in")
         path = args.json_in
@@ -362,7 +372,7 @@ def cmd_fuchsian(args):
     sys_ = _build_system(args)
     if args.action == "transport":
         _finite_positive(args, "tol")
-        center = parse_complex(args.center)
+        center = parse_complex(args.center, "--center")
         m = fuchsian.loop_monodromy(sys_, x, center, tol=args.tol)
         emit({"center": c2l(center), "x": c2l(x), "matrix": m2l(m),
               "trace": c2l(tr2(m))}, args.out)

@@ -10,10 +10,11 @@ Products are truncated 2-D convolutions; only the derivative depends on
 the kind of B.  The three solvers seed the printed low-order coefficients
 and find the rest with one kernel, `_solve_slots`, through the generic
 residual expression in pvi.py: evaluate the residual, take the move of each
-unknown coefficient, then solve at the controlling order.  The moves come
-from probes (`_probe`, one residual evaluation each) or are assembled from
-PVI's second-order structure: a Taylor order n >= _WINDOW + 3 takes no probe
-(`_taylor_move`), a log-series order three (`_log_moves`).
+unknown coefficient, then solve at the controlling order.  Each solver takes
+PVI's linearization once, from three probes (`_probe`) with consecutive
+exponents, once it no longer changes on the rows a step solves on; then
+every move follows from one formula (`_move`) and each step costs one
+residual evaluation.  Only Taylor orders below _WINDOW are probed singly.
 """
 
 from __future__ import annotations
@@ -245,34 +246,75 @@ def residual_leading_order(res, floor=1e-9):
 # the order-by-order kernel
 
 
-def _probe(residual_of, c, slots):
-    """The residual of c, and the move of its rows when each slot alone is 1.
+# A slot is probed at 1 where its square reaches its rows, else at _LINEAR: a
+# power of two, so the move scales exactly, above the base residual's rounding.
+_LINEAR = 2.0 ** 20
 
-    residual_of(c) is the PVI residual of the series with coefficients c;
-    the slots are zero on entry and on exit.
-    """
+
+def _probe(residual_of, c, slots, t=1.0):
+    """The residual of c, and the move of its rows per unit of each slot alone,
+    probed at t.  residual_of(c) is the PVI residual of the series with
+    coefficients c; the slots are zero on entry and on exit."""
     res = residual_of(c)
     r0 = res.rows()
     moves = []
     for s in slots:
-        c[s] = 1.0
-        moves.append(residual_of(c).rows() - r0)
+        c[s] = t
+        moves.append((residual_of(c).rows() - r0) / t)
         c[s] = 0.0
     return res, moves
+
+
+def _linearize(g0, g1, g2):
+    """lin = (G, G', G''/2) at lambda_0 from G at lambda_0, lambda_0 + 1 and
+    lambda_0 + 2 (see _move): G is quadratic in lambda."""
+    c = (g2 - 2.0 * g1 + g0) / 2.0
+    return g0, g1 - g0 - c, c
+
+
+def _move(lin, d, shape, j=0, ln=False):
+    """The move of residual rows of `shape` per unit of the slot x^k B^j, from
+    lin = (G, G', G''/2) at lambda_0, with d = lambda - lambda_0.
+
+    The residual is F(x, y, x y', x^2 y'') with F a polynomial (every y' in
+    pvi_residual_expr carries a factor x, every y'' a factor x^2).  On rows
+    linear in a slot delta its move is F_0 delta + F_1 x delta' + F_2 x^2 delta''
+    with F_i the partials of F in its last three arguments; let
+    G(lambda) = F_0 + lambda F_1 + lambda(lambda-1) F_2.  On delta = x^k Y^j,
+    Y = a x^omega, x d/dx is lambda = k + j omega, so the move is
+    x^k Y^j G(lambda); on delta = x^k L^j, L = ln x, it is k + d/dL, so
+      move = x^k (L^j G(k) + j L^(j-1) G'(k) + j(j-1) L^(j-2) G''/2);
+    j = 0 of either is the Taylor case.  G is quadratic in lambda, so
+    G(lambda) = G + d G' + d^2 G''/2 and G'(lambda) = G' + 2d G''/2.  y, x y'
+    and x^2 y'' keep x-orders, so row i of G depends on y through x^i alone:
+    lin holds the rows of G the window shows from x^k up, the same for every
+    slot once those coefficients are final.  They fill the top rows, column 0
+    at column j.
+    """
+    g, g1, g2 = lin
+    terms = [(j, g + d * g1 + d * d * g2)]
+    if ln:
+        terms += [(j - 1, j * (g1 + 2.0 * d * g2)), (j - 2, j * (j - 1) * g2)]
+    out = np.zeros(shape, dtype=complex)
+    for col, t in terms:
+        if col >= 0:
+            t = t[:, : shape[1] - col]
+            out[-len(t):, col: col + t.shape[1]] += t
+    return out
 
 
 def _solve_slots(res, moves, c, slots, what, cols=slice(None)):
     """Solve the unknown coefficients c[slots] (zero on entry) in place.
 
     res is the residual at c and moves[i] the move of its rows when c[slots[i]]
-    is set to 1: probed (_probe) or assembled from probes (_taylor_move,
-    _log_moves); every check below treats both alike.  The controlling
-    x-order m is the first where a move in the residual columns `cols`
-    exceeds 1e-8 of the largest move; every lower order must already vanish
-    to 1e-9 of the residual.  One slot, paired with one column, is solved by
-    division (a linear coefficient below 1e-10 is a resonance); several
-    slots, the ln-coefficients of one P_n, by least squares over the columns
-    of order m, consistent to 1e-7.  `what` names the step in error messages.
+    is set to 1: probed (_probe) or assembled (_move); every check below
+    treats both alike.  The controlling x-order m is the first where a move in
+    the residual columns `cols` exceeds 1e-8 of the largest move; every lower
+    order must already vanish to 1e-9 of the residual.  One slot, paired with
+    one column, is solved by division (a linear coefficient below 1e-10 is a
+    resonance); several slots, the ln-coefficients of one P_n, by least
+    squares over the columns of order m, consistent to 1e-7.  `what` names
+    the step in error messages.
     """
     r0 = res.rows()[:, cols]
     diffs = [d[:, cols] for d in moves]
@@ -360,42 +402,15 @@ TAYLOR_CLASSES = ("form1", "riuffa", "form2", "form3",
 _WINDOW = 8
 
 
-def _taylor_move(probed, k, n):
-    """The move of the rows x^n .. x^(n + W - 1) when b_n is set to 1, from
-    `probed`, the probed moves of x^k, x^(k+1), x^(k+2) on their own rows
-    x^k .. x^(k + W - 1), for some k >= W.
-
-    The residual is F(x, y, x y', x^2 y'') with F a polynomial: every y' in
-    pvi_residual_expr carries a factor x and every y'' a factor x^2.  The maps
-    y, x y', x^2 y'' keep the x-order of x^m, so order j of F and of its
-    partial derivatives F_0, F_1, F_2 in those three arguments depends on
-    b_0 .. b_j only.  On the window rows the residual is linear in b_n
-    (n >= W), and delta = x^n has x delta' = n x^n, x^2 delta'' = n(n-1) x^n,
-    so the move is x^n (F_0 + n F_1 + n(n-1) F_2): zero below x^n, and its
-    row x^(n+j) is A_j + n B_j + n(n-1) C_j with A_j, B_j, C_j order j of
-    F_0, F_1, F_2.  For j <= W - 1 these depend on b_0 .. b_(W-1) alone, which
-    are final from n = W on, so they are the same at every such n and the
-    three probes fix them:
-      C = (m_(k+2) - 2 m_(k+1) + m_k)/2,  B = m_(k+1) - m_k - 2k C,
-      A = m_k - k B - k(k-1) C.
-    """
-    m0, m1, m2 = probed
-    c = (m2 - 2.0 * m1 + m0) / 2.0
-    b = m1 - m0 - 2.0 * k * c
-    a = m0 - k * b - k * (k - 1) * c
-    return a + n * b + n * (n - 1) * c
-
-
 def solve_taylor(theta: ThetaParams, klass: str, a=None, N: int = 12) -> Series:
     """Order-by-order solution of PVI in the given Taylor class.
 
     Seed the class's fixed low-order coefficients, then solve each b_n from
     the first residual order it reaches, on the residual through
-    x^(n + _WINDOW - 1).  Through n = _WINDOW + 2 the move of b_n is probed
-    (one base residual and one with b_n = 1); from there on it is assembled
-    from the probed moves of orders _WINDOW .. _WINDOW + 2 (see _taylor_move),
-    and each order takes one residual evaluation.  Every check of
-    _solve_slots runs on the assembled move as on a probed one.
+    x^(n + _WINDOW - 1).  Below _WINDOW the move of b_n is probed at 1, then
+    at _LINEAR through _WINDOW + 2; those three probes fix G (see _move) on
+    the rows it shows, which depend on b_0 .. b_(W-1) alone, and every later
+    order takes its move from _move and one residual evaluation.
     Free parameters are inserted at the orders where the class's resonance
     makes the linear coefficient vanish.
     """
@@ -403,9 +418,7 @@ def solve_taylor(theta: ThetaParams, klass: str, a=None, N: int = 12) -> Series:
     b = np.zeros(N + _WINDOW, dtype=complex)
     for k, v in fixed.items():
         b[k] = v
-    # the moves of x^k, k = W, W+1, W+2, on their rows x^k .. x^(k+W-1); every
-    # class fixes or frees only orders below W, so these three are probed
-    probed = []
+    blocks, lin = [], None    # every class fixes or frees only orders below W
     for n in range(max(fixed) + 1, N + 1):
         if n in free:
             b[n] = free[n] if free[n] is not None else 0.0
@@ -413,48 +426,20 @@ def solve_taylor(theta: ThetaParams, klass: str, a=None, N: int = 12) -> Series:
 
         def residual_of(v):
             return pvi_residual_series(Series(v[: n + _WINDOW]), theta)
-        if len(probed) < 3:
-            res, moves = _probe(residual_of, b, [n])
+        if lin is None:
+            res, moves = _probe(residual_of, b, [n], _LINEAR if n >= _WINDOW else 1.0)
             if n >= _WINDOW:
-                probed.append(moves[0][n:])
+                blocks.append(moves[0][n:])
+                lin = _linearize(*blocks) if len(blocks) == 3 else None
         else:
             res = residual_of(b)
-            move = np.zeros_like(res.rows())
-            move[n:] = _taylor_move(probed, _WINDOW, n)
-            moves = [move]
+            moves = [_move(lin, n - _WINDOW, res.rows().shape)]
         _solve_slots(res, moves, b, [n], f"order {n}")
     return Series(b[: N + 1], meta={"class": klass, "theta": theta, "a": a, "N": N})
 
 
 # ----------------------------------------------------------------------
 # log-polynomial families (sigma = 0)
-
-
-def _ln_shift(d, k):
-    """d times (ln x)^k: the ln-columns of d moved up by k, truncated."""
-    out = np.zeros_like(d)
-    out[:, k:] = d[:, : d.shape[1] - k]
-    return out
-
-
-def _log_moves(residual_of, c, n):
-    """The residual and its moves for the slots c[n, j] of x^n L^j, L = ln x,
-    j = 0 .. 2n + 2, from three probes, j = 0, 1, 2.
-
-    On the rows through the controlling order x^(n+2) the residual is linear
-    in P_n (its square enters from x^(2n+1) on), and PVI is of second order:
-    the move of delta = x^n L^j is P0 delta + P1 delta' + P2 delta'' with
-      delta'  = x^(n-1) (n L^j + j L^(j-1)),
-      delta'' = x^(n-2) (n(n-1) L^j + (2n-1) j L^(j-1) + j(j-1) L^(j-2)).
-    So it is S^j a + j S^(j-1) b + j(j-1) S^(j-2) c for the ln-shift S and
-    three series a, b, c independent of j, which the probes fix.
-    """
-    res, (a, d1, d2) = _probe(residual_of, c, [(n, 0), (n, 1), (n, 2)])
-    b = d1 - _ln_shift(a, 1)
-    cc = (d2 - _ln_shift(a, 2) - 2.0 * _ln_shift(b, 1)) / 2.0
-    return res, [a, d1, d2] + [
-        _ln_shift(a, j) + j * _ln_shift(b, j - 1) + j * (j - 1) * _ln_shift(cc, j - 2)
-        for j in range(3, 2 * n + 3)]
 
 
 def solve_log_series(theta: ThetaParams, shape: str, r: complex, N: int = 3,
@@ -469,8 +454,9 @@ def solve_log_series(theta: ThetaParams, shape: str, r: complex, N: int = 3,
     Higher P_n are found by a linear least-squares solve against the
     residual, with the ln-degree of P_n capped at 2n+2 and that of the
     ring at 2N+10.  Each P_n is solved on the residual through its
-    controlling order x^(n+2) (rows x^-2 .. x^(n+2)), from one base
-    residual and three probes (see _log_moves).
+    controlling order x^(n+2) (rows x^-2 .. x^(n+2)); there G (see _move)
+    depends on P_1 alone, so it is taken once, from x^2, x^3 and x^4 probed
+    at _LINEAR, and each order costs one residual evaluation.
     The result keeps x-orders through N+6 (zero above N) and carries `.p`,
     the list of P_n with trailing zeros trimmed.
     """
@@ -490,8 +476,16 @@ def solve_log_series(theta: ThetaParams, shape: str, r: complex, N: int = 3,
 
     c = np.zeros((N + 7, 2 * N + 11), dtype=complex)
     c[1, : len(P1)] = P1
+    if N >= 2:
+        # G at lambda = 2, 3, 4 on the rows x^k .. x^(k+2) of x^k, k = 2, 3, 4
+        base, probed = _probe(lambda v: pvi_residual_series(Series(v[:9]), theta),
+                              c, [(2, 0), (3, 0), (4, 0)], _LINEAR)
+        lin = _linearize(*(m[k + 2: k + 5] for k, m in zip((2, 3, 4), probed)))
     for n in range(2, N + 1):
-        res, moves = _log_moves(lambda v: pvi_residual_series(Series(v[: n + 5]), theta), c, n)
+        # the rows x^-2 .. x^(n+2); at n = 2 those of the probes' base
+        res = (Series(base.c[:7], -2) if n == 2
+               else pvi_residual_series(Series(c[: n + 5]), theta))
+        moves = [_move(lin, n - 2, res.rows().shape, j, ln=True) for j in range(2 * n + 3)]
         _solve_slots(res, moves, c, [(n, j) for j in range(2 * n + 3)], f"x-order {n}")
     out = Series(c, meta={"shape": shape, "theta": theta, "r": r, "N": N})
     out.p = [np.trim_zeros(q, "b") if q.any() else q[:1] for q in c]
@@ -510,7 +504,10 @@ def solve_omega_series(theta: ThetaParams, branch: str, a, K: int = 6, M: int = 
     or form1 (omega = +-(thinf-th1-1)).  The N=1, x^0 coefficient is the
     normalization b0/(thinf-1) * sign so the two leading terms reproduce the
     printed one-parameter asymptotics with a identified with r.  Each
-    c[k, N] is solved from column N of the residual through x^(k+2).
+    c[k, N] is solved from column N of the residual through x^(k+2), where
+    its move is x^k Y^N G_0(k + N omega) (see _move).  G_0, column 0 of G,
+    depends on the Taylor column alone: x^k Y, k = 0, 1, 2, probed at _LINEAR
+    before the normalization is set, fix it, and each slot costs one residual.
     """
     t0, tx, t1, ti = theta.as_tuple()
     if branch == "riuffa":
@@ -526,15 +523,18 @@ def solve_omega_series(theta: ThetaParams, branch: str, a, K: int = 6, M: int = 
         raise ResonanceError(f"omega = {omega} outside |Re omega| < 1, omega != 0")
 
     y0 = solve_taylor(theta, branch, N=K)
-    g = np.zeros((K + 5, M + 1), dtype=complex)
+    g = np.zeros((max(K, 2) + 5, M + 1), dtype=complex)
     g[: K + 1, 0] = y0.c
+    # G_0 at lambda = k + omega: column 1 of the rows x^k .. x^(k+2) of x^k Y
+    _, probed = _probe(lambda v: pvi_residual_series(Series(v[:7], omega=omega), theta),
+                       g, [(0, 1), (1, 1), (2, 1)], _LINEAR)
+    lin = _linearize(*(m[k + 2: k + 5, 1:2] for k, m in enumerate(probed)))
     g[0, 1] = omega_sign * y0.c[0] / (ti - 1.0)
     for N in range(1, M + 1):
         for k in range(1 if N == 1 else 0, K + 1):
-            res, moves = _probe(
-                lambda v: pvi_residual_series(Series(v[: k + 5], omega=omega), theta),
-                g, [(k, N)])
-            _solve_slots(res, moves, g, [(k, N)], f"slot (k={k}, N={N})",
+            res = pvi_residual_series(Series(g[: k + 5], omega=omega), theta)
+            move = _move(lin, k + (N - 1) * omega, res.rows().shape, N)
+            _solve_slots(res, [move], g, [(k, N)], f"slot (k={k}, N={N})",
                          cols=slice(N, N + 1))
     return Series(g[: K + 1], omega=omega, a=a,
                   meta={"branch": branch, "theta": theta, "a": a, "K": K, "M": M,

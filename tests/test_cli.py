@@ -47,6 +47,9 @@ def test_order_below_one_exits_2(capsys, command, order):
     assert err == f"error: --order must be at least 1, got {order}\n"
 
 
+CONTINUE_BAD = ["continue", "--theta", THETA]
+
+
 @pytest.mark.parametrize("argv, name", [
     (["invert", "--what", "s-b"], "--json-in"),
     (["invert", "--what", "s-c"], "--json-in"),
@@ -59,13 +62,52 @@ def test_order_below_one_exits_2(capsys, command, order):
     (["invert", "--what", "r", "--theta", THETA, "--t0x", "0.3", "--t1x", "0.4"], "--t01"),
     (["sweep", "--count", "-3"], "--count"),
     (["symmetry", "--gen", "x1", "--theta", THETA, "--sigma", "0.3"], "'x1'"),
+    # a malformed number or list names its flag and the text
+    (["series", "--theta", "0.1,abc,0.3,0.4", "--class", "form1"], "--theta: 'abc'"),
+    (["series", "--theta", THETA, "--class", "form1", "--a", "1+"], "--a: '1+'"),
+    (["seed", "--theta", THETA, "--sigma", "x"], "--sigma: 'x'"),
+    (CONTINUE_BAD + ["--ic", "0.01,zz,-0.16", "--path", "0.01;0.1"], "--ic: 'zz'"),
+    (CONTINUE_BAD + ["--ic", "0.01,1.35,-0.16", "--path", "0.01;q"], "--path: 'q'"),
+    (CONTINUE_BAD + ["--ic", "0.01,1.35", "--path", "0.01;0.1"],
+     "--ic needs 3 values x0,y0,yp0, got '0.01,1.35'"),
+    (["fuchsian", "--action", "transport", "--case", "b", "--thx", "0.31", "--thinf", "0.44",
+      "--s", "0.27", "--r", "1", "--center", "q"], "--center: 'q'"),
+    (["monodromy", "--case", "b", "--thx", "0.31", "--thinf", "0.44", "--s", "q", "--r", "1"],
+     "--s: 'q'"),
+    (["invert", "--what", "r", "--theta", THETA, "--t0x", "q", "--t1x", "0.3", "--t01", "0.4"],
+     "--t0x: 'q'"),
+    (["symmetry", "--gen", "x3", "--theta", THETA, "--xy", "0"],
+     "--xy needs 2 values x,y, got '0'"),
 ])
 def test_bad_flag_or_path_exits_2_naming_it(capsys, tmp_path, argv, name):
     code, out, err = run_cli(capsys, *(a.replace("TMP", str(tmp_path)) for a in argv))
     assert code == 2
     assert out == ""
+    assert err.count("\n") == 1
     assert "Traceback" not in err
     assert name.replace("TMP", str(tmp_path)) in err
+
+
+# the modules a cold start of series, sweep or symmetry must not load
+HEAVY = ("fuchsian", "hypergeom", "monodromy", "continuation", "asymptotics",
+         "acceptance", "integrate")
+
+
+@pytest.mark.parametrize("argv", [
+    ["series", "--theta", THETA, "--class", "form1", "--order", "6"],
+    ["sweep", "--count", "2"],
+    ["symmetry", "--gen", "w2", "--theta", THETA, "--sigma", "0.3"],
+], ids=["series", "sweep", "symmetry"])
+def test_cold_start_loads_only_the_modules_it_runs(argv):
+    code = ("import contextlib, io, sys\n"
+            "from pvilab.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    code = main(sys.argv[1:])\n"
+            "print(code, *sorted(m for m in sys.modules if m.startswith('pvilab')))\n")
+    proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True)
+    code, *loaded = proc.stdout.split()
+    assert code == "0" and "pvilab.cli" in loaded
+    assert not {f"pvilab.{m}" for m in HEAVY} & set(loaded)
 
 
 def test_parse_theta_validates_arity():

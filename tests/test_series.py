@@ -236,7 +236,7 @@ def test_log_series_matches_all_probe_reference(shape, theta):
     assert np.abs(ls.c - ref).max() <= 1e-10 * np.abs(ref).max()
 
 
-def test_log_series_makes_four_residual_evaluations_per_order(monkeypatch):
+def test_log_series_makes_four_residual_evaluations_then_one_per_order(monkeypatch):
     calls = []
 
     def counted(s, theta):
@@ -244,8 +244,113 @@ def test_log_series_makes_four_residual_evaluations_per_order(monkeypatch):
         return pvi_residual_series(s, theta)
     monkeypatch.setattr(series, "pvi_residual_series", counted)
     solve_log_series(TH, "shape2", 0.1, N=5)
-    # one base residual and three probes per order, on the rows x^0 .. x^(n+4)
-    assert calls == [n + 5 for n in range(2, 6) for _ in range(4)]
+    # a base residual and the probes of x^2, x^3, x^4 on the rows x^0 .. x^8,
+    # whose base serves order 2; then one residual per order on x^0 .. x^(n+4)
+    assert calls == [9] * 4 + [n + 5 for n in range(3, 6)]
+
+
+def _recorded_moves(monkeypatch):
+    """{slot: the move _solve_slots receives, on its columns} for every
+    call of a solve with tuple slots; the first slot of each call is the key."""
+    moves = {}
+    solve_slots = series._solve_slots
+
+    def recording(res, mv, c, slots, what, cols=slice(None)):
+        if isinstance(slots[0], tuple):
+            moves[slots[0]] = [m[:, cols].copy() for m in mv]
+        return solve_slots(res, mv, c, slots, what, cols)
+    monkeypatch.setattr(series, "_solve_slots", recording)
+    return moves
+
+
+def _probe_rows(residual_rows, c, slot, t=2.0 ** 20):
+    """The move of residual_rows(c) per unit of c[slot], probed at t."""
+    r0 = residual_rows(c)
+    c[slot] = t
+    move = (residual_rows(c) - r0) / t
+    c[slot] = 0.0
+    return move
+
+
+LOG_CASES = [
+    ("shape2", TH),
+    ("shape3+", ThetaParams(0.37, 0.37, 0.31, 0.44)),
+    ("shape3-", ThetaParams(0.37, -0.37, 0.31, 0.44)),
+]
+
+
+@pytest.mark.parametrize("shape,theta", LOG_CASES, ids=[s for s, _ in LOG_CASES])
+def test_assembled_log_move_matches_the_probed_move(monkeypatch, shape, theta):
+    moves = _recorded_moves(monkeypatch)
+    c = solve_log_series(theta, shape, 0.4 + 0.1j, N=8).c
+    for n in range(3, 9):
+        # P_1 .. P_(n-1) solved, the rest zero, on the rows x^-2 .. x^(n+2)
+        base = np.zeros((n + 5, c.shape[1]), dtype=complex)
+        base[:n] = c[:n]
+        assert len(moves[(n, 0)]) == 2 * n + 3
+        for j, got in enumerate(moves[(n, 0)]):
+            want = _probe_rows(lambda v: pvi_residual_series(Series(v), theta).rows(),
+                               base, (n, j))
+            assert not want[: n + 2].any()
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("branch", ["form1", "riuffa"])
+@pytest.mark.parametrize("omega_sign", [1, -1])
+def test_assembled_omega_move_matches_the_probed_move(monkeypatch, branch, omega_sign):
+    moves = _recorded_moves(monkeypatch)
+    K, M = 6, 3
+    om = solve_omega_series(TH, branch, a=0.15, K=K, M=M, omega_sign=omega_sign)
+    assert len(moves) == K + (M - 1) * (K + 1)
+    for (k, N), (got,) in moves.items():
+        # the columns below N solved, column N through x^(k-1)
+        base = np.zeros((k + 5, M + 1), dtype=complex)
+        base[: min(k + 5, K + 1), :N] = om.c[: k + 5, :N]
+        base[:k, N] = om.c[:k, N]
+        want = _probe_rows(
+            lambda v: pvi_residual_series(Series(v, omega=om.omega), TH).rows()[:, N:N + 1],
+            base, (k, N))
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def _all_probe_omega(theta, branch, K, M):
+    """solve_omega_series with the move of every slot probed at 1 on column N
+    of the residual rows x^-2 .. x^(k+2)."""
+    _, _, t1, ti = theta.as_tuple()
+    omega = t1 + ti - 1.0 if branch == "riuffa" else ti - t1 - 1.0
+    y0 = solve_taylor(theta, branch, N=K).c
+    g = np.zeros((K + 5, M + 1), dtype=complex)
+    g[: K + 1, 0] = y0
+    g[0, 1] = y0[0] / (ti - 1.0)
+    for N in range(1, M + 1):
+        for k in range(1 if N == 1 else 0, K + 1):
+            res, moves = series._probe(
+                lambda v: pvi_residual_series(Series(v[: k + 5], omega=omega), theta),
+                g, [(k, N)])
+            series._solve_slots(res, moves, g, [(k, N)], f"slot {k, N}", cols=slice(N, N + 1))
+    return g[: K + 1]
+
+
+@pytest.mark.parametrize("branch", ["form1", "riuffa"])
+@pytest.mark.parametrize("K", [1, 2, 3, 6])
+def test_omega_series_matches_all_probe_reference(branch, K):
+    got = solve_omega_series(TH, branch, a=0.15, K=K, M=2).c
+    ref = _all_probe_omega(TH, branch, K, 2)
+    assert np.all(np.abs(got - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref)))
+
+
+def test_omega_series_makes_one_residual_evaluation_per_slot(monkeypatch):
+    calls = []
+
+    def counted(s, theta):
+        if s.omega is not None:
+            calls.append(len(s.c))
+        return pvi_residual_series(s, theta)
+    monkeypatch.setattr(series, "pvi_residual_series", counted)
+    solve_omega_series(TH, "form1", a=0.15, K=6, M=2)
+    # a base residual and the probes of Y, x Y, x^2 Y on the rows x^0 .. x^6,
+    # then one residual per slot (k, N) on the rows x^0 .. x^(k+4)
+    assert calls == [7] * 4 + [k + 5 for k in range(1, 7)] + [k + 5 for k in range(7)]
 
 
 # the taylor-series benchmark's base points, one per Taylor class
