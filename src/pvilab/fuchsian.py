@@ -240,23 +240,36 @@ def transport(sys: LinearSystem, x, loop_or_vertices, tol=1e-10) -> np.ndarray:
     dp45 call, in the parameter t of Loop, plus the straight basepoint legs)
     or edge by edge along a polygon given as a list of vertices.  The result
     M satisfies Psi_continued = Psi * M for Psi(start) = I.
+
+    The right-hand side is written out in Python complex arithmetic: on 2x2
+    arrays each numpy operation costs more in dispatch than in arithmetic.
     """
     if isinstance(loop_or_vertices, Loop):
         r = loop_or_vertices.radius
         if not (math.isfinite(r) and r > 0):
             raise ValueError(f"loop radius {r} at x = {x} is not a finite positive "
                              "number (x must stay away from 0 and 1)")
-    a0 = sys.residue("0", x)
-    axm = sys.residue("x", x)
-    a1 = sys.residue("1", x)
+        c = complex(loop_or_vertices.center)
+        if c + r == c:
+            raise ValueError(f"loop radius {r} vanishes against its center {c} "
+                             "(center + radius rounds to center)")
+    p00, p01, p10, p11 = sys.residue("0", x).ravel().tolist()
+    q00, q01, q10, q11 = sys.residue("x", x).ravel().tolist()
+    s00, s01, s10, s11 = sys.residue("1", x).ravel().tolist()
     xc = complex(x)
 
     def leg(m, path):
-        # path(t) = (lambda, dlambda/dt) for t in [0, 1]
+        # path(t) = (lambda, dlambda/dt) for t in [0, 1]; y is Psi row-major
         def f(t, y):
             lam, dlam = path(t)
-            a = a0 / lam + axm / (lam - xc) + a1 / (lam - 1.0)
-            return dlam * (a @ y.reshape(2, 2)).ravel()
+            u, v, w = dlam / lam, dlam / (lam - xc), dlam / (lam - 1.0)
+            b00 = u * p00 + v * q00 + w * s00
+            b01 = u * p01 + v * q01 + w * s01
+            b10 = u * p10 + v * q10 + w * s10
+            b11 = u * p11 + v * q11 + w * s11
+            y00, y01, y10, y11 = y.tolist()
+            return np.array([b00 * y00 + b01 * y10, b00 * y01 + b01 * y11,
+                             b10 * y00 + b11 * y10, b10 * y01 + b11 * y11])
 
         return dp45(f, 0.0, 1.0, m.ravel(), tol=tol).reshape(2, 2)
 

@@ -369,6 +369,10 @@ def ode_transport(p: GaussParams, z0, W0, path, tol=1e-12):
 
     W0 is the 2x2 frame [[f1, f2], [f1', f2']] at z0; path is a list of
     complex waypoints starting after z0.  Returns the frame at path[-1].
+
+    The right-hand side is written out in Python complex arithmetic: on
+    arrays of four entries each numpy operation costs more in dispatch than
+    in arithmetic.
     """
     al, be, ga = p.alpha, p.beta, p.gamma
 
@@ -376,14 +380,13 @@ def ode_transport(p: GaussParams, z0, W0, path, tol=1e-12):
         dz = zb - za
 
         def f(t, y):
+            # y = [f1, f1', f2, f2']
             z = za + t * dz
-            phi = y[0::2]
-            dphi = y[1::2]
-            ddphi = ((al * be) * phi - (ga - (al + be + 1.0) * z) * dphi) / (z * (1.0 - z))
-            out = np.empty_like(y)
-            out[0::2] = dphi * dz
-            out[1::2] = ddphi * dz
-            return out
+            f1, d1, f2, d2 = y.tolist()
+            c = ga - (al + be + 1.0) * z
+            den = z * (1.0 - z)
+            return np.array([d1 * dz, ((al * be) * f1 - c * d1) / den * dz,
+                             d2 * dz, ((al * be) * f2 - c * d2) / den * dz])
 
         return f
 

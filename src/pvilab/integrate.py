@@ -1,9 +1,13 @@
 """Embedded Dormand-Prince 5(4) integrator for complex-vector ODEs.
 
-Shared by the two numeric oracles: loop transport of the Fuchsian system in
-lambda, and continuation of PVI in x.  scipy's RK45 works on real arrays
-only and its event machinery does not fit per-step chart switching, hence
-this small hand-rolled pair.
+Shared by three users: loop transport of the Fuchsian system in lambda
+(`fuchsian.transport`), transport of Gauss ODE frames in z
+(`hypergeom.ode_transport`) and continuation of PVI in x
+(`continuation.integrate`).  scipy's RK45 works on real arrays only and its
+event machinery does not fit per-step chart switching, hence this small
+hand-rolled pair.  A tolerance below the float unit roundoff (machine
+epsilon) is rejected: the mixed error test cannot meet it, and the step size
+would shrink until rounding noise happened to pass.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ _C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
 _B4 = np.array([5179 / 57600, 0, 7571 / 16695, 393 / 640, -92097 / 339200,
                 187 / 2100, 1 / 40])
 _E = _A[6] - _B4
+_EPS = float(np.finfo(float).eps)
 
 
 class StepUnderflow(RuntimeError):
@@ -47,7 +52,12 @@ def dp45(f, t0, t1, y0, tol=1e-10, h0=None, min_step=1e-14, step_cb=None):
     first stage of the next one.  When step_cb returns a replacement, f is
     evaluated again at the new state, so f may read state that step_cb
     changes, provided step_cb then returns a replacement.
+
+    Raises ValueError for tol below the unit roundoff np.finfo(float).eps.
     """
+    if tol < _EPS:
+        raise ValueError(f"tol = {tol} is below the float unit roundoff {_EPS:.3g} "
+                         "that the error test can resolve")
     t = float(t0)
     t1 = float(t1)
     y = np.asarray(y0, dtype=complex).copy()

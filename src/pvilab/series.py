@@ -509,6 +509,10 @@ def solve_omega_series(theta: ThetaParams, branch: str, a, K: int = 6, M: int = 
     depends on the Taylor column alone: x^k Y, k = 0, 1, 2, probed at _LINEAR
     before the normalization is set, fix it, and each slot costs one residual.
     """
+    if M < 1:
+        raise ValueError(f"M = {M}: the family needs at least the column N = 1")
+    if K < 0:
+        raise ValueError(f"K = {K}: the order in x must be at least 0")
     t0, tx, t1, ti = theta.as_tuple()
     if branch == "riuffa":
         omega = omega_sign * (t1 + ti - 1.0)

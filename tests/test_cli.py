@@ -1,10 +1,14 @@
 """Command-line interface: schemas, determinism, exit codes."""
 
+import contextlib
+import io
 import json
 import subprocess
 import sys
+import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pvilab import continuation
 from pvilab.cli import main, parse_complex, parse_theta, rep_from_json
@@ -302,6 +306,51 @@ def test_tol_not_finite_and_positive_exits_2(capsys, argv, tol):
     assert code == 2
     assert out == ""
     assert err == f"error: --tol must be finite and positive, got {float(tol)}\n"
+
+
+@pytest.mark.parametrize("argv", [TRANSPORT_B, CONTINUE_IC], ids=["transport", "continue"])
+def test_tol_below_unit_roundoff_exits_2_at_once(capsys, argv):
+    # without the floor the step size shrank until rounding noise passed an
+    # error test the arithmetic cannot meet, which took minutes
+    start = time.monotonic()
+    code, out, err = run_cli(capsys, *argv, "--tol=1e-20")
+    assert time.monotonic() - start < 5.0
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: tol = 1e-20 is below the float unit roundoff")
+
+
+def test_transport_loop_vanishing_against_center_exits_2():
+    # x = 1e-300 gives the loop about 1 a radius of 3.3e-301 and 1 + r == 1:
+    # without the check lambda sat on the pole, numpy warned and the step
+    # size underflowed
+    proc = subprocess.run(
+        [sys.executable, "-W", "default", "-m", "pvilab.cli", *TRANSPORT_B,
+         "--x=1e-300", "--center=1"],
+        capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "Warning" not in proc.stderr and "Traceback" not in proc.stderr
+    assert "vanishes against its center (1+0j)" in proc.stderr
+
+
+_POINT = st.one_of(st.sampled_from(["0", "1", "1e-300", "-1e-300", "1e300", "nan"]),
+                   st.floats(-3.0, 3.0).map(repr))
+
+
+@given(x=_POINT, center=_POINT, log_tol=st.floats(-30.0, -6.0))
+@settings(max_examples=30, deadline=None, derandomize=True)
+def test_transport_argv_property(x, center, log_tol):
+    """Any --x, --center and --tol: exit 0, 2 or 3, no traceback, and on
+    success exactly one JSON document."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([*TRANSPORT_B, f"--x={x}", f"--center={center}",
+                     f"--tol={10.0 ** log_tol!r}"])
+    assert code in (0, 2, 3)
+    assert "Traceback" not in err.getvalue()
+    if code == 0:
+        json.loads(out.getvalue())
 
 
 @pytest.mark.parametrize("command", [["identity-check"], ["invert", "--what", "s-b"]])

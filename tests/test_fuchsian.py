@@ -153,6 +153,12 @@ def test_loop_rejects_degenerate_radius(sys_a):
     for r in (0.0, -0.1, math.nan):
         with pytest.raises(ValueError):
             fuchsian.transport(sys_a, 1e-2, fuchsian.Loop(1.0, r))
+    # x = 1e-300 gives the loop about 1 a radius of 3.3e-301, and 1 + r == 1
+    # would put lambda on the pole
+    with pytest.raises(ValueError, match=r"3\.3+\d*e-301 .*center \(1\+0j\)"):
+        fuchsian.loop_monodromy(sys_a, 1e-300, 1.0)
+    with pytest.raises(ValueError, match="vanishes"):
+        fuchsian.transport(sys_a, 1e-2, fuchsian.Loop(2.0 + 1.0j, 1e-17))
 
 
 def test_y_from_a_matches_series(sys_a):

@@ -109,3 +109,22 @@ def test_first_stage_recomputed_after_replacement():
     t_sw = switch[0]
     assert y[0].real == pytest.approx(t_sw + 2.0 * (1.0 - t_sw), abs=1e-12)
     assert len(evals) == 2 + 6 * len(steps)
+
+
+@pytest.mark.parametrize("tol", [1e-17, 1e-20, 1e-300, 0.0])
+def test_tolerance_below_unit_roundoff_is_rejected(tol):
+    evals = []
+
+    def f(t, y):
+        evals.append(t)
+        return y
+
+    with pytest.raises(ValueError, match="tol"):
+        dp45(f, 0.0, 1.0, np.array([1.0 + 0j]), tol=tol)
+    assert not evals
+
+
+def test_tolerance_at_unit_roundoff_is_accepted():
+    eps = np.finfo(float).eps
+    y = dp45(lambda t, y: -y, 0.0, 1.0, np.array([1.0 + 0j]), tol=eps)
+    assert abs(y[0] - np.exp(-1.0)) < 1e-13

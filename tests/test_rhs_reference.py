@@ -1,0 +1,156 @@
+"""The written-out right-hand sides of the two linear transport oracles
+against the same right-hand sides formed with numpy array operations.
+
+`fuchsian.transport` and `hypergeom.ode_transport` form their RHS in Python
+complex arithmetic.  The references below form it on numpy arrays and are
+driven through the same `integrate.dp45` on the same paths: the loop
+matrices and the Gauss frames must agree to rounding, and the integrator
+must take the same steps (RHS evaluation counts within 1 %).
+"""
+
+import cmath
+import math
+
+import numpy as np
+import pytest
+
+from pvilab import fuchsian, hypergeom, integrate
+from pvilab.pvi import ThetaParams
+
+TOL = 1e-12
+
+
+def _counting_dp45(counts):
+    """integrate.dp45 with its RHS wrapped by a call counter."""
+    def dp45(f, *args, **kwargs):
+        def counted(t, y):
+            counts.append(t)
+            return f(t, y)
+        return integrate.dp45(counted, *args, **kwargs)
+    return dp45
+
+
+def reference_transport(system, x, loop_or_vertices, tol, counts):
+    """transport with the RHS dlambda * (A(lambda) @ Psi) on 2x2 arrays."""
+    a0, axm, a1 = (system.residue(k, x) for k in ("0", "x", "1"))
+    xc = complex(x)
+    dp45 = _counting_dp45(counts)
+
+    def leg(m, path):
+        def f(t, y):
+            lam, dlam = path(t)
+            a = a0 / lam + axm / (lam - xc) + a1 / (lam - 1.0)
+            return dlam * (a @ y.reshape(2, 2)).ravel()
+
+        return dp45(f, 0.0, 1.0, m.ravel(), tol=tol).reshape(2, 2)
+
+    def edge(m, z0, z1):
+        dz = z1 - z0
+        return m if dz == 0 else leg(m, lambda t: (z0 + t * dz, dz))
+
+    m = np.eye(2, dtype=complex)
+    if isinstance(loop_or_vertices, fuchsian.Loop):
+        lp = loop_or_vertices
+        c, r = complex(lp.center), float(lp.radius)
+        w = 2j * math.pi * lp.orientation
+
+        def circle(t):
+            d = r * cmath.exp(w * t)
+            return c + d, w * d
+
+        b = c + r if lp.basepoint is None else complex(lp.basepoint)
+        return edge(leg(edge(m, b, c + r), circle), c + r, b)
+    verts = [complex(v) for v in loop_or_vertices]
+    for z0, z1 in zip(verts[:-1], verts[1:]):
+        m = edge(m, z0, z1)
+    return m
+
+
+def reference_ode_transport(p, z0, W0, path, tol, counts):
+    """ode_transport with the RHS on strided slices of the state array."""
+    al, be, ga = p.alpha, p.beta, p.gamma
+    dp45 = _counting_dp45(counts)
+
+    def rhs_factory(za, zb):
+        dz = zb - za
+
+        def f(t, y):
+            z = za + t * dz
+            phi = y[0::2]
+            dphi = y[1::2]
+            ddphi = ((al * be) * phi - (ga - (al + be + 1.0) * z) * dphi) / (z * (1.0 - z))
+            out = np.empty_like(y)
+            out[0::2] = dphi * dz
+            out[1::2] = ddphi * dz
+            return out
+
+        return f
+
+    y = np.array([W0[0, 0], W0[1, 0], W0[0, 1], W0[1, 1]], dtype=complex)
+    za = complex(z0)
+    for zb in path:
+        y = dp45(rhs_factory(za, complex(zb)), 0.0, 1.0, y, tol=tol)
+        za = complex(zb)
+    return np.array([[y[0], y[2]], [y[1], y[3]]], dtype=complex)
+
+
+SYSTEMS = {
+    "a": lambda: fuchsian.build_case_a(ThetaParams(0.21, 0.33, 0.17, 0.52), 1.0),
+    "b": lambda: fuchsian.build_case_b(0.31, 0.44, 0.27 + 0.1j, 1.0),
+    "c": lambda: fuchsian.build_case_c(0.23, 0.57, 0.6, 1.3),
+}
+
+
+def _assert_same_transport(monkeypatch, system, x, loop_or_vertices):
+    got_counts, want_counts = [], []
+    monkeypatch.setattr(fuchsian, "dp45", _counting_dp45(got_counts))
+    got = fuchsian.transport(system, x, loop_or_vertices, tol=TOL)
+    want = reference_transport(system, x, loop_or_vertices, TOL, want_counts)
+    assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
+    assert abs(len(got_counts) - len(want_counts)) <= 0.01 * len(want_counts)
+
+
+@pytest.mark.parametrize("case", sorted(SYSTEMS))
+@pytest.mark.parametrize("x", [1e-2, 1e-3])
+@pytest.mark.parametrize("center", ["0", "x", "1"])
+def test_loop_matches_numpy_rhs(monkeypatch, case, x, center):
+    c = {"0": 0.0, "x": x, "1": 1.0}[center]
+    loop = fuchsian.Loop(complex(c), fuchsian.default_radius(x, c))
+    _assert_same_transport(monkeypatch, SYSTEMS[case](), x, loop)
+
+
+def test_basepoint_loop_matches_numpy_rhs(monkeypatch):
+    loop = fuchsian.Loop(1.0, 0.2, basepoint=1.5 + 0.1j, orientation=-1)
+    _assert_same_transport(monkeypatch, SYSTEMS["b"](), 1e-2, loop)
+
+
+def test_polygon_matches_numpy_rhs(monkeypatch):
+    x, r = 1e-2, 0.1
+    poly = [x + r * cmath.exp(2j * math.pi * k / 8) for k in range(9)]
+    _assert_same_transport(monkeypatch, SYSTEMS["a"](), x, poly)
+
+
+ORACLES = [("C0inf", ThetaParams(0.23, 0.57, 0.31, 0.44), False),
+           ("C0inf", ThetaParams(0.23, 0.57, 0.31, 0.44), True),
+           ("Cinf0", ThetaParams(0.23, 0.57, 0.0, 1.0), False),
+           ("Cinf0", ThetaParams(0.41 + 0.1j, -0.27, 0.0, 1.0), False)]
+
+
+@pytest.mark.parametrize("which,theta,flip", ORACLES)
+def test_oracle_frame_matches_numpy_rhs(monkeypatch, which, theta, flip):
+    calls, got_counts = [], []
+    real = hypergeom.ode_transport
+
+    def recording(p, z0, W0, path, tol=1e-12):
+        calls.append((p, z0, W0, path, tol, real(p, z0, W0, path, tol=tol)))
+        return calls[-1][-1]
+
+    monkeypatch.setattr(hypergeom, "ode_transport", recording)
+    monkeypatch.setattr(hypergeom, "dp45", _counting_dp45(got_counts))
+    hypergeom.connection_oracle(which, theta, flip_th1=flip)
+    assert len(calls) == 1
+    p, z0, W0, path, tol, got = calls[0]
+    want_counts = []
+    want = reference_ode_transport(p, z0, W0, path, tol, want_counts)
+    assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
+    assert abs(len(got_counts) - len(want_counts)) <= 0.01 * len(want_counts)

@@ -203,6 +203,12 @@ def test_omega_series_integer_omega_raises():
         solve_omega_series(ThetaParams(0.23, 0.57, 0.3, 1.3), "form1", a=0.1)
 
 
+@pytest.mark.parametrize("K,M,name", [(6, 0, "M"), (6, -1, "M"), (-1, 2, "K")])
+def test_omega_series_rejects_orders_below_range(K, M, name):
+    with pytest.raises(ValueError, match=f"^{name} = "):
+        solve_omega_series(TH, "form1", a=0.1, K=K, M=M)
+
+
 def _all_probe_log_reference(theta, P1, N):
     """P_2 .. P_N with every ln-coefficient of P_n probed on the residual
     through x^(n+4) and solved by least squares at its order x^(n+2)."""
