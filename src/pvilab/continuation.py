@@ -20,7 +20,7 @@ import numpy as np
 from .asymptotics import CriticalSeed, seed_value, _power_terms
 from .integrate import dp45
 from .numerics import PRINCIPAL, cpow, clog
-from .pvi import ThetaParams, pvi_rhs, pvi_residual_expr
+from .pvi import ThetaParams, pvi_rhs, pvi_residual_expr, theta_to_abgd
 
 __all__ = [
     "ChartThrashError",
@@ -129,10 +129,11 @@ class Trajectory:
         there).
         """
         worst = 0.0
+        p = theta_to_abgd(self.theta)
         for x, y, yp, _ in self.samples:
             if min(abs(y), abs(y - 1.0), abs(y - x)) < guard or abs(y) > 1.0 / guard:
                 continue
-            ypp = pvi_rhs(x, y, yp, self.theta)
+            ypp = pvi_rhs(x, y, yp, p)
             res = pvi_residual_expr(x, y, yp, ypp, self.theta)
             scale = ((1.0 + abs(x)) ** 4 * (1.0 + abs(y)) ** 6 * (1.0 + abs(yp)) ** 2)
             worst = max(worst, abs(res) / scale)
@@ -173,6 +174,7 @@ def integrate(ic, theta: ThetaParams, path, tol=1e-10) -> Trajectory:
         raise ValueError("initial x must coincide with the first path vertex")
 
     traj = Trajectory(theta, tol)
+    p = theta_to_abgd(theta)
     state = {"chart": "y"}
     y, yp = y0, yp0
     traj.record(x0, y0, yp0, "y")
@@ -186,12 +188,12 @@ def integrate(ic, theta: ThetaParams, path, tol=1e-10) -> Trajectory:
             w, wp = s
             chart = state["chart"]
             yv, ypv = from_chart(chart, x, w, wp)
-            ypp = pvi_rhs(x, yv, ypv, theta)
+            ypp = pvi_rhs(x, yv, ypv, p)
             if chart == "y":
                 wpp = ypp
             else:
                 wpp = 2.0 * wp * wp / w - w * w * ypp
-            return dx * np.array([wp, wpp], dtype=complex)
+            return [dx * wp, dx * wpp]
 
         def cb(t, s, a=a, dx=dx):
             x = a + t * dx
@@ -210,12 +212,11 @@ def integrate(ic, theta: ThetaParams, path, tol=1e-10) -> Trajectory:
                 traj.events.append({"kind": "chart-switch", "x": x,
                                     "from": chart, "to": new, "y": yv})
                 state["chart"] = new
-                w2, wp2 = to_chart(new, x, yv, ypv)
-                return np.array([w2, wp2], dtype=complex)
+                return list(to_chart(new, x, yv, ypv))
             return None
 
         w0, wp0 = to_chart(state["chart"], a, y, yp)
-        s = dp45(f, 0.0, 1.0, np.array([w0, wp0], dtype=complex), tol=tol, step_cb=cb)
+        s = dp45(f, 0.0, 1.0, [w0, wp0], tol=tol, step_cb=cb)
         y, yp = from_chart(state["chart"], b, s[0], s[1])
 
     if traj.samples[-1][0] != path.vertices[-1]:

@@ -243,6 +243,8 @@ def transport(sys: LinearSystem, x, loop_or_vertices, tol=1e-10) -> np.ndarray:
 
     The right-hand side is written out in Python complex arithmetic: on 2x2
     arrays each numpy operation costs more in dispatch than in arithmetic.
+    Raises ValueError naming x when the residues at x overflow or are not
+    finite.
     """
     if isinstance(loop_or_vertices, Loop):
         r = loop_or_vertices.radius
@@ -253,10 +255,16 @@ def transport(sys: LinearSystem, x, loop_or_vertices, tol=1e-10) -> np.ndarray:
         if c + r == c:
             raise ValueError(f"loop radius {r} vanishes against its center {c} "
                              "(center + radius rounds to center)")
-    p00, p01, p10, p11 = sys.residue("0", x).ravel().tolist()
-    q00, q01, q10, q11 = sys.residue("x", x).ravel().tolist()
-    s00, s01, s10, s11 = sys.residue("1", x).ravel().tolist()
     xc = complex(x)
+    try:
+        res = [sys.residue(k, x).ravel().tolist() for k in _KEYS]
+    except OverflowError as e:
+        raise ValueError(f"the residues at x = {xc} overflow "
+                         "(their series are expansions at small x)") from e
+    if not all(cmath.isfinite(v) for row in res for v in row):
+        raise ValueError(f"the residues at x = {xc} are not finite "
+                         "(their series are expansions at small x)")
+    (p00, p01, p10, p11), (q00, q01, q10, q11), (s00, s01, s10, s11) = res
 
     def leg(m, path):
         # path(t) = (lambda, dlambda/dt) for t in [0, 1]; y is Psi row-major
@@ -267,9 +275,9 @@ def transport(sys: LinearSystem, x, loop_or_vertices, tol=1e-10) -> np.ndarray:
             b01 = u * p01 + v * q01 + w * s01
             b10 = u * p10 + v * q10 + w * s10
             b11 = u * p11 + v * q11 + w * s11
-            y00, y01, y10, y11 = y.tolist()
-            return np.array([b00 * y00 + b01 * y10, b00 * y01 + b01 * y11,
-                             b10 * y00 + b11 * y10, b10 * y01 + b11 * y11])
+            y00, y01, y10, y11 = y
+            return [b00 * y00 + b01 * y10, b00 * y01 + b01 * y11,
+                    b10 * y00 + b11 * y10, b10 * y01 + b11 * y11]
 
         return dp45(f, 0.0, 1.0, m.ravel(), tol=tol).reshape(2, 2)
 

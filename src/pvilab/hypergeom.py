@@ -382,11 +382,11 @@ def ode_transport(p: GaussParams, z0, W0, path, tol=1e-12):
         def f(t, y):
             # y = [f1, f1', f2, f2']
             z = za + t * dz
-            f1, d1, f2, d2 = y.tolist()
+            f1, d1, f2, d2 = y
             c = ga - (al + be + 1.0) * z
             den = z * (1.0 - z)
-            return np.array([d1 * dz, ((al * be) * f1 - c * d1) / den * dz,
-                             d2 * dz, ((al * be) * f2 - c * d2) / den * dz])
+            return [d1 * dz, ((al * be) * f1 - c * d1) / den * dz,
+                    d2 * dz, ((al * be) * f2 - c * d2) / den * dz]
 
         return f
 

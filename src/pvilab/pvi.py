@@ -101,13 +101,17 @@ def abgd_to_theta(p: AbgdParams, signs=(1, 1, 1, 1)) -> ThetaParams:
     )
 
 
-def pvi_rhs(x: complex, y: complex, yp: complex, theta: ThetaParams) -> complex:
-    """y'' as prescribed by PVI at a regular point."""
+def pvi_rhs(x: complex, y: complex, yp: complex, p: AbgdParams) -> complex:
+    """y'' as prescribed by PVI at a regular point.
+
+    Takes the coefficients alpha, beta, gamma, delta as AbgdParams, not the
+    thetas: a caller evaluating along a path maps them once with
+    theta_to_abgd.
+    """
     if abs(x) < 1e-12 or abs(x - 1.0) < 1e-12:
         raise SingularConfigError(f"x = {x} is a fixed critical point")
     if min(abs(y), abs(y - 1.0), abs(y - x)) < 1e-12:
         raise SingularConfigError(f"y = {y} within tolerance of 0, 1, x")
-    p = theta_to_abgd(theta)
     t1 = 0.5 * (1.0 / y + 1.0 / (y - 1.0) + 1.0 / (y - x)) * yp * yp
     t2 = (1.0 / x + 1.0 / (x - 1.0) + 1.0 / (y - x)) * yp
     pref = y * (y - 1.0) * (y - x) / (x * x * (x - 1.0) ** 2)

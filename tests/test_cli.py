@@ -334,6 +334,12 @@ def test_transport_loop_vanishing_against_center_exits_2():
     assert "vanishes against its center (1+0j)" in proc.stderr
 
 
+def test_transport_residue_overflow_exits_2_naming_x(capsys):
+    code, out, err = run_cli(capsys, *TRANSPORT_B, "--x=1e300", "--center=0")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: the residues at x = (1e+300+0j) overflow")
+
+
 _POINT = st.one_of(st.sampled_from(["0", "1", "1e-300", "-1e-300", "1e300", "nan"]),
                    st.floats(-3.0, 3.0).map(repr))
 
@@ -347,6 +353,21 @@ def test_transport_argv_property(x, center, log_tol):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main([*TRANSPORT_B, f"--x={x}", f"--center={center}",
                      f"--tol={10.0 ** log_tol!r}"])
+    assert code in (0, 2, 3)
+    assert "Traceback" not in err.getvalue()
+    if code == 0:
+        json.loads(out.getvalue())
+
+
+@given(ic=st.tuples(_POINT, _POINT, _POINT), x1=_POINT, log_tol=st.floats(-30.0, -2.0))
+@settings(max_examples=30, deadline=None, derandomize=True)
+def test_continue_argv_property(ic, x1, log_tol):
+    """Any --ic, second --path vertex and --tol: exit 0, 2 or 3, no
+    traceback, and on success exactly one JSON document."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["continue", "--theta", "0.21,0.33,0.17,0.52", f"--ic={','.join(ic)}",
+                     f"--path={ic[0]};{x1}", f"--tol={10.0 ** log_tol!r}"])
     assert code in (0, 2, 3)
     assert "Traceback" not in err.getvalue()
     if code == 0:

@@ -161,6 +161,15 @@ def test_loop_rejects_degenerate_radius(sys_a):
         fuchsian.transport(sys_a, 1e-2, fuchsian.Loop(2.0 + 1.0j, 1e-17))
 
 
+def test_transport_rejects_residues_that_are_not_finite():
+    # the residue series are expansions at small x: cpow(x, 2) overflows at
+    # x = 1e300, and r x^2 is inf at x = 1e154, r = 1e10, without an exception
+    with pytest.raises(ValueError, match=r"x = \(1e\+300\+0j\) overflow"):
+        fuchsian.loop_monodromy(fuchsian.build_case_b(0.31, 0.44, 0.27, 1.0), 1e300, 0.0)
+    with pytest.raises(ValueError, match=r"x = \(1e\+154\+0j\) are not finite"):
+        fuchsian.loop_monodromy(fuchsian.build_case_b(0.31, 0.44, 0.27, 1e10), 1e154, 0.0)
+
+
 def test_y_from_a_matches_series(sys_a):
     from pvilab.series import solve_taylor
     ser = solve_taylor(TH, "form1", N=8)

@@ -10,7 +10,7 @@ def test_linear_system_exponential():
     a = np.array([[0.3j, 1.0], [0.0, -0.2]], dtype=complex)
 
     def f(t, y):
-        return (a @ y.reshape(2, 2)).ravel()
+        return (a @ np.reshape(y, (2, 2))).ravel()
 
     got = dp45(f, 0.0, 1.0, np.eye(2, dtype=complex).ravel(), tol=1e-12).reshape(2, 2)
     # exact expm of the triangular matrix
@@ -48,7 +48,7 @@ def test_step_callback_replaces_state():
     def cb(t, y):
         calls.append(t)
         if 0.2 < t < 0.4 and y[0].imag == 0:
-            return y + 1j  # one-time shift, as chart switches do
+            return [v + 1j for v in y]  # one-time shift, as chart switches do
         return None
 
     y = dp45(f, 0.0, 1.0, np.array([0.0 + 0j]), tol=1e-10, h0=0.1, step_cb=cb)
@@ -126,5 +126,5 @@ def test_tolerance_below_unit_roundoff_is_rejected(tol):
 
 def test_tolerance_at_unit_roundoff_is_accepted():
     eps = np.finfo(float).eps
-    y = dp45(lambda t, y: -y, 0.0, 1.0, np.array([1.0 + 0j]), tol=eps)
+    y = dp45(lambda t, y: [-v for v in y], 0.0, 1.0, np.array([1.0 + 0j]), tol=eps)
     assert abs(y[0] - np.exp(-1.0)) < 1e-13

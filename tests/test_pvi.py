@@ -29,15 +29,15 @@ def test_thinf_sign_ambiguity():
 def test_rhs_consistent_with_residual():
     # the cleared-denominator residual must vanish exactly when ypp = rhs
     for x, y, yp in ((0.3, 0.7 + 0.2j, 1.1), (0.5 + 0.1j, -0.4, 0.3 - 0.2j)):
-        ypp = pvi_rhs(x, y, yp, TH)
+        ypp = pvi_rhs(x, y, yp, theta_to_abgd(TH))
         assert abs(pvi_residual_expr(x, y, yp, ypp, TH)) < 1e-12
 
 
 def test_rhs_guards():
     with pytest.raises(SingularConfigError):
-        pvi_rhs(0.0, 0.5, 0.1, TH)
+        pvi_rhs(0.0, 0.5, 0.1, theta_to_abgd(TH))
     with pytest.raises(SingularConfigError):
-        pvi_rhs(0.3, 0.3, 0.1, TH)  # y = x
+        pvi_rhs(0.3, 0.3, 0.1, theta_to_abgd(TH))  # y = x
 
 
 def _second_derivative(f, x, h=1e-5):

@@ -40,7 +40,7 @@ def reference_transport(system, x, loop_or_vertices, tol, counts):
         def f(t, y):
             lam, dlam = path(t)
             a = a0 / lam + axm / (lam - xc) + a1 / (lam - 1.0)
-            return dlam * (a @ y.reshape(2, 2)).ravel()
+            return dlam * (a @ np.asarray(y).reshape(2, 2)).ravel()
 
         return dp45(f, 0.0, 1.0, m.ravel(), tol=tol).reshape(2, 2)
 
@@ -76,6 +76,7 @@ def reference_ode_transport(p, z0, W0, path, tol, counts):
 
         def f(t, y):
             z = za + t * dz
+            y = np.asarray(y)
             phi = y[0::2]
             dphi = y[1::2]
             ddphi = ((al * be) * phi - (ga - (al + be + 1.0) * z) * dphi) / (z * (1.0 - z))
