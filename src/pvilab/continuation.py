@@ -62,11 +62,10 @@ def from_chart(chart: str, x, w, wp):
 def _seg_point_dist(a: complex, b: complex, p: complex) -> float:
     """Distance from point p to segment [a, b]."""
     d = b - a
-    if d == 0:
-        return abs(p - a)
-    t = ((p - a) * d.conjugate()).real / abs(d) ** 2
-    t = min(1.0, max(0.0, t))
-    return abs(a + t * d - p)
+    t = ((p - a) / d).real if d else 0.0
+    if 0.0 < t < 1.0:
+        return abs(a + t * d - p)
+    return min(abs(p - a), abs(p - b))    # a + t d can cancel to 0 at an end
 
 
 @dataclass(frozen=True)

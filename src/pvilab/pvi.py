@@ -1,10 +1,10 @@
 """The sixth Painleve equation: parameter maps, right-hand side, residual.
 
-The residual operator is written once over duck-typed "ring elements":
-anything with +, -, * (including scalars on either side) works, so the same
-expression serves pointwise complex evaluation and every kind of the
-truncated series ring in series.py (plain power, log-polynomial and
-x^omega double series).
+The residual operator and its partials are written once over duck-typed
+"ring elements": anything with +, -, * (including scalars on either side)
+works, so the same expression serves pointwise complex evaluation and every
+kind of the truncated series ring in series.py (plain power, log-polynomial
+and x^omega double series).
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ __all__ = [
     "abgd_to_theta",
     "pvi_rhs",
     "pvi_residual_expr",
+    "pvi_linearization_expr",
     "pvi_residual_series",
     "rational_solution_theta0_1",
     "rational_solution_theta0_minus2",
@@ -114,12 +115,12 @@ def pvi_rhs(x: complex, y: complex, yp: complex, p: AbgdParams) -> complex:
         raise SingularConfigError(f"y = {y} within tolerance of 0, 1, x")
     t1 = 0.5 * (1.0 / y + 1.0 / (y - 1.0) + 1.0 / (y - x)) * yp * yp
     t2 = (1.0 / x + 1.0 / (x - 1.0) + 1.0 / (y - x)) * yp
-    pref = y * (y - 1.0) * (y - x) / (x * x * (x - 1.0) ** 2)
+    pref = y * (y - 1.0) * (y - x) / (x * x * ((x - 1.0) * (x - 1.0)))
     bracket = (
         p.alpha
         + p.beta * x / (y * y)
-        + p.gamma * (x - 1.0) / ((y - 1.0) ** 2)
-        + p.delta * x * (x - 1.0) / ((y - x) ** 2)
+        + p.gamma * (x - 1.0) / ((y - 1.0) * (y - 1.0))
+        + p.delta * x * (x - 1.0) / ((y - x) * (y - x))
     )
     return t1 - t2 + pref * bracket
 
@@ -152,6 +153,38 @@ def pvi_residual_expr(x, y, yp, ypp, theta: ThetaParams):
     r = r - p.gamma * xm1 * w * w
     r = r - p.delta * x * xm1 * (yy1 * yy1)
     return r
+
+
+def pvi_linearization_expr(x, y, yp, ypp, theta: ThetaParams):
+    """(F0, F1, F2): the partials of pvi_residual_expr in y, y' and y'',
+    the last two divided by x and x^2.
+
+    Every y' in the residual carries a factor x and every y'' a factor x^2,
+    so all three are polynomials, and a change delta of y moves the residual
+    by F0 delta + F1 x delta' + F2 x^2 delta'' to first order.  Generic over
+    the ring of x, y, like pvi_residual_expr.
+    """
+    p = theta_to_abgd(theta)
+    xm1 = x - 1.0
+    xm1_2 = xm1 * xm1
+    xx1 = x * xm1           # x (x-1)
+    xq = x * xm1_2          # x (x-1)^2
+    q = x * xq              # x^2 (x-1)^2
+    ym1 = y - 1.0
+    ymx = y - x
+    yy1 = y * ym1
+    u = yy1 * ymx           # y (y-1) (y-x)
+    v = ym1 * ymx
+    w = y * ymx
+    s = v + w + yy1         # du/dy
+    ty = y + ym1            # 2y - 1, the y-derivative of y (y-1)
+    f2 = xm1_2 * u
+    f1 = (xm1_2 + xx1) * u + xq * (yy1 - s * yp)
+    # ds/dy = 2 (3y - 1 - x), dv/dy = 2y - 1 - x, dw/dy = 2y - x
+    f0 = s * (q * ypp + (xq + x * xx1) * yp) + q * yp * (ty - (ty + ymx) * yp)
+    f0 = f0 - 2.0 * (p.alpha * (u * s) + p.beta * (x * v * (ymx + ym1))
+                     + p.gamma * (xm1 * w * (ymx + y)) + p.delta * (xx1 * yy1 * ty))
+    return f0, f1, f2
 
 
 def pvi_residual_series(series, theta: ThetaParams):

@@ -10,11 +10,10 @@ Products are truncated 2-D convolutions; only the derivative depends on
 the kind of B.  The three solvers seed the printed low-order coefficients
 and find the rest with one kernel, `_solve_slots`, through the generic
 residual expression in pvi.py: evaluate the residual, take the move of each
-unknown coefficient, then solve at the controlling order.  Each solver takes
-PVI's linearization once, from three probes (`_probe`) with consecutive
-exponents, once it no longer changes on the rows a step solves on; then
-every move follows from one formula (`_move`) and each step costs one
-residual evaluation.  Only Taylor orders below _WINDOW are probed singly.
+unknown coefficient, then solve at the controlling order.  Every move
+follows from one formula (`_move`) and the exact partials of the residual
+(`_lin`), taken once the coefficients they depend on are final, so each
+step costs one residual evaluation.
 """
 
 from __future__ import annotations
@@ -24,7 +23,8 @@ import warnings
 import numpy as np
 
 from .numerics import BranchSpec, PRINCIPAL, clog, cpow
-from .pvi import ThetaParams, ResonanceError, is_int, pvi_residual_series
+from .pvi import (ThetaParams, ResonanceError, is_int, pvi_linearization_expr,
+                  pvi_residual_series)
 
 __all__ = [
     "Series",
@@ -246,50 +246,31 @@ def residual_leading_order(res, floor=1e-9):
 # the order-by-order kernel
 
 
-# A slot is probed at 1 where its square reaches its rows, else at _LINEAR: a
-# power of two, so the move scales exactly, above the base residual's rounding.
-_LINEAR = 2.0 ** 20
-
-
-def _probe(residual_of, c, slots, t=1.0):
-    """The residual of c, and the move of its rows per unit of each slot alone,
-    probed at t.  residual_of(c) is the PVI residual of the series with
-    coefficients c; the slots are zero on entry and on exit."""
-    res = residual_of(c)
-    r0 = res.rows()
-    moves = []
-    for s in slots:
-        c[s] = t
-        moves.append((residual_of(c).rows() - r0) / t)
-        c[s] = 0.0
-    return res, moves
-
-
-def _linearize(g0, g1, g2):
-    """lin = (G, G', G''/2) at lambda_0 from G at lambda_0, lambda_0 + 1 and
-    lambda_0 + 2 (see _move): G is quadratic in lambda."""
-    c = (g2 - 2.0 * g1 + g0) / 2.0
-    return g0, g1 - g0 - c, c
+def _lin(theta, s, lam, rows):
+    """lin = (G, G', G''/2) at lambda_0 = lam (see _move) on the orders
+    x^0 .. x^(rows-1), from the exact partials of the residual at the series s."""
+    yp = s.deriv()
+    f0, f1, f2 = pvi_linearization_expr(s.variable(), s, yp, yp.deriv(), theta)
+    g = f0 + lam * f1 + lam * (lam - 1.0) * f2
+    g1 = f1 + (2.0 * lam - 1.0) * f2
+    return tuple(t.rows()[-t.off: rows - t.off] for t in (g, g1, f2))
 
 
 def _move(lin, d, shape, j=0, ln=False):
     """The move of residual rows of `shape` per unit of the slot x^k B^j, from
     lin = (G, G', G''/2) at lambda_0, with d = lambda - lambda_0.
 
-    The residual is F(x, y, x y', x^2 y'') with F a polynomial (every y' in
-    pvi_residual_expr carries a factor x, every y'' a factor x^2).  On rows
-    linear in a slot delta its move is F_0 delta + F_1 x delta' + F_2 x^2 delta''
-    with F_i the partials of F in its last three arguments; let
-    G(lambda) = F_0 + lambda F_1 + lambda(lambda-1) F_2.  On delta = x^k Y^j,
-    Y = a x^omega, x d/dx is lambda = k + j omega, so the move is
-    x^k Y^j G(lambda); on delta = x^k L^j, L = ln x, it is k + d/dL, so
+    A slot delta moves the residual by F_0 delta + F_1 x delta' + F_2 x^2 delta''
+    (pvi_linearization_expr); let G(lambda) = F_0 + lambda F_1 + lambda(lambda-1) F_2.
+    On delta = x^k Y^j, Y = a x^omega, x d/dx is lambda = k + j omega, so the
+    move is x^k Y^j G(lambda); on delta = x^k L^j, L = ln x, it is k + d/dL, so
       move = x^k (L^j G(k) + j L^(j-1) G'(k) + j(j-1) L^(j-2) G''/2);
     j = 0 of either is the Taylor case.  G is quadratic in lambda, so
-    G(lambda) = G + d G' + d^2 G''/2 and G'(lambda) = G' + 2d G''/2.  y, x y'
-    and x^2 y'' keep x-orders, so row i of G depends on y through x^i alone:
-    lin holds the rows of G the window shows from x^k up, the same for every
-    slot once those coefficients are final.  They fill the top rows, column 0
-    at column j.
+    G(lambda) = G + d G' + d^2 G''/2 and G'(lambda) = G' + 2d G''/2.  The F_i
+    are polynomials in x, y, x y' and x^2 y'', which keep x-orders, so row i
+    of G depends on y through x^i alone: lin holds the rows of G the window
+    shows from x^k up, the same for every slot once those coefficients are
+    final.  They fill the top rows, column 0 at column j.
     """
     g, g1, g2 = lin
     terms = [(j, g + d * g1 + d * d * g2)]
@@ -306,15 +287,14 @@ def _move(lin, d, shape, j=0, ln=False):
 def _solve_slots(res, moves, c, slots, what, cols=slice(None)):
     """Solve the unknown coefficients c[slots] (zero on entry) in place.
 
-    res is the residual at c and moves[i] the move of its rows when c[slots[i]]
-    is set to 1: probed (_probe) or assembled (_move); every check below
-    treats both alike.  The controlling x-order m is the first where a move in
-    the residual columns `cols` exceeds 1e-8 of the largest move; every lower
-    order must already vanish to 1e-9 of the residual.  One slot, paired with
-    one column, is solved by division (a linear coefficient below 1e-10 is a
-    resonance); several slots, the ln-coefficients of one P_n, by least
-    squares over the columns of order m, consistent to 1e-7.  `what` names
-    the step in error messages.
+    res is the residual at c and moves[i] the move of its rows per unit of
+    c[slots[i]] (_move).  The controlling x-order m is the first where a move
+    in the residual columns `cols` exceeds 1e-8 of the largest move; every
+    lower order must already vanish to 1e-9 of the residual.  One slot, paired
+    with one column, is solved by division (a linear coefficient below 1e-10
+    is a resonance); several slots, the ln-coefficients of one P_n, by least
+    squares over the columns of order m, consistent to 1e-7.  `what` names the
+    step in error messages.
     """
     r0 = res.rows()[:, cols]
     diffs = [d[:, cols] for d in moves]
@@ -352,7 +332,7 @@ def _check(cond, msg):
 
 
 def _taylor_seed(theta: ThetaParams, klass: str, a):
-    """Returns (fixed: {order: value}, free: {order: value-or-None})."""
+    """Returns (fixed: {order: value}, free: {order: value-or-None}), below _WINDOW."""
     t0, tx, t1, ti = theta.as_tuple()
     if klass == "form1":
         _check(abs(ti - 1.0) > 1e-10, "thinf = 1 excluded for class form1")
@@ -398,7 +378,6 @@ TAYLOR_CLASSES = ("form1", "riuffa", "form2", "form3",
 
 
 # W: order n of a Taylor class is solved on the residual rows x^0 .. x^(n+W-1).
-# b_n^2 first enters at x^(2n), so from n = W on those rows are linear in b_n.
 _WINDOW = 8
 
 
@@ -407,34 +386,27 @@ def solve_taylor(theta: ThetaParams, klass: str, a=None, N: int = 12) -> Series:
 
     Seed the class's fixed low-order coefficients, then solve each b_n from
     the first residual order it reaches, on the residual through
-    x^(n + _WINDOW - 1).  Below _WINDOW the move of b_n is probed at 1, then
-    at _LINEAR through _WINDOW + 2; those three probes fix G (see _move) on
-    the rows it shows, which depend on b_0 .. b_(W-1) alone, and every later
-    order takes its move from _move and one residual evaluation.
+    x^(n + _WINDOW - 1).  There the move of b_n is x^n G(n) on the orders
+    x^0 .. x^(W-1) of G (see _move), which depend on b_0 .. b_(W-1) alone: G
+    is linearized at each n through W, and later orders keep the last one.
     Free parameters are inserted at the orders where the class's resonance
     makes the linear coefficient vanish.
     """
+    if N < 0:
+        raise ValueError(f"N = {N}: the order must be at least 0")
     fixed, free = _taylor_seed(theta, klass, a)
     b = np.zeros(N + _WINDOW, dtype=complex)
     for k, v in fixed.items():
         b[k] = v
-    blocks, lin = [], None    # every class fixes or frees only orders below W
     for n in range(max(fixed) + 1, N + 1):
         if n in free:
             b[n] = free[n] if free[n] is not None else 0.0
             continue
-
-        def residual_of(v):
-            return pvi_residual_series(Series(v[: n + _WINDOW]), theta)
-        if lin is None:
-            res, moves = _probe(residual_of, b, [n], _LINEAR if n >= _WINDOW else 1.0)
-            if n >= _WINDOW:
-                blocks.append(moves[0][n:])
-                lin = _linearize(*blocks) if len(blocks) == 3 else None
-        else:
-            res = residual_of(b)
-            moves = [_move(lin, n - _WINDOW, res.rows().shape)]
-        _solve_slots(res, moves, b, [n], f"order {n}")
+        res = pvi_residual_series(Series(b[: n + _WINDOW]), theta)
+        if n <= _WINDOW:
+            lin = _lin(theta, Series(b[:_WINDOW]), n, _WINDOW)
+        _solve_slots(res, [_move(lin, max(n - _WINDOW, 0), res.rows().shape)],
+                     b, [n], f"order {n}")
     return Series(b[: N + 1], meta={"class": klass, "theta": theta, "a": a, "N": N})
 
 
@@ -455,11 +427,13 @@ def solve_log_series(theta: ThetaParams, shape: str, r: complex, N: int = 3,
     residual, with the ln-degree of P_n capped at 2n+2 and that of the
     ring at 2N+10.  Each P_n is solved on the residual through its
     controlling order x^(n+2) (rows x^-2 .. x^(n+2)); there G (see _move)
-    depends on P_1 alone, so it is taken once, from x^2, x^3 and x^4 probed
-    at _LINEAR, and each order costs one residual evaluation.
+    shows its orders x^0 .. x^2, which depend on P_1 alone, so it is
+    linearized once and each order costs one residual evaluation.
     The result keeps x-orders through N+6 (zero above N) and carries `.p`,
     the list of P_n with trailing zeros trimmed.
     """
+    if N < 1:
+        raise ValueError(f"N = {N}: the order must be at least 1, that of the seed P_1")
     t0, tx, t1, ti = theta.as_tuple()
     if shape == "shape2":
         _check(abs(t0 - tx) > 1e-10 and abs(t0 + tx) > 1e-10, "shape2 needs th0 != +-thx")
@@ -476,15 +450,9 @@ def solve_log_series(theta: ThetaParams, shape: str, r: complex, N: int = 3,
 
     c = np.zeros((N + 7, 2 * N + 11), dtype=complex)
     c[1, : len(P1)] = P1
-    if N >= 2:
-        # G at lambda = 2, 3, 4 on the rows x^k .. x^(k+2) of x^k, k = 2, 3, 4
-        base, probed = _probe(lambda v: pvi_residual_series(Series(v[:9]), theta),
-                              c, [(2, 0), (3, 0), (4, 0)], _LINEAR)
-        lin = _linearize(*(m[k + 2: k + 5] for k, m in zip((2, 3, 4), probed)))
+    lin = _lin(theta, Series(c[:9]), 2, 3)    # G at lambda = 2 on x^0 .. x^2
     for n in range(2, N + 1):
-        # the rows x^-2 .. x^(n+2); at n = 2 those of the probes' base
-        res = (Series(base.c[:7], -2) if n == 2
-               else pvi_residual_series(Series(c[: n + 5]), theta))
+        res = pvi_residual_series(Series(c[: n + 5]), theta)
         moves = [_move(lin, n - 2, res.rows().shape, j, ln=True) for j in range(2 * n + 3)]
         _solve_slots(res, moves, c, [(n, j) for j in range(2 * n + 3)], f"x-order {n}")
     out = Series(c, meta={"shape": shape, "theta": theta, "r": r, "N": N})
@@ -506,8 +474,8 @@ def solve_omega_series(theta: ThetaParams, branch: str, a, K: int = 6, M: int = 
     printed one-parameter asymptotics with a identified with r.  Each
     c[k, N] is solved from column N of the residual through x^(k+2), where
     its move is x^k Y^N G_0(k + N omega) (see _move).  G_0, column 0 of G,
-    depends on the Taylor column alone: x^k Y, k = 0, 1, 2, probed at _LINEAR
-    before the normalization is set, fix it, and each slot costs one residual.
+    depends on the Taylor column alone, so it is linearized once, and each
+    slot costs one residual evaluation.
     """
     if M < 1:
         raise ValueError(f"M = {M}: the family needs at least the column N = 1")
@@ -527,12 +495,9 @@ def solve_omega_series(theta: ThetaParams, branch: str, a, K: int = 6, M: int = 
         raise ResonanceError(f"omega = {omega} outside |Re omega| < 1, omega != 0")
 
     y0 = solve_taylor(theta, branch, N=K)
-    g = np.zeros((max(K, 2) + 5, M + 1), dtype=complex)
+    g = np.zeros((K + 5, M + 1), dtype=complex)
     g[: K + 1, 0] = y0.c
-    # G_0 at lambda = k + omega: column 1 of the rows x^k .. x^(k+2) of x^k Y
-    _, probed = _probe(lambda v: pvi_residual_series(Series(v[:7], omega=omega), theta),
-                       g, [(0, 1), (1, 1), (2, 1)], _LINEAR)
-    lin = _linearize(*(m[k + 2: k + 5, 1:2] for k, m in enumerate(probed)))
+    lin = _lin(theta, Series(g[:7, :1], omega=omega), omega, 3)    # G_0 on x^0 .. x^2
     g[0, 1] = omega_sign * y0.c[0] / (ti - 1.0)
     for N in range(1, M + 1):
         for k in range(1 if N == 1 else 0, K + 1):

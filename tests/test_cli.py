@@ -374,6 +374,16 @@ def test_continue_argv_property(ic, x1, log_tol):
         json.loads(out.getvalue())
 
 
+@pytest.mark.parametrize("ic,path", [("1e300,0.5,0.5", "1e300;2.5"),
+                                     ("2.5,0.5,1e300", "2.5;2.6")])
+def test_continue_huge_inputs_fail_without_overflow(capsys, ic, path):
+    # a segment from 1e300, and a y' that carries y past 1e154 within a step
+    code, out, err = run_cli(capsys, "continue", "--theta", "0.21,0.33,0.17,0.52",
+                             f"--ic={ic}", f"--path={path}")
+    assert code in (2, 3)
+    assert "OverflowError" not in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("command", [["identity-check"], ["invert", "--what", "s-b"]])
 def test_representation_missing_key_names_key_and_path(capsys, tmp_path, command):
     p = tmp_path / "rep.json"

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from pvilab.pvi import (AbgdParams, ResonanceError, SingularConfigError,
-                        ThetaParams, abgd_to_theta, pvi_residual_expr,
-                        pvi_rhs, rational_solution_theta0_1,
+                        ThetaParams, abgd_to_theta, pvi_linearization_expr,
+                        pvi_residual_expr, pvi_rhs, rational_solution_theta0_1,
                         rational_solution_theta0_minus2, reducible_solution,
                         theta_to_abgd)
 
@@ -124,3 +124,48 @@ def test_residual_expr_keeps_the_bytes_of_the_textbook_form():
         got = pvi_residual_expr(x, y, yp, ypp, th)
         want = _textbook_residual(x, y, yp, ypp, th)
         assert got.off == want.off and np.array_equal(got.c, want.c)
+
+
+class _Dual:
+    """a + b eps with eps^2 = 0: first-order forward-mode differentiation."""
+
+    def __init__(self, a, b=0.0):
+        self.a, self.b = complex(a), complex(b)
+
+    @staticmethod
+    def _lift(o):
+        return o if isinstance(o, _Dual) else _Dual(o)
+
+    def __add__(self, o):
+        o = self._lift(o)
+        return _Dual(self.a + o.a, self.b + o.b)
+
+    __radd__ = __add__
+
+    def __sub__(self, o):
+        o = self._lift(o)
+        return _Dual(self.a - o.a, self.b - o.b)
+
+    def __rsub__(self, o):
+        return self._lift(o) - self
+
+    def __mul__(self, o):
+        o = self._lift(o)
+        return _Dual(self.a * o.a, self.a * o.b + self.b * o.a)
+
+    __rmul__ = __mul__
+
+
+@pytest.mark.parametrize("theta", [TH, ThetaParams(-0.61, 0.12, 0.83, -0.35),
+                                   ThetaParams(0.23 + 0.3j, 0.57, -0.31, 0.44 - 0.2j)])
+def test_linearization_matches_forward_mode_partials(theta):
+    rng = np.random.default_rng(11)
+    for _ in range(20):
+        x, y, yp, ypp = rng.normal(size=4) + 1j * rng.normal(size=4)
+        f0, f1, f2 = pvi_linearization_expr(x, y, yp, ypp, theta)
+        # dr/dy, dr/dy', dr/dy'' as the eps-parts of the residual
+        want = [pvi_residual_expr(x, *(_Dual(v, float(i == k)) for i, v in
+                                       enumerate((y, yp, ypp))), theta).b
+                for k in range(3)]
+        for got, w in zip((f0, f1 * x, f2 * x * x), want):
+            assert abs(got - w) <= 1e-13 * abs(w)

@@ -209,6 +209,31 @@ def test_omega_series_rejects_orders_below_range(K, M, name):
         solve_omega_series(TH, "form1", a=0.1, K=K, M=M)
 
 
+@pytest.mark.parametrize("solve,N", [(solve_taylor, -1), (solve_log_series, 0),
+                                     (solve_log_series, -1)])
+def test_taylor_and_log_series_reject_orders_below_range(solve, N):
+    # the log families start from their seed P_1, so N = 1 is their lowest
+    args = ("form1",) if solve is solve_taylor else ("shape2", 0.1)
+    with pytest.raises(ValueError, match=f"^N = {N}: "):
+        solve(TH, *args, N=N)
+
+
+def _probe(residual_of, c, slot, t=2.0 ** 20):
+    """(res, move): the residual residual_of(c) and the move of its rows per
+    unit of c[slot], probed with c[slot] = t (zero on entry and on exit).
+
+    On rows linear in the slot, a unit probe carries rounding of the order of
+    the base residual, which on a growing series exceeds the move (1.8e-12 of
+    it for form2 at n = 48); a probe with t = 2^20 scales the move, exactly,
+    above that residual.
+    """
+    res = residual_of(c)
+    c[slot] = t
+    move = (residual_of(c).rows() - res.rows()) / t
+    c[slot] = 0.0
+    return res, move
+
+
 def _all_probe_log_reference(theta, P1, N):
     """P_2 .. P_N with every ln-coefficient of P_n probed on the residual
     through x^(n+4) and solved by least squares at its order x^(n+2)."""
@@ -242,17 +267,32 @@ def test_log_series_matches_all_probe_reference(shape, theta):
     assert np.abs(ls.c - ref).max() <= 1e-10 * np.abs(ref).max()
 
 
-def test_log_series_makes_four_residual_evaluations_then_one_per_order(monkeypatch):
+def _counted_calls(monkeypatch, ring=lambda s: True):
+    """The solver's calls, in order, on series s that pass `ring`: ("res", rows)
+    for a residual evaluation and ("lin", rows, orders) for a linearization."""
     calls = []
+    residual, lin = series.pvi_residual_series, series._lin
 
-    def counted(s, theta):
-        calls.append(len(s.c))
-        return pvi_residual_series(s, theta)
-    monkeypatch.setattr(series, "pvi_residual_series", counted)
+    def counted_residual(s, theta):
+        if ring(s):
+            calls.append(("res", len(s.c)))
+        return residual(s, theta)
+
+    def counted_lin(theta, s, lam, rows):
+        if ring(s):
+            calls.append(("lin", len(s.c), rows))
+        return lin(theta, s, lam, rows)
+    monkeypatch.setattr(series, "pvi_residual_series", counted_residual)
+    monkeypatch.setattr(series, "_lin", counted_lin)
+    return calls
+
+
+def test_log_series_linearizes_once_then_one_residual_per_order(monkeypatch):
+    calls = _counted_calls(monkeypatch)
     solve_log_series(TH, "shape2", 0.1, N=5)
-    # a base residual and the probes of x^2, x^3, x^4 on the rows x^0 .. x^8,
-    # whose base serves order 2; then one residual per order on x^0 .. x^(n+4)
-    assert calls == [9] * 4 + [n + 5 for n in range(3, 6)]
+    # G on x^0 .. x^2 from P_1 on the rows x^0 .. x^8, then one residual per
+    # order on x^0 .. x^(n+4)
+    assert calls == [("lin", 9, 3)] + [("res", n + 5) for n in range(2, 6)]
 
 
 def _recorded_moves(monkeypatch):
@@ -267,15 +307,6 @@ def _recorded_moves(monkeypatch):
         return solve_slots(res, mv, c, slots, what, cols)
     monkeypatch.setattr(series, "_solve_slots", recording)
     return moves
-
-
-def _probe_rows(residual_rows, c, slot, t=2.0 ** 20):
-    """The move of residual_rows(c) per unit of c[slot], probed at t."""
-    r0 = residual_rows(c)
-    c[slot] = t
-    move = (residual_rows(c) - r0) / t
-    c[slot] = 0.0
-    return move
 
 
 LOG_CASES = [
@@ -295,8 +326,7 @@ def test_assembled_log_move_matches_the_probed_move(monkeypatch, shape, theta):
         base[:n] = c[:n]
         assert len(moves[(n, 0)]) == 2 * n + 3
         for j, got in enumerate(moves[(n, 0)]):
-            want = _probe_rows(lambda v: pvi_residual_series(Series(v), theta).rows(),
-                               base, (n, j))
+            _, want = _probe(lambda v: pvi_residual_series(Series(v), theta), base, (n, j))
             assert not want[: n + 2].any()
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
@@ -313,9 +343,9 @@ def test_assembled_omega_move_matches_the_probed_move(monkeypatch, branch, omega
         base = np.zeros((k + 5, M + 1), dtype=complex)
         base[: min(k + 5, K + 1), :N] = om.c[: k + 5, :N]
         base[:k, N] = om.c[:k, N]
-        want = _probe_rows(
-            lambda v: pvi_residual_series(Series(v, omega=om.omega), TH).rows()[:, N:N + 1],
-            base, (k, N))
+        _, want = _probe(lambda v: pvi_residual_series(Series(v, omega=om.omega), TH),
+                         base, (k, N))
+        want = want[:, N:N + 1]
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
@@ -330,10 +360,10 @@ def _all_probe_omega(theta, branch, K, M):
     g[0, 1] = y0[0] / (ti - 1.0)
     for N in range(1, M + 1):
         for k in range(1 if N == 1 else 0, K + 1):
-            res, moves = series._probe(
+            res, move = _probe(
                 lambda v: pvi_residual_series(Series(v[: k + 5], omega=omega), theta),
-                g, [(k, N)])
-            series._solve_slots(res, moves, g, [(k, N)], f"slot {k, N}", cols=slice(N, N + 1))
+                g, (k, N), 1.0)
+            series._solve_slots(res, [move], g, [(k, N)], f"slot {k, N}", cols=slice(N, N + 1))
     return g[: K + 1]
 
 
@@ -345,18 +375,13 @@ def test_omega_series_matches_all_probe_reference(branch, K):
     assert np.all(np.abs(got - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref)))
 
 
-def test_omega_series_makes_one_residual_evaluation_per_slot(monkeypatch):
-    calls = []
-
-    def counted(s, theta):
-        if s.omega is not None:
-            calls.append(len(s.c))
-        return pvi_residual_series(s, theta)
-    monkeypatch.setattr(series, "pvi_residual_series", counted)
+def test_omega_series_linearizes_once_then_one_residual_per_slot(monkeypatch):
+    calls = _counted_calls(monkeypatch, ring=lambda s: s.omega is not None)
     solve_omega_series(TH, "form1", a=0.15, K=6, M=2)
-    # a base residual and the probes of Y, x Y, x^2 Y on the rows x^0 .. x^6,
-    # then one residual per slot (k, N) on the rows x^0 .. x^(k+4)
-    assert calls == [7] * 4 + [k + 5 for k in range(1, 7)] + [k + 5 for k in range(7)]
+    # G_0 on x^0 .. x^2 from the Taylor column on the rows x^0 .. x^6, then
+    # one residual per slot (k, N) on the rows x^0 .. x^(k+4)
+    assert calls == ([("lin", 7, 3)] + [("res", k + 5) for k in range(1, 7)]
+                     + [("res", k + 5) for k in range(7)])
 
 
 # the taylor-series benchmark's base points, one per Taylor class
@@ -373,22 +398,6 @@ TAYLOR_BASE = [
 ]
 
 
-def _probed_move(theta, b, n, t=1.0):
-    """The move of the residual rows x^0 .. x^(n+7) per unit of b_n, probed
-    with b_n = t, b_0 .. b_(n-1) from b and every higher slot zero.
-
-    For n >= 8 those rows are linear in b_n.  A unit probe carries rounding
-    of the order of the base residual, which on a growing series exceeds the
-    move (1.8e-12 of it for form2 at n = 48); a probe with t = 2^20 scales
-    the move, exactly, above that residual.
-    """
-    c = np.zeros(n + 8, dtype=complex)
-    c[:n] = b[:n]
-    r0 = pvi_residual_series(Series(c), theta).rows()
-    c[n] = t
-    return (pvi_residual_series(Series(c), theta).rows() - r0) / t
-
-
 @pytest.mark.parametrize("klass,theta,a", TAYLOR_BASE, ids=[k for k, _, _ in TAYLOR_BASE])
 def test_assembled_taylor_move_matches_the_probed_move(monkeypatch, klass, theta, a):
     moves = {}
@@ -400,7 +409,10 @@ def test_assembled_taylor_move_matches_the_probed_move(monkeypatch, klass, theta
     monkeypatch.setattr(series, "_solve_slots", recording)
     b = solve_taylor(theta, klass, a=a, N=48).c
     for n in range(11, 49):
-        want = _probed_move(theta, b, n, t=2.0 ** 20)
+        # the rows x^0 .. x^(n+7), linear in b_n; b_0 .. b_(n-1) from b
+        c = np.zeros(n + 8, dtype=complex)
+        c[:n] = b[:n]
+        _, want = _probe(lambda v: pvi_residual_series(Series(v), theta), c, n)
         assert not want[:n].any()
         assert np.abs(moves[n] - want).max() <= 1e-12 * np.abs(want).max()
 
@@ -415,9 +427,9 @@ def _all_probe_taylor(theta, klass, a, N):
         if n in free:
             b[n] = free[n] if free[n] is not None else 0.0
             continue
-        res, moves = series._probe(
-            lambda v: pvi_residual_series(Series(v[: n + 8]), theta), b, [n])
-        series._solve_slots(res, moves, b, [n], f"order {n}")
+        res, move = _probe(lambda v: pvi_residual_series(Series(v[: n + 8]), theta),
+                           b, n, 1.0)
+        series._solve_slots(res, [move], b, [n], f"order {n}")
     return b[: N + 1]
 
 
@@ -428,15 +440,10 @@ def test_taylor_matches_all_probe_reference(klass, theta, a):
     assert np.all(np.abs(got - ref) <= 1e-11 * np.maximum(1.0, np.abs(ref)))
 
 
-def test_taylor_makes_two_residual_evaluations_per_order_then_one(monkeypatch):
-    calls = []
-
-    def counted(s, theta):
-        calls.append(len(s.c))
-        return pvi_residual_series(s, theta)
-    monkeypatch.setattr(series, "pvi_residual_series", counted)
+def test_taylor_makes_one_residual_evaluation_per_order(monkeypatch):
+    calls = _counted_calls(monkeypatch)
     solve_taylor(TH, "form1", N=14)
-    # a base residual and a probe through n = 10, then the base residual
-    # alone, on the rows x^0 .. x^(n+7)
-    assert calls == ([n + 8 for n in range(1, 11) for _ in range(2)]
-                     + [n + 8 for n in range(11, 15)])
+    # one residual per order on the rows x^0 .. x^(n+7), and through n = 8
+    # a linearization on x^0 .. x^7 from b_0 .. b_7
+    assert calls == ([c for n in range(1, 9) for c in (("res", n + 8), ("lin", 8, 8))]
+                     + [("res", n + 8) for n in range(9, 15)])
