@@ -29,7 +29,8 @@ SCHEMA_VERSION = 1
 # error of pvilab (ResonanceError, SingularConfigError, PoleError,
 # SingularMatrixError, json.JSONDecodeError) is a ValueError, and every
 # numeric failure (StepUnderflow, ChartThrashError, ObstructionError) a
-# RuntimeError.  MapPoleError is a ZeroDivisionError, so it must be caught
+# RuntimeError, or an ArithmeticError (a series solve that overflows raises
+# FloatingPointError).  MapPoleError is a ZeroDivisionError, so it must be caught
 # here first; OSError is a --json-in, --out or --csv-out path that cannot be
 # opened.
 _VALIDATION = (MapPoleError, ValueError, KeyError, OSError)

@@ -12,12 +12,16 @@ and find the rest with one kernel, `_solve_slots`, through the generic
 residual expression in pvi.py: evaluate the residual, take the move of each
 unknown coefficient, then solve at the controlling order.  Every move
 follows from one formula (`_move`) and the exact partials of the residual
-(`_lin`), taken once the coefficients they depend on are final, so each
-step costs one residual evaluation.
+(`_lin`).  The log solver evaluates the residual once per order; the Taylor
+and omega solvers once per block of orders, on whose rows the residual is
+linear in the block's coefficients, and add each solved coefficient's move
+to the stored residual: a Taylor block from n0 holds while the controlling
+order stays below x^(2 n0), an omega block is one column of the double series.
 """
 
 from __future__ import annotations
 
+import functools
 import warnings
 
 import numpy as np
@@ -284,25 +288,48 @@ def _move(lin, d, shape, j=0, ln=False):
     return out
 
 
+def _overflow_checked(solve):
+    """Run a solver with numpy's overflow warnings off: _solve_slots turns a
+    residual or move that is not finite into FloatingPointError, naming the
+    order."""
+    @functools.wraps(solve)
+    def checked(*args, **kwargs):
+        with np.errstate(over="ignore", invalid="ignore"):
+            return solve(*args, **kwargs)
+    return checked
+
+
+def _controlling_row(moves, what):
+    """The first row where one of the moves exceeds 1e-8 of the largest move."""
+    reach = np.abs(moves).max(axis=(0, 2))
+    top = reach.max()
+    if not np.isfinite(top):
+        raise FloatingPointError(f"{what}: the move is not finite (overflow)")
+    if top == 0:
+        raise ObstructionError(f"{what}: coefficient does not enter the residual")
+    return int(np.argmax(reach > 1e-8 * top))
+
+
 def _solve_slots(res, moves, c, slots, what, cols=slice(None)):
     """Solve the unknown coefficients c[slots] (zero on entry) in place.
 
     res is the residual at c and moves[i] the move of its rows per unit of
     c[slots[i]] (_move).  The controlling x-order m is the first where a move
-    in the residual columns `cols` exceeds 1e-8 of the largest move; every
-    lower order must already vanish to 1e-9 of the residual.  One slot, paired
-    with one column, is solved by division (a linear coefficient below 1e-10
-    is a resonance); several slots, the ln-coefficients of one P_n, by least
-    squares over the columns of order m, consistent to 1e-7.  `what` names the
-    step in error messages.
+    in the residual columns `cols` exceeds 1e-8 of the largest move
+    (_controlling_row); every lower order must already vanish to 1e-9 of the
+    residual.  One slot, paired with one column, is solved by division (a
+    linear coefficient below 1e-10 is a resonance); several slots, the
+    ln-coefficients of one P_n, by least squares over the columns of order m,
+    consistent to 1e-7.  A residual or move that is not finite (an overflow)
+    raises FloatingPointError.  `what` names the step in error messages.
     """
     r0 = res.rows()[:, cols]
+    scale = np.abs(r0).max()
+    if not np.isfinite(scale):
+        raise FloatingPointError(f"{what}: the residual is not finite (overflow)")
     diffs = [d[:, cols] for d in moves]
-    reach = np.max([np.abs(d).max(axis=1) for d in diffs], axis=0)
-    if reach.max() == 0:
-        raise ObstructionError(f"{what}: coefficient does not enter the residual")
-    m = int(np.nonzero(reach > 1e-8 * reach.max())[0][0])
-    noise = 1e-9 * max(1.0, np.abs(r0).max())
+    m = _controlling_row(diffs, what)
+    noise = 1e-9 * max(1.0, scale)
     bad = np.nonzero(np.abs(r0[:m]).max(axis=1) > noise)[0]
     if len(bad):
         raise ObstructionError(
@@ -334,6 +361,8 @@ def _check(cond, msg):
 def _taylor_seed(theta: ThetaParams, klass: str, a):
     """Returns (fixed: {order: value}, free: {order: value-or-None}), below _WINDOW."""
     t0, tx, t1, ti = theta.as_tuple()
+    if a is not None and klass in ("form1", "riuffa", "taylor1+", "taylor1-"):
+        raise ValueError(f"class {klass} has no free parameter: a = {a} would be ignored")
     if klass == "form1":
         _check(abs(ti - 1.0) > 1e-10, "thinf = 1 excluded for class form1")
         _check(not is_int(t1 - ti), "th1 - thinf integer: class form1 hypothesis violated")
@@ -381,16 +410,23 @@ TAYLOR_CLASSES = ("form1", "riuffa", "form2", "form3",
 _WINDOW = 8
 
 
+@_overflow_checked
 def solve_taylor(theta: ThetaParams, klass: str, a=None, N: int = 12) -> Series:
     """Order-by-order solution of PVI in the given Taylor class.
 
     Seed the class's fixed low-order coefficients, then solve each b_n from
     the first residual order it reaches, on the residual through
-    x^(n + _WINDOW - 1).  There the move of b_n is x^n G(n) on the orders
-    x^0 .. x^(W-1) of G (see _move), which depend on b_0 .. b_(W-1) alone: G
-    is linearized at each n through W, and later orders keep the last one.
-    Free parameters are inserted at the orders where the class's resonance
-    makes the linear coefficient vanish.
+    x^(n + _WINDOW - 1).  The orders come in doubling blocks: at a block
+    start n0 the residual is evaluated, and G (see _move) linearized at
+    lambda = n0, on the rows x^0 .. x^(min(2 n0, N) + W - 1).  Each solved b_n
+    then moves the stored residual by x^n G(n), which is exact on the rows
+    below x^(2 n0): there the residual is linear in b_n0, b_n0+1, .., and the
+    rows of G that reach them, below x^n0, depend on b_0 .. b_(n0-1) alone.
+    The block ends at the first order whose
+    controlling row reaches x^(2 n0), so form1 at N = 48 makes 6 residual
+    evaluations and 6 linearizations.  Free parameters are inserted at the
+    orders where the class's resonance makes the linear coefficient vanish;
+    a class without one rejects `a`.
     """
     if N < 0:
         raise ValueError(f"N = {N}: the order must be at least 0")
@@ -398,15 +434,25 @@ def solve_taylor(theta: ThetaParams, klass: str, a=None, N: int = 12) -> Series:
     b = np.zeros(N + _WINDOW, dtype=complex)
     for k, v in fixed.items():
         b[k] = v
+    n0 = None    # the start of the current block
     for n in range(max(fixed) + 1, N + 1):
         if n in free:
             b[n] = free[n] if free[n] is not None else 0.0
+            n0 = None    # the stored residual does not hold b_n
             continue
-        res = pvi_residual_series(Series(b[: n + _WINDOW]), theta)
-        if n <= _WINDOW:
-            lin = _lin(theta, Series(b[:_WINDOW]), n, _WINDOW)
-        _solve_slots(res, [_move(lin, max(n - _WINDOW, 0), res.rows().shape)],
-                     b, [n], f"order {n}")
+        w = n + _WINDOW
+        if n0 is not None:
+            move = _move([t[: rows - n] for t in lin], n - n0, (rows, 1))
+            if _controlling_row([move[:w]], f"order {n}") >= 2 * n0:
+                n0 = None
+        if n0 is None:
+            n0, rows = n, min(2 * n, N) + _WINDOW
+            s = Series(b[:rows])
+            res = pvi_residual_series(s, theta)
+            lin = _lin(theta, s, n, rows - n)
+            move = _move(lin, 0, (rows, 1))
+        _solve_slots(res._new(res.c[:w], 0), [move[:w]], b, [n], f"order {n}")
+        res.c += b[n] * move[:, 0]
     return Series(b[: N + 1], meta={"class": klass, "theta": theta, "a": a, "N": N})
 
 
@@ -414,6 +460,7 @@ def solve_taylor(theta: ThetaParams, klass: str, a=None, N: int = 12) -> Series:
 # log-polynomial families (sigma = 0)
 
 
+@_overflow_checked
 def solve_log_series(theta: ThetaParams, shape: str, r: complex, N: int = 3,
                      B1=None) -> Series:
     """Logarithmic x=0 families, sum_n P_n(ln x) x^n.
@@ -464,6 +511,7 @@ def solve_log_series(theta: ThetaParams, shape: str, r: complex, N: int = 3,
 # one-parameter omega double series
 
 
+@_overflow_checked
 def solve_omega_series(theta: ThetaParams, branch: str, a, K: int = 6, M: int = 2,
                        omega_sign: int = 1) -> Series:
     """One-parameter family y = sum_N y_N(x) (a x^omega)^N.
@@ -474,8 +522,11 @@ def solve_omega_series(theta: ThetaParams, branch: str, a, K: int = 6, M: int = 
     printed one-parameter asymptotics with a identified with r.  Each
     c[k, N] is solved from column N of the residual through x^(k+2), where
     its move is x^k Y^N G_0(k + N omega) (see _move).  G_0, column 0 of G,
-    depends on the Taylor column alone, so it is linearized once, and each
-    slot costs one residual evaluation.
+    depends on the Taylor column alone, so it is linearized once.  Column N
+    of the residual is linear in the column-N slots, whose products land in
+    columns 2N and up, so it is evaluated once per column, and each solved
+    slot adds its move to it: K = 6, M = 2 makes 2 residual evaluations on
+    the Y ring.
     """
     if M < 1:
         raise ValueError(f"M = {M}: the family needs at least the column N = 1")
@@ -497,14 +548,16 @@ def solve_omega_series(theta: ThetaParams, branch: str, a, K: int = 6, M: int = 
     y0 = solve_taylor(theta, branch, N=K)
     g = np.zeros((K + 5, M + 1), dtype=complex)
     g[: K + 1, 0] = y0.c
-    lin = _lin(theta, Series(g[:7, :1], omega=omega), omega, 3)    # G_0 on x^0 .. x^2
+    lin = _lin(theta, Series(g[:, :1], omega=omega), omega, K + 3)    # G_0 on x^0 .. x^(K+2)
     g[0, 1] = omega_sign * y0.c[0] / (ti - 1.0)
     for N in range(1, M + 1):
+        res = pvi_residual_series(Series(g, omega=omega), theta)
         for k in range(1 if N == 1 else 0, K + 1):
-            res = pvi_residual_series(Series(g[: k + 5], omega=omega), theta)
-            move = _move(lin, k + (N - 1) * omega, res.rows().shape, N)
-            _solve_slots(res, [move], g, [(k, N)], f"slot (k={k}, N={N})",
-                         cols=slice(N, N + 1))
+            move = _move([t[: K + 3 - k] for t in lin], k + (N - 1) * omega,
+                         res.rows().shape, N)
+            _solve_slots(res._new(res.c[: k + 5], res.off), [move[: k + 5]], g, [(k, N)],
+                         f"slot (k={k}, N={N})", cols=slice(N, N + 1))
+            res.c += g[k, N] * move
     return Series(g[: K + 1], omega=omega, a=a,
                   meta={"branch": branch, "theta": theta, "a": a, "K": K, "M": M,
                         "omega": omega})

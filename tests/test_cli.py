@@ -8,10 +8,11 @@ import sys
 import time
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from pvilab import continuation
 from pvilab.cli import main, parse_complex, parse_theta, rep_from_json
+from pvilab.series import TAYLOR_CLASSES
 
 THETA = "0.23,0.57,0.31,0.44"
 
@@ -82,6 +83,8 @@ CONTINUE_BAD = ["continue", "--theta", THETA]
      "--t0x: 'q'"),
     (["symmetry", "--gen", "x3", "--theta", THETA, "--xy", "0"],
      "--xy needs 2 values x,y, got '0'"),
+    # a parameter the class has no use for
+    (["series", "--theta", THETA, "--class", "form1", "--a", "5"], "a = (5+0j)"),
 ])
 def test_bad_flag_or_path_exits_2_naming_it(capsys, tmp_path, argv, name):
     code, out, err = run_cli(capsys, *(a.replace("TMP", str(tmp_path)) for a in argv))
@@ -372,6 +375,37 @@ def test_continue_argv_property(ic, x1, log_tol):
     assert "Traceback" not in err.getvalue()
     if code == 0:
         json.loads(out.getvalue())
+
+
+@given(theta=st.tuples(_POINT, _POINT, _POINT, _POINT),
+       klass=st.sampled_from(TAYLOR_CLASSES + ("taylor9",)),
+       a=st.none() | _POINT | st.just("1e100"), order=st.integers(1, 24))
+@settings(max_examples=30, deadline=None, derandomize=True)
+@example(theta=("0.3", "0.3", "-1.5", "1.5"), klass="form2", a="1e100", order=12)
+@example(theta=("0.3", "0.5", "0", "1"), klass="form3", a="1e300", order=12)
+@example(theta=tuple(THETA.split(",")), klass="form1", a=None, order=24)
+def test_series_argv_property(theta, klass, a, order):
+    """Any --theta, --class, --a and --order: exit 0, 2 or 3, no traceback,
+    and on success exactly one JSON document."""
+    argv = ["series", f"--theta={','.join(theta)}", f"--class={klass}", f"--order={order}"]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv + ([] if a is None else [f"--a={a}"]))
+    assert code in (0, 2, 3)
+    assert "Traceback" not in err.getvalue()
+    if code == 0:
+        json.loads(out.getvalue())
+
+
+@pytest.mark.parametrize("argv,order", [
+    (["--theta=0.3,0.3,-1.5,1.5", "--class=form2", "--a=1e100", "--order=12"], 2),
+    (["--theta=0.3,0.5,0,1", "--class=form3", "--a=1e300"], 1),
+])
+def test_series_overflow_exits_3_naming_the_order(capsys, argv, order):
+    code, out, err = run_cli(capsys, "series", *argv)
+    assert (code, out) == (3, "")
+    assert err == (f"numeric failure: FloatingPointError: order {order}: "
+                   "the residual is not finite (overflow)\n")
 
 
 @pytest.mark.parametrize("ic,path", [("1e300,0.5,0.5", "1e300;2.5"),

@@ -295,18 +295,22 @@ def test_log_series_linearizes_once_then_one_residual_per_order(monkeypatch):
     assert calls == [("lin", 9, 3)] + [("res", n + 5) for n in range(2, 6)]
 
 
-def _recorded_moves(monkeypatch):
-    """{slot: the move _solve_slots receives, on its columns} for every
-    call of a solve with tuple slots; the first slot of each call is the key."""
-    moves = {}
+def _recorded_solves(monkeypatch):
+    """{first slot: (residual rows, moves)} as _solve_slots receives them, on
+    its columns and copied, for every call."""
+    solves = {}
     solve_slots = series._solve_slots
 
     def recording(res, mv, c, slots, what, cols=slice(None)):
-        if isinstance(slots[0], tuple):
-            moves[slots[0]] = [m[:, cols].copy() for m in mv]
+        solves[slots[0]] = (res.rows()[:, cols].copy(), [m[:, cols].copy() for m in mv])
         return solve_slots(res, mv, c, slots, what, cols)
     monkeypatch.setattr(series, "_solve_slots", recording)
-    return moves
+    return solves
+
+
+def _omega_solves(solves):
+    """The (k, N) slots of a solve_omega_series record, without its Taylor column."""
+    return {s: v for s, v in solves.items() if isinstance(s, tuple)}
 
 
 LOG_CASES = [
@@ -318,14 +322,15 @@ LOG_CASES = [
 
 @pytest.mark.parametrize("shape,theta", LOG_CASES, ids=[s for s, _ in LOG_CASES])
 def test_assembled_log_move_matches_the_probed_move(monkeypatch, shape, theta):
-    moves = _recorded_moves(monkeypatch)
+    solves = _recorded_solves(monkeypatch)
     c = solve_log_series(theta, shape, 0.4 + 0.1j, N=8).c
     for n in range(3, 9):
         # P_1 .. P_(n-1) solved, the rest zero, on the rows x^-2 .. x^(n+2)
         base = np.zeros((n + 5, c.shape[1]), dtype=complex)
         base[:n] = c[:n]
-        assert len(moves[(n, 0)]) == 2 * n + 3
-        for j, got in enumerate(moves[(n, 0)]):
+        moves = solves[(n, 0)][1]
+        assert len(moves) == 2 * n + 3
+        for j, got in enumerate(moves):
             _, want = _probe(lambda v: pvi_residual_series(Series(v), theta), base, (n, j))
             assert not want[: n + 2].any()
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
@@ -334,11 +339,12 @@ def test_assembled_log_move_matches_the_probed_move(monkeypatch, shape, theta):
 @pytest.mark.parametrize("branch", ["form1", "riuffa"])
 @pytest.mark.parametrize("omega_sign", [1, -1])
 def test_assembled_omega_move_matches_the_probed_move(monkeypatch, branch, omega_sign):
-    moves = _recorded_moves(monkeypatch)
+    solves = _recorded_solves(monkeypatch)
     K, M = 6, 3
     om = solve_omega_series(TH, branch, a=0.15, K=K, M=M, omega_sign=omega_sign)
+    moves = _omega_solves(solves)
     assert len(moves) == K + (M - 1) * (K + 1)
-    for (k, N), (got,) in moves.items():
+    for (k, N), (_, (got,)) in moves.items():
         # the columns below N solved, column N through x^(k-1)
         base = np.zeros((k + 5, M + 1), dtype=complex)
         base[: min(k + 5, K + 1), :N] = om.c[: k + 5, :N]
@@ -375,13 +381,13 @@ def test_omega_series_matches_all_probe_reference(branch, K):
     assert np.all(np.abs(got - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref)))
 
 
-def test_omega_series_linearizes_once_then_one_residual_per_slot(monkeypatch):
+def test_omega_series_linearizes_once_then_one_residual_per_column(monkeypatch):
     calls = _counted_calls(monkeypatch, ring=lambda s: s.omega is not None)
     solve_omega_series(TH, "form1", a=0.15, K=6, M=2)
-    # G_0 on x^0 .. x^2 from the Taylor column on the rows x^0 .. x^6, then
-    # one residual per slot (k, N) on the rows x^0 .. x^(k+4)
-    assert calls == ([("lin", 7, 3)] + [("res", k + 5) for k in range(1, 7)]
-                     + [("res", k + 5) for k in range(7)])
+    # G_0 on x^0 .. x^8 from the Taylor column on the rows x^0 .. x^10, then
+    # one residual per column N on the rows x^0 .. x^10, which each solved
+    # slot of the column moves exactly
+    assert calls == [("lin", 11, 9), ("res", 11), ("res", 11)]
 
 
 # the taylor-series benchmark's base points, one per Taylor class
@@ -400,13 +406,7 @@ TAYLOR_BASE = [
 
 @pytest.mark.parametrize("klass,theta,a", TAYLOR_BASE, ids=[k for k, _, _ in TAYLOR_BASE])
 def test_assembled_taylor_move_matches_the_probed_move(monkeypatch, klass, theta, a):
-    moves = {}
-    solve_slots = series._solve_slots
-
-    def recording(res, mv, c, slots, what, cols=slice(None)):
-        moves[slots[0]] = mv[0].copy()
-        return solve_slots(res, mv, c, slots, what, cols)
-    monkeypatch.setattr(series, "_solve_slots", recording)
+    solves = _recorded_solves(monkeypatch)
     b = solve_taylor(theta, klass, a=a, N=48).c
     for n in range(11, 49):
         # the rows x^0 .. x^(n+7), linear in b_n; b_0 .. b_(n-1) from b
@@ -414,7 +414,8 @@ def test_assembled_taylor_move_matches_the_probed_move(monkeypatch, klass, theta
         c[:n] = b[:n]
         _, want = _probe(lambda v: pvi_residual_series(Series(v), theta), c, n)
         assert not want[:n].any()
-        assert np.abs(moves[n] - want).max() <= 1e-12 * np.abs(want).max()
+        got = solves[n][1][0]
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def _all_probe_taylor(theta, klass, a, N):
@@ -440,10 +441,54 @@ def test_taylor_matches_all_probe_reference(klass, theta, a):
     assert np.all(np.abs(got - ref) <= 1e-11 * np.maximum(1.0, np.abs(ref)))
 
 
-def test_taylor_makes_one_residual_evaluation_per_order(monkeypatch):
+def test_taylor_evaluates_once_per_doubling_block(monkeypatch):
     calls = _counted_calls(monkeypatch)
     solve_taylor(TH, "form1", N=14)
-    # one residual per order on the rows x^0 .. x^(n+7), and through n = 8
-    # a linearization on x^0 .. x^7 from b_0 .. b_7
-    assert calls == ([c for n in range(1, 9) for c in (("res", n + 8), ("lin", 8, 8))]
-                     + [("res", n + 8) for n in range(9, 15)])
+    # blocks start at n0 = 1, 2, 4, 8: the residual and G at lambda = n0 on
+    # the rows x^0 .. x^(min(2 n0, 14) + 7), G kept on x^0 .. x^(rows - n0 - 1)
+    assert calls == [c for n0, rows in ((1, 10), (2, 12), (4, 16), (8, 22))
+                     for c in (("res", rows), ("lin", rows, rows - n0))]
+
+
+def _assert_exact_through_controlling_row(got, fresh, moves):
+    """The residual rows a solve receives match a fresh evaluation at and
+    below the row it solves, to 1e-12 of their largest entry or of 1, the
+    scale of _solve_slots' noise floor.  The floor matters on decaying
+    series: at the taylor1+ base point row m is 4e-5, and the rows below it,
+    zero up to rounding, differ by 6e-17."""
+    m = series._controlling_row(moves, "")
+    scale = max(1.0, np.abs(fresh[: m + 1]).max())
+    assert np.abs(got[: m + 1] - fresh[: m + 1]).max() <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("klass,theta,a", TAYLOR_BASE, ids=[k for k, _, _ in TAYLOR_BASE])
+def test_taylor_block_residual_matches_a_fresh_evaluation(monkeypatch, klass, theta, a):
+    solves = _recorded_solves(monkeypatch)
+    b = solve_taylor(theta, klass, a=a, N=48).c
+    for n, (got, moves) in solves.items():
+        # b_0 .. b_(n-1) solved, the rest zero, on the rows x^0 .. x^(n+7)
+        c = np.zeros(n + 8, dtype=complex)
+        c[:n] = b[:n]
+        fresh = pvi_residual_series(Series(c), theta).rows()
+        _assert_exact_through_controlling_row(got, fresh, moves)
+
+
+@pytest.mark.parametrize("branch", ["form1", "riuffa"])
+@pytest.mark.parametrize("omega_sign", [1, -1])
+def test_omega_column_residual_matches_a_fresh_evaluation(monkeypatch, branch, omega_sign):
+    solves = _recorded_solves(monkeypatch)
+    K, M = 6, 3
+    om = solve_omega_series(TH, branch, a=0.15, K=K, M=M, omega_sign=omega_sign)
+    for (k, N), (got, moves) in _omega_solves(solves).items():
+        # the columns below N solved, column N through x^(k-1), on x^-2 .. x^(k+2)
+        base = np.zeros((k + 5, M + 1), dtype=complex)
+        base[: min(k + 5, K + 1), :N] = om.c[: k + 5, :N]
+        base[:k, N] = om.c[:k, N]
+        fresh = pvi_residual_series(Series(base, omega=om.omega), TH).rows()[:, N:N + 1]
+        _assert_exact_through_controlling_row(got, fresh, moves)
+
+
+@pytest.mark.parametrize("klass", ["form1", "riuffa", "taylor1+", "taylor1-"])
+def test_taylor_class_without_free_parameter_rejects_a(klass):
+    with pytest.raises(ValueError, match="has no free parameter: a = "):
+        solve_taylor(TH, klass, a=5.0, N=4)
