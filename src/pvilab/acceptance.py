@@ -17,8 +17,8 @@ import time
 
 import numpy as np
 
-from .asymptotics import make_seed, seed_value
-from .continuation import PathPlan, _leading_reference, integrate
+from .asymptotics import leading_term, make_seed, seed_value
+from .continuation import PathPlan, integrate
 from .hypergeom import connection_matrix, connection_oracle
 from .monodromy import (build_case_a, build_case_b, build_case_c,
                         check_identity, invert_s_case_b, invert_s_case_c)
@@ -402,7 +402,7 @@ def seed_self_consistency():
     x0, x1 = 1e-4, 1e-2
     y0, yp0 = seed_value(seed, x0, three_term=True)
     traj = integrate((x0, y0, yp0), th, PathPlan((x0, x1), 1e-10), tol=1e-10)
-    c, e = _leading_reference(seed)
+    c, e = leading_term(seed)
     drift = max(abs(y / (c * x ** e) - 1.0)
                 for x, y, _, _ in traj.samples)
     xf, yf, ypf = traj.final()

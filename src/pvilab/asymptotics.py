@@ -19,6 +19,7 @@ __all__ = [
     "classify",
     "make_seed",
     "seed_value",
+    "leading_term",
     "trig_amp_phase",
     "r_from_amp_phase",
     "three_term_value",
@@ -106,6 +107,12 @@ def _power_terms(seed: CriticalSeed):
         # sigma = sign*base; second term is -(sign) r/base x^{1+sigma}
         return [(t0 / base, 1.0), (-seed.sigma_sign * r / base, 1.0 + s)]
     raise ValueError(seed.kind)
+
+
+def leading_term(seed: CriticalSeed):
+    """(coefficient, exponent) of the dominant printed term of a power-type
+    seed, the one of smallest Re exponent, for drift ratios."""
+    return min(_power_terms(seed), key=lambda t: complex(t[1]).real)
 
 
 def three_term_value(sigma, theta: ThetaParams, r, x, branch: BranchSpec = PRINCIPAL):

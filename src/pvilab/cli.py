@@ -87,9 +87,14 @@ def l2m(rows):
 
 
 def emit(doc, out=None):
+    """Write doc as JSON; a value that is not finite is a numeric failure,
+    raised before --out is opened."""
     doc = dict(doc)
     doc["schema_version"] = SCHEMA_VERSION
-    text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    try:
+        text = json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    except ValueError:
+        raise FloatingPointError("the result is not finite (overflow)") from None
     if out:
         with open(out, "w") as fh:
             fh.write(text)

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .asymptotics import CriticalSeed, seed_value, _power_terms
+from .asymptotics import CriticalSeed, leading_term, seed_value
 from .integrate import dp45
 from .numerics import PRINCIPAL, cpow, clog
 from .pvi import ThetaParams, pvi_rhs, pvi_residual_expr, theta_to_abgd
@@ -45,7 +45,7 @@ class ChartThrashError(RuntimeError):
     """MAX_SWITCHES or more chart switches within one path segment."""
 
 
-def to_chart(chart: str, x, y, yp):
+def to_chart(chart: str, y, yp):
     """(y, y') -> chart state (w, w'); exact closed-form change of variables."""
     if chart == "y":
         return complex(y), complex(yp)
@@ -53,7 +53,7 @@ def to_chart(chart: str, x, y, yp):
     return w, -yp * w * w
 
 
-def from_chart(chart: str, x, w, wp):
+def from_chart(chart: str, w, wp):
     if chart == "y":
         return complex(w), complex(wp)
     return 1.0 / w, -wp / (w * w)
@@ -186,7 +186,7 @@ def integrate(ic, theta: ThetaParams, path, tol=1e-10) -> Trajectory:
             x = a + t * dx
             w, wp = s
             chart = state["chart"]
-            yv, ypv = from_chart(chart, x, w, wp)
+            yv, ypv = from_chart(chart, w, wp)
             ypp = pvi_rhs(x, yv, ypv, p)
             if chart == "y":
                 wpp = ypp
@@ -197,7 +197,7 @@ def integrate(ic, theta: ThetaParams, path, tol=1e-10) -> Trajectory:
         def cb(t, s, a=a, dx=dx):
             x = a + t * dx
             chart = state["chart"]
-            yv, ypv = from_chart(chart, x, s[0], s[1])
+            yv, ypv = from_chart(chart, s[0], s[1])
             traj.record(x, yv, ypv, chart)
             if chart == "y":
                 new = "inv_y" if abs(yv) > 1.0 / SWITCH_THRESHOLD else chart
@@ -211,27 +211,19 @@ def integrate(ic, theta: ThetaParams, path, tol=1e-10) -> Trajectory:
                 traj.events.append({"kind": "chart-switch", "x": x,
                                     "from": chart, "to": new, "y": yv})
                 state["chart"] = new
-                return list(to_chart(new, x, yv, ypv))
+                return list(to_chart(new, yv, ypv))
             return None
 
-        w0, wp0 = to_chart(state["chart"], a, y, yp)
+        w0, wp0 = to_chart(state["chart"], y, yp)
         s = dp45(f, 0.0, 1.0, [w0, wp0], tol=tol, step_cb=cb)
-        y, yp = from_chart(state["chart"], b, s[0], s[1])
+        y, yp = from_chart(state["chart"], s[0], s[1])
 
     if traj.samples[-1][0] != path.vertices[-1]:
         traj.record(path.vertices[-1], y, yp, state["chart"])
     return traj
 
 
-def _leading_reference(seed: CriticalSeed):
-    """(coefficient, exponent) of the dominant printed term, for drift ratios."""
-    terms = _power_terms(seed)
-    # dominant = smallest Re exponent
-    return min(terms, key=lambda t: complex(t[1]).real)
-
-
-def seed_and_verify(seed, theta: ThetaParams, x_near, x_far, tol=1e-10,
-                    n_check=24) -> dict:
+def seed_and_verify(seed, theta: ThetaParams, x_near, x_far, tol=1e-10) -> dict:
     """Start from the seed at x_near, integrate to x_far, report drift.
 
     seed may be a CriticalSeed or a Taylor-series object with eval /
@@ -252,7 +244,7 @@ def seed_and_verify(seed, theta: ThetaParams, x_near, x_far, tol=1e-10,
     xs = [s[0] for s in traj.samples]
     ys = [s[1] for s in traj.samples]
     if is_seed and seed.kind in ("power-generic", "trig", "one-param-sum", "one-param-diff"):
-        c, e = _leading_reference(seed)
+        c, e = leading_term(seed)
         ratios = [y / (c * cpow(x, e, PRINCIPAL)) for x, y in zip(xs, ys)]
         diag["ratios"] = ratios
         diag["ratio_drift"] = max(abs(r - 1.0) for r in ratios)

@@ -209,7 +209,7 @@ def a_of_lambda(sys: LinearSystem, lam, x) -> np.ndarray:
             + sys.residue("1", x) / (lam - 1.0))
 
 
-def default_radius(x, center) -> float:
+def default_radius(x) -> float:
     return min(abs(complex(x)) / 3.0, abs(1.0 - complex(x)) / 3.0, 1.0 / 3.0)
 
 
@@ -305,7 +305,7 @@ def transport(sys: LinearSystem, x, loop_or_vertices, tol=1e-10) -> np.ndarray:
 
 def loop_monodromy(sys: LinearSystem, x, center, tol=1e-10, radius=None) -> np.ndarray:
     """Transport around the default counterclockwise loop at one singularity."""
-    r = default_radius(x, center) if radius is None else radius
+    r = default_radius(x) if radius is None else radius
     return transport(sys, x, Loop(complex(center), r), tol=tol)
 
 

@@ -7,21 +7,20 @@ One ring, `Series`, holds sum c[k, j] x^(k + off) B^j, where B is
 
 A 1-D `c` is the width-1 case, a plain power series (the Taylor classes).
 Products are truncated 2-D convolutions; only the derivative depends on
-the kind of B.  The three solvers seed the printed low-order coefficients
-and find the rest with one kernel, `_solve_slots`, through the generic
-residual expression in pvi.py: evaluate the residual, take the move of each
-unknown coefficient, then solve at the controlling order.  Every move
-follows from one formula (`_move`) and the exact partials of the residual
-(`_lin`).  The log solver evaluates the residual once per order; the Taylor
-and omega solvers once per block of orders, on whose rows the residual is
-linear in the block's coefficients, and add each solved coefficient's move
-to the stored residual: a Taylor block from n0 holds while the controlling
-order stays below x^(2 n0), an omega block is one column of the double series.
+the kind of B.  The solvers seed the printed coefficients and free
+parameters and find the rest with one kernel, `_solve_slots`, through the
+generic residual expression in pvi.py: evaluate the residual, take the move
+of each unknown coefficient (`_move`, from the exact partials `_lin`), then
+solve at the controlling order, on arrays cut to the slots' columns.  The
+log solver evaluates the residual once per order; the Taylor and omega
+solvers once per block of orders, on whose rows the residual is linear in
+the block's coefficients, and add each solved coefficient's move to the
+stored residual: a Taylor block from n0 holds while the controlling order
+stays below x^(2 n0), an omega block is one column of the double series.
 """
 
 from __future__ import annotations
 
-import functools
 import warnings
 
 import numpy as np
@@ -230,17 +229,17 @@ PSeries = LogSeries = OmegaSeries = Series
 # leading-order report
 
 
-def residual_leading_order(res, floor=1e-9):
-    """First x-order of `res` with a coefficient above the noise floor.
+_LEADING_FLOOR = 1e-9    # relative to the largest stored coefficient, or 1
 
-    Returns None if every stored coefficient is below it (exact solution to
-    truncation).  The floor is relative to the largest stored coefficient.
-    """
+
+def residual_leading_order(res):
+    """First x-order of `res` with a coefficient above _LEADING_FLOOR, or
+    None if there is none (exact solution to truncation)."""
     mags = np.abs(res.rows()).max(axis=1)
     scale = mags.max()
     if scale == 0:
         return None
-    idx = np.nonzero(mags > floor * max(scale, 1.0))[0]
+    idx = np.nonzero(mags > _LEADING_FLOOR * max(scale, 1.0))[0]
     if len(idx) == 0:
         return None
     return int(res.off + idx[0])
@@ -260,7 +259,7 @@ def _lin(theta, s, lam, rows):
     return tuple(t.rows()[-t.off: rows - t.off] for t in (g, g1, f2))
 
 
-def _move(lin, d, shape, j=0, ln=False):
+def _move(lin, d, shape, j=0):
     """The move of residual rows of `shape` per unit of the slot x^k B^j, from
     lin = (G, G', G''/2) at lambda_0, with d = lambda - lambda_0.
 
@@ -269,16 +268,18 @@ def _move(lin, d, shape, j=0, ln=False):
     On delta = x^k Y^j, Y = a x^omega, x d/dx is lambda = k + j omega, so the
     move is x^k Y^j G(lambda); on delta = x^k L^j, L = ln x, it is k + d/dL, so
       move = x^k (L^j G(k) + j L^(j-1) G'(k) + j(j-1) L^(j-2) G''/2);
-    j = 0 of either is the Taylor case.  G is quadratic in lambda, so
-    G(lambda) = G + d G' + d^2 G''/2 and G'(lambda) = G' + 2d G''/2.  The F_i
-    are polynomials in x, y, x y' and x^2 y'', which keep x-orders, so row i
-    of G depends on y through x^i alone: lin holds the rows of G the window
-    shows from x^k up, the same for every slot once those coefficients are
-    final.  They fill the top rows, column 0 at column j.
+    j = 0 of either is the Taylor case.  An omega slot is solved on its own
+    column, as j = 0 with j omega in d, so j > 0 is the ln case here.  G is
+    quadratic in lambda, so G(lambda) = G + d G' + d^2 G''/2 and G'(lambda)
+    = G' + 2d G''/2.  The F_i are polynomials in x, y, x y' and x^2 y'',
+    which keep x-orders, so row i of G depends on y through x^i alone: lin
+    holds the rows of G the window shows from x^k up, the same for every
+    slot once those coefficients are final.  They fill the top rows, column
+    0 at column j.
     """
     g, g1, g2 = lin
     terms = [(j, g + d * g1 + d * d * g2)]
-    if ln:
+    if j > 0:
         terms += [(j - 1, j * (g1 + 2.0 * d * g2)), (j - 2, j * (j - 1) * g2)]
     out = np.zeros(shape, dtype=complex)
     for col, t in terms:
@@ -286,17 +287,6 @@ def _move(lin, d, shape, j=0, ln=False):
             t = t[:, : shape[1] - col]
             out[-len(t):, col: col + t.shape[1]] += t
     return out
-
-
-def _overflow_checked(solve):
-    """Run a solver with numpy's overflow warnings off: _solve_slots turns a
-    residual or move that is not finite into FloatingPointError, naming the
-    order."""
-    @functools.wraps(solve)
-    def checked(*args, **kwargs):
-        with np.errstate(over="ignore", invalid="ignore"):
-            return solve(*args, **kwargs)
-    return checked
 
 
 def _controlling_row(moves, what):
@@ -310,40 +300,39 @@ def _controlling_row(moves, what):
     return int(np.argmax(reach > 1e-8 * top))
 
 
-def _solve_slots(res, moves, c, slots, what, cols=slice(None)):
+def _solve_slots(r, moves, c, slots, what, off=0):
     """Solve the unknown coefficients c[slots] (zero on entry) in place.
 
-    res is the residual at c and moves[i] the move of its rows per unit of
-    c[slots[i]] (_move).  The controlling x-order m is the first where a move
-    in the residual columns `cols` exceeds 1e-8 of the largest move
+    r is the residual at c, its rows from x^off on the slots' columns, and
+    moves[i] the move of r per unit of c[slots[i]] (_move).  The controlling
+    x-order m is the first where a move exceeds 1e-8 of the largest move
     (_controlling_row); every lower order must already vanish to 1e-9 of the
-    residual.  One slot, paired with one column, is solved by division (a
-    linear coefficient below 1e-10 is a resonance); several slots, the
+    residual.  One slot, on one column, is solved by division (a linear
+    coefficient below 1e-10 is a resonance); several slots, the
     ln-coefficients of one P_n, by least squares over the columns of order m,
-    consistent to 1e-7.  A residual or move that is not finite (an overflow)
-    raises FloatingPointError.  `what` names the step in error messages.
+    consistent to 1e-7.  Under the solvers' np.errstate, a residual or move
+    that is not finite (an overflow) raises FloatingPointError.  `what` names
+    the step in error messages.
     """
-    r0 = res.rows()[:, cols]
-    scale = np.abs(r0).max()
+    scale = np.abs(r).max()
     if not np.isfinite(scale):
         raise FloatingPointError(f"{what}: the residual is not finite (overflow)")
-    diffs = [d[:, cols] for d in moves]
-    m = _controlling_row(diffs, what)
+    m = _controlling_row(moves, what)
     noise = 1e-9 * max(1.0, scale)
-    bad = np.nonzero(np.abs(r0[:m]).max(axis=1) > noise)[0]
+    bad = np.nonzero(np.abs(r[:m]).max(axis=1) > noise)[0]
     if len(bad):
         raise ObstructionError(
-            f"{what}: residual obstruction at order {res.off + bad[0]} (resonance?)")
+            f"{what}: residual obstruction at order {off + bad[0]} (resonance?)")
     if len(slots) == 1:
-        clin = diffs[0][m, 0]
-        if abs(clin) < 1e-10 * max(1.0, np.abs(r0 + diffs[0]).max()):
+        clin = moves[0][m, 0]
+        if abs(clin) < 1e-10 * max(1.0, np.abs(r + moves[0]).max()):
             raise ResonanceError(f"{what}: resonant (vanishing linear coefficient)")
-        c[slots[0]] = -r0[m, 0] / clin
+        c[slots[0]] = -r[m, 0] / clin
         return
-    A = np.stack([d[m] for d in diffs], axis=1)
-    sol, *_ = np.linalg.lstsq(A, -r0[m], rcond=None)
-    resid = np.abs(A @ sol + r0[m]).max()
-    if resid > 1e-7 * max(1.0, np.abs(r0[m]).max()):
+    A = np.stack([d[m] for d in moves], axis=1)
+    sol, *_ = np.linalg.lstsq(A, -r[m], rcond=None)
+    resid = np.abs(A @ sol + r[m]).max()
+    if resid > 1e-7 * max(1.0, np.abs(r[m]).max()):
         raise ObstructionError(f"{what}: inconsistent linear system (residual {resid:.2e})")
     for s, v in zip(slots, sol):
         c[s] = v
@@ -359,46 +348,48 @@ def _check(cond, msg):
 
 
 def _taylor_seed(theta: ThetaParams, klass: str, a):
-    """Returns (fixed: {order: value}, free: {order: value-or-None}), below _WINDOW."""
+    """{order: value} below _WINDOW: the printed coefficients, then the free
+    parameter a (0 if None) at the order whose linear coefficient vanishes."""
     t0, tx, t1, ti = theta.as_tuple()
     if a is not None and klass in ("form1", "riuffa", "taylor1+", "taylor1-"):
         raise ValueError(f"class {klass} has no free parameter: a = {a} would be ignored")
+    free = 0.0 if a is None else a
     if klass == "form1":
         _check(abs(ti - 1.0) > 1e-10, "thinf = 1 excluded for class form1")
         _check(not is_int(t1 - ti), "th1 - thinf integer: class form1 hypothesis violated")
-        return {0: (t1 - ti + 1.0) / (1.0 - ti)}, {}
+        return {0: (t1 - ti + 1.0) / (1.0 - ti)}
     if klass == "riuffa":
         _check(abs(ti - 1.0) > 1e-10, "thinf = 1 excluded")
         _check(not is_int(t1 + ti), "th1 + thinf integer: hypothesis violated")
-        return {0: (t1 + ti - 1.0) / (ti - 1.0)}, {}
+        return {0: (t1 + ti - 1.0) / (ti - 1.0)}
     if klass == "form2":
         _check(abs(t1 - ti) < 1e-10 or abs(t1 + ti) < 1e-10,
                "class form2 needs th1 = +-thinf")
         _check(abs(ti - 1.0) > 1e-10, "thinf = 1 excluded")
         _check(abs(t0 - tx) < 1e-10 or abs(t0 + tx) < 1e-10, "class form2 needs th0 = +-thx")
-        return {0: 1.0 / (1.0 - ti)}, {1: a}
+        return {0: 1.0 / (1.0 - ti), 1: free}
     if klass == "form3":
         _check(abs(ti - 1.0) < 1e-10 and abs(t1) < 1e-10, "class form3 needs thinf = 1, th1 = 0")
         if a is None:
             raise ValueError("class form3 carries the free parameter a = y(0)")
-        return {0: a}, {}
+        return {0: a}
     if klass in ("taylor1+", "taylor1-"):
         s = 1.0 if klass.endswith("+") else -1.0
         _check(abs(t0) > 1e-10, "th0 = 0 excluded for taylor1")
         _check(not is_int(t0 + s * tx), "th0 +- thx integer: taylor1 hypothesis violated")
-        return {0: 0.0, 1: t0 / (t0 + s * tx)}, {}
+        return {0: 0.0, 1: t0 / (t0 + s * tx)}
     if klass == "taylor2":
         _check(abs(t0 + tx - 1.0) < 1e-10 and abs(t0) > 1e-10, "taylor2 needs th0 + thx = 1, th0 != 0")
         _check(abs(t1 - (ti - 1.0)) < 1e-10 or abs(t1 + (ti - 1.0)) < 1e-10,
                "taylor2 needs th1 = +-(thinf - 1)")
-        return {0: 0.0, 1: t0}, {2: a}
+        return {0: 0.0, 1: t0, 2: free}
     if klass == "taylor3":
         _check(abs(t0) < 1e-10 and abs(tx) < 1e-10, "taylor3 needs th0 = thx = 0")
-        return {0: 0.0}, {1: a}
+        return {0: 0.0, 1: free}
     if klass == "generic":
         if a is None:
             raise ValueError("class generic needs the leading coefficient a = y(0)")
-        return {0: a}, {}
+        return {0: a}
     raise ValueError(f"unknown Taylor class {klass!r}")
 
 
@@ -410,36 +401,30 @@ TAYLOR_CLASSES = ("form1", "riuffa", "form2", "form3",
 _WINDOW = 8
 
 
-@_overflow_checked
+@np.errstate(over="ignore", invalid="ignore")
 def solve_taylor(theta: ThetaParams, klass: str, a=None, N: int = 12) -> Series:
     """Order-by-order solution of PVI in the given Taylor class.
 
-    Seed the class's fixed low-order coefficients, then solve each b_n from
-    the first residual order it reaches, on the residual through
-    x^(n + _WINDOW - 1).  The orders come in doubling blocks: at a block
-    start n0 the residual is evaluated, and G (see _move) linearized at
-    lambda = n0, on the rows x^0 .. x^(min(2 n0, N) + W - 1).  Each solved b_n
-    then moves the stored residual by x^n G(n), which is exact on the rows
-    below x^(2 n0): there the residual is linear in b_n0, b_n0+1, .., and the
-    rows of G that reach them, below x^n0, depend on b_0 .. b_(n0-1) alone.
-    The block ends at the first order whose
-    controlling row reaches x^(2 n0), so form1 at N = 48 makes 6 residual
-    evaluations and 6 linearizations.  Free parameters are inserted at the
-    orders where the class's resonance makes the linear coefficient vanish;
-    a class without one rejects `a`.
+    Seed the printed coefficients and free parameter (_taylor_seed; a class
+    without one rejects `a`), then solve each b_n from the first residual
+    order it reaches, on the residual through x^(n + _WINDOW - 1).  The
+    orders come in doubling blocks: at a block start n0 the residual is
+    evaluated, and G (see _move) linearized at lambda = n0, on the rows
+    x^0 .. x^(min(2 n0, N) + W - 1).  Each solved b_n then moves the stored
+    residual rows by x^n G(n), which is exact below x^(2 n0): there the
+    residual is linear in b_n0, b_n0+1, .., and the rows of G that reach
+    them, below x^n0, depend on b_0 .. b_(n0-1) alone.  The block ends at
+    the first order whose controlling row reaches x^(2 n0), so form1 at
+    N = 48 makes 6 residual evaluations and 6 linearizations.
     """
     if N < 0:
         raise ValueError(f"N = {N}: the order must be at least 0")
-    fixed, free = _taylor_seed(theta, klass, a)
+    seed = _taylor_seed(theta, klass, a)
     b = np.zeros(N + _WINDOW, dtype=complex)
-    for k, v in fixed.items():
+    for k, v in seed.items():
         b[k] = v
     n0 = None    # the start of the current block
-    for n in range(max(fixed) + 1, N + 1):
-        if n in free:
-            b[n] = free[n] if free[n] is not None else 0.0
-            n0 = None    # the stored residual does not hold b_n
-            continue
+    for n in range(max(seed) + 1, N + 1):
         w = n + _WINDOW
         if n0 is not None:
             move = _move([t[: rows - n] for t in lin], n - n0, (rows, 1))
@@ -448,11 +433,11 @@ def solve_taylor(theta: ThetaParams, klass: str, a=None, N: int = 12) -> Series:
         if n0 is None:
             n0, rows = n, min(2 * n, N) + _WINDOW
             s = Series(b[:rows])
-            res = pvi_residual_series(s, theta)
+            res = pvi_residual_series(s, theta).rows()
             lin = _lin(theta, s, n, rows - n)
-            move = _move(lin, 0, (rows, 1))
-        _solve_slots(res._new(res.c[:w], 0), [move[:w]], b, [n], f"order {n}")
-        res.c += b[n] * move[:, 0]
+            move = _move(lin, 0, res.shape)
+        _solve_slots(res[:w], [move[:w]], b, [n], f"order {n}")
+        res += b[n] * move
     return Series(b[: N + 1], meta={"class": klass, "theta": theta, "a": a, "N": N})
 
 
@@ -460,16 +445,14 @@ def solve_taylor(theta: ThetaParams, klass: str, a=None, N: int = 12) -> Series:
 # log-polynomial families (sigma = 0)
 
 
-@_overflow_checked
-def solve_log_series(theta: ThetaParams, shape: str, r: complex, N: int = 3,
-                     B1=None) -> Series:
+@np.errstate(over="ignore", invalid="ignore")
+def solve_log_series(theta: ThetaParams, shape: str, r: complex, N: int = 3) -> Series:
     """Logarithmic x=0 families, sum_n P_n(ln x) x^n.
 
     shape2 (th0 != +-thx): P1(ln x) = (thx^2-th0^2)/4 ln^2 x - 2(r+th0/2) ln x
                           + 4 r (r+th0)/(thx^2-th0^2)
     shape3+/- (th0 = +-thx): P1 = r +- th0 ln x
 
-    If B1 is given for shape2 it overrides r via B1 = -2r - th0.
     Higher P_n are found by a linear least-squares solve against the
     residual, with the ln-degree of P_n capped at 2n+2 and that of the
     ring at 2N+10.  Each P_n is solved on the residual through its
@@ -484,8 +467,6 @@ def solve_log_series(theta: ThetaParams, shape: str, r: complex, N: int = 3,
     t0, tx, t1, ti = theta.as_tuple()
     if shape == "shape2":
         _check(abs(t0 - tx) > 1e-10 and abs(t0 + tx) > 1e-10, "shape2 needs th0 != +-thx")
-        if B1 is not None:
-            r = -(B1 + t0) / 2.0
         d2 = tx * tx - t0 * t0
         P1 = [4.0 * r * (r + t0) / d2, -2.0 * r - t0, d2 / 4.0]
     elif shape in ("shape3+", "shape3-"):
@@ -500,8 +481,9 @@ def solve_log_series(theta: ThetaParams, shape: str, r: complex, N: int = 3,
     lin = _lin(theta, Series(c[:9]), 2, 3)    # G at lambda = 2 on x^0 .. x^2
     for n in range(2, N + 1):
         res = pvi_residual_series(Series(c[: n + 5]), theta)
-        moves = [_move(lin, n - 2, res.rows().shape, j, ln=True) for j in range(2 * n + 3)]
-        _solve_slots(res, moves, c, [(n, j) for j in range(2 * n + 3)], f"x-order {n}")
+        moves = [_move(lin, n - 2, res.rows().shape, j) for j in range(2 * n + 3)]
+        _solve_slots(res.rows(), moves, c, [(n, j) for j in range(2 * n + 3)],
+                     f"x-order {n}", res.off)
     out = Series(c, meta={"shape": shape, "theta": theta, "r": r, "N": N})
     out.p = [np.trim_zeros(q, "b") if q.any() else q[:1] for q in c]
     return out
@@ -511,7 +493,7 @@ def solve_log_series(theta: ThetaParams, shape: str, r: complex, N: int = 3,
 # one-parameter omega double series
 
 
-@_overflow_checked
+@np.errstate(over="ignore", invalid="ignore")
 def solve_omega_series(theta: ThetaParams, branch: str, a, K: int = 6, M: int = 2,
                        omega_sign: int = 1) -> Series:
     """One-parameter family y = sum_N y_N(x) (a x^omega)^N.
@@ -524,9 +506,9 @@ def solve_omega_series(theta: ThetaParams, branch: str, a, K: int = 6, M: int = 
     its move is x^k Y^N G_0(k + N omega) (see _move).  G_0, column 0 of G,
     depends on the Taylor column alone, so it is linearized once.  Column N
     of the residual is linear in the column-N slots, whose products land in
-    columns 2N and up, so it is evaluated once per column, and each solved
-    slot adds its move to it: K = 6, M = 2 makes 2 residual evaluations on
-    the Y ring.
+    columns 2N and up, so it is evaluated once per column, kept as a
+    one-column view, and each solved slot adds its move to it: K = 6, M = 2
+    makes 2 residual evaluations on the Y ring.
     """
     if M < 1:
         raise ValueError(f"M = {M}: the family needs at least the column N = 1")
@@ -552,12 +534,12 @@ def solve_omega_series(theta: ThetaParams, branch: str, a, K: int = 6, M: int = 
     g[0, 1] = omega_sign * y0.c[0] / (ti - 1.0)
     for N in range(1, M + 1):
         res = pvi_residual_series(Series(g, omega=omega), theta)
+        r = res.rows()[:, N:N + 1]    # column N, a view the solved slots move
         for k in range(1 if N == 1 else 0, K + 1):
-            move = _move([t[: K + 3 - k] for t in lin], k + (N - 1) * omega,
-                         res.rows().shape, N)
-            _solve_slots(res._new(res.c[: k + 5], res.off), [move[: k + 5]], g, [(k, N)],
-                         f"slot (k={k}, N={N})", cols=slice(N, N + 1))
-            res.c += g[k, N] * move
+            move = _move([t[: K + 3 - k] for t in lin], k + (N - 1) * omega, r.shape)
+            _solve_slots(r[: k + 5], [move[: k + 5]], g, [(k, N)],
+                         f"slot (k={k}, N={N})", res.off)
+            r += g[k, N] * move
     return Series(g[: K + 1], omega=omega, a=a,
                   meta={"branch": branch, "theta": theta, "a": a, "K": K, "M": M,
                         "omega": omega})

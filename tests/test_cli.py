@@ -347,6 +347,15 @@ _POINT = st.one_of(st.sampled_from(["0", "1", "1e-300", "-1e-300", "1e300", "nan
                    st.floats(-3.0, 3.0).map(repr))
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} in the JSON document")
+
+
+def _strict_json(text):
+    """The one JSON document in text, with NaN and Infinity rejected."""
+    return json.loads(text, parse_constant=_reject_constant)
+
+
 @given(x=_POINT, center=_POINT, log_tol=st.floats(-30.0, -6.0))
 @settings(max_examples=30, deadline=None, derandomize=True)
 def test_transport_argv_property(x, center, log_tol):
@@ -359,7 +368,7 @@ def test_transport_argv_property(x, center, log_tol):
     assert code in (0, 2, 3)
     assert "Traceback" not in err.getvalue()
     if code == 0:
-        json.loads(out.getvalue())
+        _strict_json(out.getvalue())
 
 
 @given(ic=st.tuples(_POINT, _POINT, _POINT), x1=_POINT, log_tol=st.floats(-30.0, -2.0))
@@ -374,19 +383,39 @@ def test_continue_argv_property(ic, x1, log_tol):
     assert code in (0, 2, 3)
     assert "Traceback" not in err.getvalue()
     if code == 0:
-        json.loads(out.getvalue())
+        _strict_json(out.getvalue())
 
 
-@given(theta=st.tuples(_POINT, _POINT, _POINT, _POINT),
-       klass=st.sampled_from(TAYLOR_CLASSES + ("taylor9",)),
-       a=st.none() | _POINT | st.just("1e100"), order=st.integers(1, 24))
+# the taylor-series benchmark's base points: (class, theta, a)
+_TAYLOR_BASE = [
+    ("form1", tuple(THETA.split(",")), None),
+    ("riuffa", ("0.23", "0.57", "0.31", "-1.11"), None),
+    ("form2", ("0.3", "0.3", "-1.5", "1.5"), "0.4"),
+    ("form3", ("0.3", "0.5", "0", "1"), "0.7"),
+    ("taylor1+", ("1", "0.4", "-0.7", "-0.7"), None),
+    ("taylor1-", ("0.23+0.3i", "0.57", "0.31", "0.44"), None),
+    ("taylor2", ("0.3", "0.7", "0.56", "0.44"), "0.3"),
+    ("taylor3", ("0", "0", "0.31", "0.44"), "0.5"),
+    ("generic", tuple(THETA.split(",")), repr((0.31 - 0.44 + 1.0) / (1.0 - 0.44))),
+]
+_A = st.none() | _POINT | st.just("1e100")
+# independent draws almost never meet a class's theta hypotheses, so two
+# branches in three start from a base point, keeping its a two times in three
+_AT_BASE = st.tuples(st.sampled_from(_TAYLOR_BASE), st.integers(0, 2), _A).map(
+    lambda t: (*t[0][:2], t[0][2] if t[1] else t[2]))
+_INDEPENDENT = st.tuples(st.sampled_from(TAYLOR_CLASSES + ("taylor9",)),
+                         st.tuples(_POINT, _POINT, _POINT, _POINT), _A)
+
+
+@given(point=st.one_of(_INDEPENDENT, _AT_BASE, _AT_BASE), order=st.integers(1, 24))
 @settings(max_examples=30, deadline=None, derandomize=True)
-@example(theta=("0.3", "0.3", "-1.5", "1.5"), klass="form2", a="1e100", order=12)
-@example(theta=("0.3", "0.5", "0", "1"), klass="form3", a="1e300", order=12)
-@example(theta=tuple(THETA.split(",")), klass="form1", a=None, order=24)
-def test_series_argv_property(theta, klass, a, order):
-    """Any --theta, --class, --a and --order: exit 0, 2 or 3, no traceback,
+@example(point=("form2", ("0.3", "0.3", "-1.5", "1.5"), "1e100"), order=12)
+@example(point=("form3", ("0.3", "0.5", "0", "1"), "1e300"), order=12)
+@example(point=("form1", tuple(THETA.split(",")), None), order=24)
+def test_series_argv_property(point, order):
+    """Any --class, --theta, --a and --order: exit 0, 2 or 3, no traceback,
     and on success exactly one JSON document."""
+    klass, theta, a = point
     argv = ["series", f"--theta={','.join(theta)}", f"--class={klass}", f"--order={order}"]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -394,7 +423,61 @@ def test_series_argv_property(theta, klass, a, order):
     assert code in (0, 2, 3)
     assert "Traceback" not in err.getvalue()
     if code == 0:
-        json.loads(out.getvalue())
+        _strict_json(out.getvalue())
+
+
+SEED_NAN = ["seed", "--theta=1e200,3,0.5i,1e-8", "--sigma=0.25i", "--r=1e-300", "--x=2"]
+INVERT_NAN = ["invert", "--what=r", "--theta=0.25i,1e-300,-2.5,0.25i", "--t0x=1e200",
+              "--t1x=0.5i", "--t01=1e-15"]
+
+
+@given(theta=st.tuples(_POINT, _POINT, _POINT, _POINT), sigma=_POINT, r=_POINT,
+       x=st.none() | _POINT, three_term=st.booleans())
+@settings(max_examples=30, deadline=None, derandomize=True)
+@example(theta=("1e200", "3", "0.5i", "1e-8"), sigma="0.25i", r="1e-300", x="2",
+         three_term=False)
+def test_seed_argv_property(theta, sigma, r, x, three_term):
+    """Any --theta, --sigma, --r, --x and --three-term: exit 0, 2 or 3, no
+    traceback, and on success exactly one JSON document."""
+    argv = ["seed", f"--theta={','.join(theta)}", f"--sigma={sigma}", f"--r={r}"]
+    argv += ([] if x is None else [f"--x={x}"]) + (["--three-term"] if three_term else [])
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2, 3)
+    assert "Traceback" not in err.getvalue()
+    if code == 0:
+        _strict_json(out.getvalue())
+
+
+@given(theta=st.tuples(_POINT, _POINT, _POINT, _POINT), traces=st.tuples(_POINT, _POINT, _POINT),
+       sigma=st.none() | _POINT)
+@settings(max_examples=30, deadline=None, derandomize=True)
+@example(theta=("0.25i", "1e-300", "-2.5", "0.25i"), traces=("1e200", "0.5i", "1e-15"),
+         sigma=None)
+def test_invert_r_argv_property(theta, traces, sigma):
+    """Any --theta, traces and --sigma of `invert --what r`: exit 0, 2 or 3,
+    no traceback, and on success exactly one JSON document."""
+    argv = ["invert", "--what=r", f"--theta={','.join(theta)}"]
+    argv += [f"--{k}={v}" for k, v in zip(("t0x", "t1x", "t01"), traces)]
+    argv += [] if sigma is None else [f"--sigma={sigma}"]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2, 3)
+    assert "Traceback" not in err.getvalue()
+    if code == 0:
+        _strict_json(out.getvalue())
+
+
+@pytest.mark.parametrize("argv", [SEED_NAN, INVERT_NAN], ids=["seed", "invert"])
+def test_result_not_finite_exits_3(capsys, tmp_path, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert err == "numeric failure: FloatingPointError: the result is not finite (overflow)\n"
+    # the document is built before --out is opened: no partial file
+    code, _, _ = run_cli(capsys, *argv, f"--out={tmp_path / 'doc.json'}")
+    assert code == 3 and not (tmp_path / "doc.json").exists()
 
 
 @pytest.mark.parametrize("argv,order", [

@@ -139,7 +139,7 @@ def test_basepoint_loop_is_conjugated_plain_loop(sys_a):
 def test_circle_matches_polygon(sys_a, center):
     x = 1e-2
     c = x if center == "x" else center
-    r = fuchsian.default_radius(x, c)
+    r = fuchsian.default_radius(x)
     poly = [c + r * cmath.exp(2j * math.pi * k / 64) for k in range(65)]
     circle = fuchsian.loop_monodromy(sys_a, x, c, tol=1e-12)
     polygon = fuchsian.transport(sys_a, x, poly, tol=1e-12)

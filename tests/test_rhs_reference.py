@@ -116,7 +116,7 @@ def _assert_same_transport(monkeypatch, system, x, loop_or_vertices):
 @pytest.mark.parametrize("center", ["0", "x", "1"])
 def test_loop_matches_numpy_rhs(monkeypatch, case, x, center):
     c = {"0": 0.0, "x": x, "1": 1.0}[center]
-    loop = fuchsian.Loop(complex(c), fuchsian.default_radius(x, c))
+    loop = fuchsian.Loop(complex(c), fuchsian.default_radius(x))
     _assert_same_transport(monkeypatch, SYSTEMS[case](), x, loop)
 
 

@@ -296,14 +296,14 @@ def test_log_series_linearizes_once_then_one_residual_per_order(monkeypatch):
 
 
 def _recorded_solves(monkeypatch):
-    """{first slot: (residual rows, moves)} as _solve_slots receives them, on
-    its columns and copied, for every call."""
+    """{first slot: (residual rows, moves)} as _solve_slots receives them,
+    copied, for every call."""
     solves = {}
     solve_slots = series._solve_slots
 
-    def recording(res, mv, c, slots, what, cols=slice(None)):
-        solves[slots[0]] = (res.rows()[:, cols].copy(), [m[:, cols].copy() for m in mv])
-        return solve_slots(res, mv, c, slots, what, cols)
+    def recording(r, mv, c, slots, what, off=0):
+        solves[slots[0]] = (r.copy(), [m.copy() for m in mv])
+        return solve_slots(r, mv, c, slots, what, off)
     monkeypatch.setattr(series, "_solve_slots", recording)
     return solves
 
@@ -369,7 +369,8 @@ def _all_probe_omega(theta, branch, K, M):
             res, move = _probe(
                 lambda v: pvi_residual_series(Series(v[: k + 5], omega=omega), theta),
                 g, (k, N), 1.0)
-            series._solve_slots(res, [move], g, [(k, N)], f"slot {k, N}", cols=slice(N, N + 1))
+            series._solve_slots(res.rows()[:, N:N + 1], [move[:, N:N + 1]], g, [(k, N)],
+                                f"slot {k, N}", res.off)
     return g[: K + 1]
 
 
@@ -420,17 +421,14 @@ def test_assembled_taylor_move_matches_the_probed_move(monkeypatch, klass, theta
 
 def _all_probe_taylor(theta, klass, a, N):
     """solve_taylor with b_n probed at every order on the rows x^0 .. x^(n+7)."""
-    fixed, free = series._taylor_seed(theta, klass, a)
+    seed = series._taylor_seed(theta, klass, a)
     b = np.zeros(N + 8, dtype=complex)
-    for k, v in fixed.items():
+    for k, v in seed.items():
         b[k] = v
-    for n in range(max(fixed) + 1, N + 1):
-        if n in free:
-            b[n] = free[n] if free[n] is not None else 0.0
-            continue
+    for n in range(max(seed) + 1, N + 1):
         res, move = _probe(lambda v: pvi_residual_series(Series(v[: n + 8]), theta),
                            b, n, 1.0)
-        series._solve_slots(res, [move], b, [n], f"order {n}")
+        series._solve_slots(res.rows(), [move], b, [n], f"order {n}")
     return b[: N + 1]
 
 
