@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .numerics import BranchSpec, PRINCIPAL, clog, cpow
 from .pvi import ThetaParams
@@ -21,7 +21,6 @@ __all__ = [
     "seed_value",
     "leading_term",
     "trig_amp_phase",
-    "r_from_amp_phase",
     "three_term_value",
 ]
 
@@ -74,7 +73,7 @@ def classify(sigma: complex, theta: ThetaParams) -> str:
     return "power-generic"
 
 
-def make_seed(sigma, theta: ThetaParams, r, arg_sector=(-math.pi / 4.0, math.pi / 4.0)):
+def make_seed(sigma, theta: ThetaParams, r):
     kind = classify(sigma, theta)
     sign = 1
     if kind in ("one-param-sum", "one-param-diff"):
@@ -84,7 +83,7 @@ def make_seed(sigma, theta: ThetaParams, r, arg_sector=(-math.pi / 4.0, math.pi 
     if kind in ("trig", "power-generic", "one-param-sum", "one-param-diff") and abs(complex(r)) == 0:
         raise ValueError(f"kind {kind} requires r != 0")
     return CriticalSeed(kind=kind, theta=theta, sigma=complex(sigma), r=complex(r),
-                        sigma_sign=sign, arg_sector=tuple(arg_sector))
+                        sigma_sign=sign)
 
 
 def _power_terms(seed: CriticalSeed):
@@ -186,8 +185,4 @@ def trig_amp_phase(sigma, theta: ThetaParams, r):
         raise ValueError("degenerate amplitude A = 0")
     phi = 1j * cmath.log(2.0 * r / (s * A))
     return A, phi
-
-
-def r_from_amp_phase(sigma, A, phi):
-    return sigma * A * cmath.exp(-1j * phi) / 2.0
 

@@ -55,11 +55,11 @@ def parse_complex(text, flag=None):
     return z
 
 
-def parse_values(text, flag, names, sep=","):
-    """The numbers of a flag that takes len(names) values split by sep."""
-    parts = str(text).split(sep)
+def parse_values(text, flag, names):
+    """The numbers of a flag that takes len(names) comma-separated values."""
+    parts = str(text).split(",")
     if len(parts) != len(names):
-        raise ValueError(f"{flag} needs {len(names)} values {sep.join(names)}, "
+        raise ValueError(f"{flag} needs {len(names)} values {','.join(names)}, "
                          f"got {text!r}")
     return [parse_complex(p, flag) for p in parts]
 

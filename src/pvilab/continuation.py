@@ -119,18 +119,18 @@ class Trajectory:
         x, y, yp, _ = self.samples[-1]
         return x, y, yp
 
-    def residual_audit(self, guard=1e-5):
+    def residual_audit(self):
         """Worst scaled PVI residual over the recorded samples.
 
         Cross-checks the partial-fraction right-hand side against the
-        denominator-cleared residual polynomial; samples closer than
-        `guard` to the singular set are skipped (pvi_rhs is ill-conditioned
-        there).
+        denominator-cleared residual polynomial; samples closer than 1e-5
+        to the singular set, or beyond 1/1e-5, are skipped (pvi_rhs is
+        ill-conditioned there).
         """
         worst = 0.0
         p = theta_to_abgd(self.theta)
         for x, y, yp, _ in self.samples:
-            if min(abs(y), abs(y - 1.0), abs(y - x)) < guard or abs(y) > 1.0 / guard:
+            if min(abs(y), abs(y - 1.0), abs(y - x)) < 1e-5 or abs(y) > 1.0 / 1e-5:
                 continue
             ypp = pvi_rhs(x, y, yp, p)
             res = pvi_residual_expr(x, y, yp, ypp, self.theta)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .integrate import dp45
-from .numerics import PRINCIPAL, PoleError, cpow, inv2, mat2, SIGMA3
+from .numerics import PRINCIPAL, cpow, inv2
 from .pvi import ResonanceError, ThetaParams, is_int
 
 __all__ = [
@@ -25,7 +25,6 @@ __all__ = [
     "build_case_a",
     "build_case_b",
     "build_case_c",
-    "a_of_lambda",
     "transport",
     "loop_monodromy",
     "y_from_A",
@@ -200,15 +199,6 @@ def build_case_c(th0, thx, r1, rho) -> LinearSystem:
     return LinearSystem(theta, "case-c", _pack(a0, ax, a1), {"r1": r1, "rho": rho})
 
 
-def a_of_lambda(sys: LinearSystem, lam, x) -> np.ndarray:
-    lam, x = complex(lam), complex(x)
-    for pole in (0.0, x, 1.0):
-        if abs(lam - pole) < 1e-12:
-            raise PoleError(f"lambda = {lam} at (or too near) the pole {pole}")
-    return (sys.residue("0", x) / lam + sys.residue("x", x) / (lam - x)
-            + sys.residue("1", x) / (lam - 1.0))
-
-
 def default_radius(x) -> float:
     return min(abs(complex(x)) / 3.0, abs(1.0 - complex(x)) / 3.0, 1.0 / 3.0)
 
@@ -303,10 +293,9 @@ def transport(sys: LinearSystem, x, loop_or_vertices, tol=1e-10) -> np.ndarray:
     return m
 
 
-def loop_monodromy(sys: LinearSystem, x, center, tol=1e-10, radius=None) -> np.ndarray:
+def loop_monodromy(sys: LinearSystem, x, center, tol=1e-10) -> np.ndarray:
     """Transport around the default counterclockwise loop at one singularity."""
-    r = default_radius(x) if radius is None else radius
-    return transport(sys, x, Loop(complex(center), r), tol=tol)
+    return transport(sys, x, Loop(complex(center), default_radius(x)), tol=tol)
 
 
 def y_from_A(sys: LinearSystem, x) -> complex:

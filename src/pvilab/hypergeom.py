@@ -31,7 +31,6 @@ __all__ = [
     "connection_oracle",
     "kummer_bases",
     "ode_transport",
-    "triangular_monodromy",
     "reducible_u",
     "poch",
 ]
@@ -62,7 +61,7 @@ def poch(q: complex, n: int) -> complex:
     return out
 
 
-def gauss_f(alpha, beta, gamma_, z, tol=1e-16, max_terms=4000) -> complex:
+def gauss_f(alpha, beta, gamma_, z) -> complex:
     """2F1(alpha, beta; gamma; z) by direct series (with a Pfaff fallback)."""
     if is_int(gamma_) and complex(gamma_).real < 0.5:
         raise ResonanceError(f"gamma = {gamma_} non-positive integer: series undefined")
@@ -71,24 +70,24 @@ def gauss_f(alpha, beta, gamma_, z, tol=1e-16, max_terms=4000) -> complex:
         w = z / (z - 1.0)
         if abs(w) <= 0.8:
             # Pfaff: F(a,b,c;z) = (1-z)^{-a} F(a, c-b, c; z/(z-1))
-            return cpow(1.0 - z, -alpha) * gauss_f(alpha, gamma_ - beta, gamma_, w, tol)
+            return cpow(1.0 - z, -alpha) * gauss_f(alpha, gamma_ - beta, gamma_, w)
         if abs(1.0 - z) <= 0.8 and not is_int(gamma_ - alpha - beta):
             # principal branches; valid off the cut [1, +inf)
             e = gamma_ - alpha - beta
             t1 = (gamma(gamma_) * gamma(e) / (gamma(gamma_ - alpha) * gamma(gamma_ - beta))
-                  * gauss_f(alpha, beta, 1.0 - e, 1.0 - z, tol))
+                  * gauss_f(alpha, beta, 1.0 - e, 1.0 - z))
             t2 = (gamma(gamma_) * gamma(-e) / (gamma(alpha) * gamma(beta))
                   * cpow(1.0 - z, e)
-                  * gauss_f(gamma_ - alpha, gamma_ - beta, e + 1.0, 1.0 - z, tol))
+                  * gauss_f(gamma_ - alpha, gamma_ - beta, e + 1.0, 1.0 - z))
             return t1 + t2
         raise ValueError(f"|z| = {abs(z):.3f}: outside the series/Pfaff domain; "
                          "use ode_transport for analytic continuation")
     term = 1.0 + 0.0j
     acc = term
-    for n in range(max_terms):
+    for n in range(4000):
         term *= (alpha + n) * (beta + n) / ((gamma_ + n) * (n + 1.0)) * z
         acc += term
-        if abs(term) < tol * (1.0 + abs(acc)):
+        if abs(term) < 1e-16 * (1.0 + abs(acc)):
             return acc
     raise RuntimeError("hypergeometric series did not converge")
 
@@ -206,8 +205,8 @@ def xi_from_phi(case: int, phi, dphi, z, a=0.0, b=0.0, c=0.0, r=1.0, s=0.0):
         if abs(r + a) > 1e-12:
             raise ValueError("case 8 is Gauss-reducible only for r = -a")
         return z * dphi + a * phi
-    raise ValueError(
-        f"case {case} has no Gauss hypergeometric form; use triangular_monodromy")
+    raise ValueError(f"case {case} has no Gauss hypergeometric form; use "
+                     "fuchsian.transport on the reduction_matrices system")
 
 
 # ----------------------------------------------------------------------
@@ -398,7 +397,7 @@ def ode_transport(p: GaussParams, z0, W0, path, tol=1e-12):
     return np.array([[y[0], y[2]], [y[1], y[3]]], dtype=complex)
 
 
-def connection_oracle(which: str, theta: ThetaParams, flip_th1=False, tol=1e-12):
+def connection_oracle(which: str, theta: ThetaParams, flip_th1=False):
     """Numeric basis-change matrix, computed with no Gamma functions at all.
 
     The local bases are `kummer_bases` of the Gauss parameters behind
@@ -415,7 +414,7 @@ def connection_oracle(which: str, theta: ThetaParams, flip_th1=False, tol=1e-12)
         # [phi^(0)] = [phi^(1)] C
         return inv2(at1(0.5)) @ at0(0.5)
     mu_t = 2.0j
-    W0 = ode_transport(p, 0.3, at0(0.3), [0.3 + 0.9j, mu_t], tol=tol)
+    W0 = ode_transport(p, 0.3, at0(0.3), [0.3 + 0.9j, mu_t])
     if which == "Cinf0":
         # [phi^(inf)] = [phi^(0)] C
         return inv2(W0) @ _norlund_atinf(p)(mu_t)
@@ -430,40 +429,3 @@ def reducible_u(theta: ThetaParams, a, x):
     at0 = kummer_bases(GaussParams(2.0 - ti, 1.0 + tx, 2.0 - ti - t1))[0]
     u, du = at0(x) @ (1.0, a)
     return complex(u), complex(du)
-
-
-# ----------------------------------------------------------------------
-# triangular systems: monodromy by residues + quadrature
-
-
-def triangular_monodromy(a_fn, b_fn, c_fn, center, radius, basepoint=None, n_nodes=512):
-    """Monodromy of dY/dz = [[a(z), b(z)], [0, c(z)]] Y around one pole.
-
-    The circle |z - center| = radius is traversed counterclockwise from the
-    basepoint (default center + radius).  Exponents come from contour
-    integrals of a and c; the off-diagonal entry from the quadrature of
-    b u2/u1 with u1 = exp(int a), u2 = exp(int c) normalized at the
-    basepoint.  Returns the upper-triangular 2x2 matrix in the basis
-    (Y1, Y2) = ((u1, 0), (u1 int b u2/u1, u2)).
-    """
-    z0 = basepoint if basepoint is not None else center + radius
-    phase0 = cmath.phase(z0 - center)
-    ts = np.linspace(0.0, 1.0, n_nodes + 1)
-
-    def zpath(t):
-        return center + radius * cmath.exp(1j * (phase0 + 2.0 * math.pi * t))
-
-    def dzpath(t):
-        return radius * 2j * math.pi * cmath.exp(1j * (phase0 + 2.0 * math.pi * t))
-
-    # cumulative integrals of a and c along the loop (trapezoid; integrands smooth)
-    fa = np.array([a_fn(zpath(t)) * dzpath(t) for t in ts])
-    fc = np.array([c_fn(zpath(t)) * dzpath(t) for t in ts])
-    h = 1.0 / n_nodes
-    Ia = np.concatenate([[0.0], np.cumsum((fa[1:] + fa[:-1]) * (h / 2.0))])
-    Ic = np.concatenate([[0.0], np.cumsum((fc[1:] + fc[:-1]) * (h / 2.0))])
-    lam1 = cmath.exp(Ia[-1])
-    lam2 = cmath.exp(Ic[-1])
-    fb = np.array([b_fn(zpath(t)) * dzpath(t) for t in ts]) * np.exp(Ic - Ia)
-    R = np.sum((fb[1:] + fb[:-1]) * (h / 2.0))
-    return mat2(lam1, lam1 * R, 0.0, lam2)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import exp_diag_sigma3, inv2, mat2, tr2, det2, gamma
+from .numerics import exp_diag_sigma3, inv2, mat2, tr2, gamma
 from .pvi import ResonanceError, ThetaParams, is_int
 from .hypergeom import connection_matrix
 
@@ -77,16 +77,16 @@ class MonodromyRep:
         }
 
 
-def discover_order(M0, Mx, M1, Minf, tol=1e-8):
-    """All orderings of M0*Mx*M1 (up to inversion) that reproduce Minf."""
+def discover_order(M0, Mx, M1, Minf):
+    """All orderings of M0*Mx*M1 (up to inversion) that reproduce Minf to 1e-8."""
     mats = {"M0": M0, "Mx": Mx, "M1": M1}
     found = []
     scale = max(np.max(np.abs(M)) for M in (M0, Mx, M1, Minf))
     for perm in itertools.permutations(_LABELS):
         P = mats[perm[0]] @ mats[perm[1]] @ mats[perm[2]]
-        if np.max(np.abs(P - Minf)) < tol * scale:
+        if np.max(np.abs(P - Minf)) < 1e-8 * scale:
             found.append("*".join(perm))
-        if np.max(np.abs(P @ Minf - np.eye(2))) < tol * scale:
+        if np.max(np.abs(P @ Minf - np.eye(2))) < 1e-8 * scale:
             found.append("*".join(perm) + "=inv")
     return tuple(found)
 
@@ -229,12 +229,9 @@ def r_from_monodromy(sigma, theta: ThetaParams, traces: TraceData) -> complex:
             / (4.0 * s * (ti + t1 + s))) / F
 
 
-def invert_s_case_b(rep: MonodromyRep, thx=None, thinf=None) -> complex:
+def invert_s_case_b(rep: MonodromyRep) -> complex:
     """s from tr(M1 M0) for the y(0)=1/(1-thinf) class."""
-    if thx is None:
-        thx = rep.params["thx"]
-    if thinf is None:
-        thinf = rep.params["thinf"]
+    thx, thinf = rep.params["thx"], rep.params["thinf"]
     tr10 = tr2(rep.M1 @ rep.M0)
     num = thx * (2.0 * cmath.cos(math.pi * (thinf + thx)) - tr10)
     den = 2.0 * (cmath.cos(math.pi * (thinf - thx)) - cmath.cos(math.pi * (thinf + thx)))
@@ -243,12 +240,9 @@ def invert_s_case_b(rep: MonodromyRep, thx=None, thinf=None) -> complex:
     return num / den
 
 
-def invert_s_case_c(rep: MonodromyRep, th0=None, thx=None) -> complex:
+def invert_s_case_c(rep: MonodromyRep) -> complex:
     """s from tr(M1 M0) for the unipotent class."""
-    if th0 is None:
-        th0 = rep.theta.th0
-    if thx is None:
-        thx = rep.theta.thx
+    th0, thx = rep.theta.th0, rep.theta.thx
     Ci0 = connection_matrix("Cinf0", ThetaParams(th0, thx, 0.0, 1.0))
     tr10 = tr2(rep.M1 @ rep.M0)
     sp = cmath.sin(math.pi * th0)

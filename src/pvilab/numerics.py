@@ -26,7 +26,6 @@ __all__ = [
     "det2",
     "tr2",
     "inv2",
-    "conjugate_by",
     "exp_diag_sigma3",
     "SIGMA3",
 ]
@@ -196,11 +195,6 @@ def inv2(m: np.ndarray) -> np.ndarray:
     if abs(d) < 1e-14 * scale:
         raise SingularMatrixError(f"matrix is singular to tolerance, det = {d}")
     return np.array([[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]], dtype=complex) / d
-
-
-def conjugate_by(c: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """C M C^{-1}."""
-    return c @ m @ inv2(c)
 
 
 def exp_diag_sigma3(theta: complex) -> np.ndarray:

@@ -40,9 +40,9 @@ class SingularConfigError(ValueError):
     pass
 
 
-def is_int(z: complex, tol: float = RESONANCE_TOL) -> bool:
+def is_int(z: complex) -> bool:
     z = complex(z)
-    return abs(z.imag) < tol and abs(z.real - round(z.real)) < tol
+    return abs(z.imag) < RESONANCE_TOL and abs(z.real - round(z.real)) < RESONANCE_TOL
 
 
 @dataclass(frozen=True)
@@ -222,29 +222,23 @@ def rational_solution_theta0_minus2(theta: ThetaParams, x: complex) -> complex:
     return (q * q - 2.0 + ti + t1 - t1 * x * x) / ((1.0 - ti) * q)
 
 
-def reducible_solution(theta: ThetaParams, a: complex, x: complex, u_and_du=None) -> complex:
+def reducible_solution(theta: ThetaParams, a: complex, x: complex) -> complex:
     """One-parameter family at vanishing theta sum, via a hypergeometric u.
 
     y = (th1 + thinf - 1 + x (1 + thx))/(thinf - 1)
         - x (1 - x) u'(x) / ((thinf - 1) u(x)),
     where u = u1 + a u2 solves the hypergeometric equation
     x(1-x) u'' + [(2 - thinf - th1) - (4 - thinf + thx) x] u'
-              - (2 - thinf)(1 + thx) u = 0.
-
-    u_and_du overrides the built-in hypergeometric basis (for testing);
-    otherwise the regular-at-0 Gauss solution plus a times the second
-    Frobenius solution is used.
+              - (2 - thinf)(1 + thx) u = 0,
+    u1 the regular-at-0 Gauss solution and u2 the second Frobenius solution.
     """
     t0, tx, t1, ti = theta.as_tuple()
     if abs(theta.theta_sum()) > 1e-9:
         raise ResonanceError("reducible solution requires vanishing theta sum")
     if is_int(ti - 1.0) and abs(ti - 1.0) < RESONANCE_TOL:
         raise ResonanceError("thinf = 1 degenerates the reducible formula")
-    if u_and_du is None:
-        from .hypergeom import reducible_u
-        u, du = reducible_u(theta, a, x)
-    else:
-        u, du = u_and_du
+    from .hypergeom import reducible_u
+    u, du = reducible_u(theta, a, x)
     if abs(u) < 1e-14:
         raise SingularConfigError("u(x; a) = 0: movable singularity")
     return (t1 + ti - 1.0 + x * (1.0 + tx)) / (ti - 1.0) - x * (1.0 - x) * du / ((ti - 1.0) * u)

@@ -300,15 +300,15 @@ def _controlling_row(moves, what):
     return int(np.argmax(reach > 1e-8 * top))
 
 
-def _solve_slots(r, moves, c, slots, what, off=0):
+def _solve_slots(r, moves, c, slots, what, off=0, m=None):
     """Solve the unknown coefficients c[slots] (zero on entry) in place.
 
     r is the residual at c, its rows from x^off on the slots' columns, and
     moves[i] the move of r per unit of c[slots[i]] (_move).  The controlling
-    x-order m is the first where a move exceeds 1e-8 of the largest move
-    (_controlling_row); every lower order must already vanish to 1e-9 of the
-    residual.  One slot, on one column, is solved by division (a linear
-    coefficient below 1e-10 is a resonance); several slots, the
+    x-order m (_controlling_row, unless the caller has found it) is the first
+    where a move exceeds 1e-8 of the largest; every lower order must vanish
+    to 1e-9 of the residual.  One slot, on one column, is solved by division
+    (a linear coefficient below 1e-10 is a resonance); several slots, the
     ln-coefficients of one P_n, by least squares over the columns of order m,
     consistent to 1e-7.  Under the solvers' np.errstate, a residual or move
     that is not finite (an overflow) raises FloatingPointError.  `what` names
@@ -317,7 +317,7 @@ def _solve_slots(r, moves, c, slots, what, off=0):
     scale = np.abs(r).max()
     if not np.isfinite(scale):
         raise FloatingPointError(f"{what}: the residual is not finite (overflow)")
-    m = _controlling_row(moves, what)
+    m = _controlling_row(moves, what) if m is None else m
     noise = 1e-9 * max(1.0, scale)
     bad = np.nonzero(np.abs(r[:m]).max(axis=1) > noise)[0]
     if len(bad):
@@ -428,15 +428,15 @@ def solve_taylor(theta: ThetaParams, klass: str, a=None, N: int = 12) -> Series:
         w = n + _WINDOW
         if n0 is not None:
             move = _move([t[: rows - n] for t in lin], n - n0, (rows, 1))
-            if _controlling_row([move[:w]], f"order {n}") >= 2 * n0:
+            if (m := _controlling_row([move[:w]], f"order {n}")) >= 2 * n0:
                 n0 = None
         if n0 is None:
-            n0, rows = n, min(2 * n, N) + _WINDOW
+            n0, rows, m = n, min(2 * n, N) + _WINDOW, None
             s = Series(b[:rows])
             res = pvi_residual_series(s, theta).rows()
             lin = _lin(theta, s, n, rows - n)
             move = _move(lin, 0, res.shape)
-        _solve_slots(res[:w], [move[:w]], b, [n], f"order {n}")
+        _solve_slots(res[:w], [move[:w]], b, [n], f"order {n}", m=m)
         res += b[n] * move
     return Series(b[: N + 1], meta={"class": klass, "theta": theta, "a": a, "N": N})
 

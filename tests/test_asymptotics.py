@@ -6,7 +6,7 @@ import math
 import pytest
 
 from pvilab.asymptotics import (OutOfStripError, classify, make_seed,
-                                r_from_amp_phase, seed_second, seed_value,
+                                seed_second, seed_value,
                                 three_term_value, trig_amp_phase)
 from pvilab.pvi import ThetaParams, pvi_residual_expr
 
@@ -60,13 +60,6 @@ def test_three_term_extends_leading_power():
     assert abs((y3 - y1) - extra) < 1e-15
     y3d, _ = three_term_value(sigma, TH, r, x)
     assert y3 == y3d
-
-
-def test_trig_amp_phase_round_trip():
-    sigma = 0.35j
-    r = 0.27 + 0.1j
-    A, phi = trig_amp_phase(sigma, TH, r)
-    assert abs(r_from_amp_phase(sigma, A, phi) - r) < 1e-12
 
 
 def test_trig_amp_phase_rejects_real_sigma():

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from pvilab import fuchsian
-from pvilab.numerics import PoleError, SIGMA3, det2, inv2, mat2, tr2
+from pvilab.numerics import SIGMA3, det2, inv2, mat2, tr2
 from pvilab.pvi import ResonanceError, ThetaParams
 
 TH = ThetaParams(0.21, 0.33, 0.17, 0.52)
@@ -78,11 +78,6 @@ def test_builders_reject_bad_parameters():
         fuchsian.build_case_b(0.31, 0.44, 0.2, 0.0)
     with pytest.raises(ValueError):
         fuchsian.build_case_c(0.23, 0.57, 0.6, 0.0)
-
-
-def test_a_of_lambda_pole_guard(sys_a):
-    with pytest.raises(PoleError):
-        fuchsian.a_of_lambda(sys_a, 1e-3, 1e-3)  # lambda = x
 
 
 def test_loop_trace_errors_scale_linearly(sys_a):

@@ -11,9 +11,9 @@ from pvilab import hypergeom
 from pvilab.hypergeom import (GaussParams, connection_matrix,
                               connection_oracle, gauss_f, gauss_f_deriv,
                               kummer_bases, norlund_g1, ode_transport,
-                              poch, reduction_matrices, triangular_monodromy,
+                              poch, reduction_matrices,
                               xi_from_phi)
-from pvilab.numerics import inv2, mat2
+from pvilab.numerics import det2, tr2
 from pvilab.pvi import ResonanceError, ThetaParams
 
 TH = ThetaParams(0.23, 0.57, 0.31, 0.44)
@@ -99,6 +99,10 @@ def test_xi_map_closes_the_first_row(case, kw):
 def test_xi_from_phi_case8_requires_jordan_r():
     with pytest.raises(ValueError):
         xi_from_phi(8, 1.0, 0.0, 0.3, a=0.4, c=0.7, r=0.1)
+    # the triangular Jordan cases have no Gauss form: loop transport is the oracle
+    for case in (9, 10):
+        with pytest.raises(ValueError, match="fuchsian.transport"):
+            xi_from_phi(case, 1.0, 0.0, 0.3, a=0.4, c=0.7, r=0.9)
 
 
 def test_connection_matrix_vs_oracle_c01c():
@@ -170,24 +174,23 @@ def test_local_frames_solve_the_gauss_equation(p, frame, z0, z1):
     assert np.max(np.abs(got - want)) < 1e-10 * np.max(np.abs(want))
 
 
-def test_triangular_monodromy_vs_fuchsian_transport():
-    """The quadrature-based triangular monodromy must agree with the generic
-    loop-transport oracle on a hand-built upper-triangular system."""
+@pytest.mark.parametrize("case", [2, 9, 10])
+def test_reduction_loop_monodromy_exponents(case):
+    """Loop transport of a reduction system around 0 and around 1 must carry
+    the residue's exponents: det M = exp(2 pi i tr B), and tr M is the sum
+    of exp(2 pi i eigenvalue)."""
     from pvilab import fuchsian
 
-    B0, B1 = reduction_matrices(2, a=0.0, b=0.4, c=0.7, r=0.9)
+    B0, B1 = reduction_matrices(case, a=0.4, b=0.4, c=0.7, r=0.9)
 
     def cell(v):
         return ((0, complex(v)),) if v != 0 else ()
 
     entries = {k: tuple(tuple(cell(M[i][j]) for j in range(2)) for i in range(2))
                for k, M in (("0", B0), ("x", np.zeros((2, 2))), ("1", B1))}
-    ls = fuchsian.LinearSystem(ThetaParams(0.0, 0.0, 0.0, 0.0), "tri", entries)
-    m_ode = fuchsian.transport(ls, 0.5, fuchsian.Loop(0.0, 0.15), tol=1e-12)
-    m_tri = triangular_monodromy(
-        lambda z: B0[0, 0] / z + B1[0, 0] / (z - 1.0),
-        lambda z: B0[0, 1] / z + B1[0, 1] / (z - 1.0),
-        lambda z: B0[1, 1] / z + B1[1, 1] / (z - 1.0),
-        0.0, 0.15, n_nodes=4096)
-    assert np.max(np.abs(m_ode - m_tri)) < 1e-6
-    assert m_tri[1, 0] == 0.0
+    ls = fuchsian.LinearSystem(ThetaParams(0.0, 0.0, 0.0, 0.0), "reduction", entries)
+    for center, B in ((0.0, B0), (1.0, B1)):
+        m = fuchsian.transport(ls, 0.5, fuchsian.Loop(center, 0.15), tol=1e-12)
+        assert abs(det2(m) - cmath.exp(2j * math.pi * np.trace(B))) < 1e-10
+        want = sum(cmath.exp(2j * math.pi * e) for e in np.linalg.eigvals(B))
+        assert abs(tr2(m) - want) < 1e-10

@@ -9,9 +9,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pvilab.numerics import (ARG_0_2PI, PRINCIPAL, BranchSpec, PoleError,
-                             SIGMA3, SingularMatrixError, clog, conjugate_by,
+                             SIGMA3, SingularMatrixError, clog,
                              cpow, det2, digamma, exp_diag_sigma3, gamma,
-                             inv2, mat2, tr2)
+                             inv2, mat2)
 
 finite = st.floats(min_value=-30.0, max_value=30.0,
                    allow_nan=False, allow_infinity=False)
@@ -86,14 +86,6 @@ def test_inv2_and_det2():
     assert det2(m) == pytest.approx(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0])
     with pytest.raises(SingularMatrixError):
         inv2(mat2(1.0, 2.0, 2.0, 4.0))
-
-
-def test_conjugation_preserves_trace_and_det():
-    c = mat2(1.0, 0.7j, 0.2, 1.5)
-    m = mat2(0.3, 1.0, -2.0, 0.9j)
-    cm = conjugate_by(c, m)
-    assert abs(tr2(cm) - tr2(m)) < 1e-13
-    assert abs(det2(cm) - det2(m)) < 1e-13
 
 
 def test_exp_diag_sigma3():

@@ -301,9 +301,9 @@ def _recorded_solves(monkeypatch):
     solves = {}
     solve_slots = series._solve_slots
 
-    def recording(r, mv, c, slots, what, off=0):
-        solves[slots[0]] = (r.copy(), [m.copy() for m in mv])
-        return solve_slots(r, mv, c, slots, what, off)
+    def recording(r, mv, c, slots, what, off=0, m=None):
+        solves[slots[0]] = (r.copy(), [d.copy() for d in mv])
+        return solve_slots(r, mv, c, slots, what, off, m)
     monkeypatch.setattr(series, "_solve_slots", recording)
     return solves
 
