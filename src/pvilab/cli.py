@@ -273,7 +273,11 @@ def cmd_invert(args):
     if args.what in ("s-b", "s-c"):
         _require(args, f"--what {args.what}", "json_in")
         rep = rep_from_json(load_json(args.json_in), args.json_in)
-        val = (invert_s_case_b if args.what == "s-b" else invert_s_case_c)(rep)
+        case = args.what[-1]
+        if rep.case != case:
+            raise ValueError(f"--json-in {args.json_in}: the representation is case "
+                             f"{rep.case!r}, --what {args.what} needs case {case!r}")
+        val = (invert_s_case_b if case == "b" else invert_s_case_c)(rep)
     elif args.what == "r":
         _require(args, "--what r", "theta", "t0x", "t1x", "t01")
         th = parse_theta(args.theta)

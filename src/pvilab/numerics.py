@@ -191,8 +191,8 @@ def tr2(m: np.ndarray) -> complex:
 
 def inv2(m: np.ndarray) -> np.ndarray:
     d = det2(m)
-    scale = max(abs(m).max() ** 2, 1.0)
-    if abs(d) < 1e-14 * scale:
+    scale = max(float(abs(m).max()), 1.0)    # a float, whose square overflows to inf silently
+    if abs(d) < 1e-14 * scale * scale:
         raise SingularMatrixError(f"matrix is singular to tolerance, det = {d}")
     return np.array([[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]], dtype=complex) / d
 

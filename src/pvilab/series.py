@@ -6,17 +6,18 @@ One ring, `Series`, holds sum c[k, j] x^(k + off) B^j, where B is
   Y = a x^omega     (omega given):   the one-parameter families.
 
 A 1-D `c` is the width-1 case, a plain power series (the Taylor classes).
-Products are truncated 2-D convolutions; only the derivative depends on
-the kind of B.  The solvers seed the printed coefficients and free
-parameters and find the rest with one kernel, `_solve_slots`, through the
-generic residual expression in pvi.py: evaluate the residual, take the move
-of each unknown coefficient (`_move`, from the exact partials `_lin`), then
-solve at the controlling order, on arrays cut to the slots' columns.  The
-log solver evaluates the residual once per order; the Taylor and omega
-solvers once per block of orders, on whose rows the residual is linear in
-the block's coefficients, and add each solved coefficient's move to the
-stored residual: a Taylor block from n0 holds while the controlling order
-stays below x^(2 n0), an omega block is one column of the double series.
+Products are truncated 2-D convolutions of the blocks their operands occupy;
+only the derivative depends on the kind of B.  The solvers seed the printed
+coefficients and free parameters and find the rest with one kernel,
+`_solve_slots`, through the generic residual expression in pvi.py: evaluate
+the residual, take the move of each unknown coefficient (`_move`, from the
+exact partials `_lin`), then solve at the controlling order, on arrays cut
+to the slots' columns.  The log solver evaluates the residual once per
+order; the Taylor and omega solvers once per block of orders, on whose rows
+the residual is linear in the block's coefficients, and add each solved
+coefficient's move to the stored residual: a Taylor block from n0 holds
+while the controlling order stays below x^(2 n0), an omega block is one
+column of the double series.
 """
 
 from __future__ import annotations
@@ -70,10 +71,18 @@ class Series:
     product keeps the smaller number of rows, a sum the lower top order,
     and a derivative the top order (with coefficient 0 there, as for a
     polynomial).  A 1-D c is the width-1 case, a plain power series.
+
+    A 2-D c is zero outside its block c[:_nz[0], :_nz[1]], and a product
+    convolves the operands' blocks alone.  _nz, at least (1, 1), is found by
+    one scan when a series is built from an array, exact for a monomial, and
+    carried through the ring's operations by arithmetic; a 1-D c has None.
+    It is an upper bound, valid until c is written: the solvers write into c
+    and into a residual's rows() in place, and multiply no series after
+    writing into it.
     """
 
     # p: the per-order ln-polynomials, set on solve_log_series results only
-    __slots__ = ("c", "off", "omega", "a", "meta", "p")
+    __slots__ = ("c", "off", "omega", "a", "meta", "p", "_nz")
 
     def __init__(self, c, off=0, omega=None, a=None, meta=None):
         self.c = np.asarray(c, dtype=complex)
@@ -81,11 +90,14 @@ class Series:
         self.omega = None if omega is None else complex(omega)
         self.a = a
         self.meta = meta or {}
+        i, j = np.nonzero(self.rows())
+        self._nz = None if self.c.ndim == 1 else (int(i.max(initial=0)) + 1,
+                                                 int(j.max(initial=0)) + 1)
 
-    def _new(self, c, off):
+    def _new(self, c, off, nz):
         """A series of the same kind; c is already a complex array."""
         out = object.__new__(Series)
-        out.c, out.off, out.omega, out.a, out.meta = c, off, self.omega, self.a, {}
+        out.c, out.off, out.omega, out.a, out.meta, out._nz = c, off, self.omega, self.a, {}, nz
         return out
 
     def rows(self):
@@ -94,10 +106,10 @@ class Series:
 
     def _monomial(self, value, order):
         """value x^order at the same truncation as self."""
-        c = np.zeros_like(self.c)
-        if 0 <= order - self.off < len(c):
-            c.reshape(len(c), -1)[order - self.off, 0] = value
-        return self._new(c, self.off)
+        c, k = np.zeros_like(self.c), order - self.off
+        if 0 <= k < len(c):
+            c.reshape(len(c), -1)[k, 0] = value
+        return self._new(c, self.off, self._nz and (k + 1 if k > 0 else 1, 1))
 
     def variable(self):
         return self._monomial(1.0, 1)
@@ -117,7 +129,12 @@ class Series:
         o = self._lift(other)
         off = min(self.off, o.off)
         top = min(self.off + len(self.c), o.off + len(o.c))
-        return self._new(op(self._window(off, top), o._window(off, top)), off)
+        nz = None
+        if self._nz and o._nz:    # conditionals, not max(): the call would cost more
+            (ra, wa), (rb, wb) = self._nz, o._nz
+            ra, rb = ra + self.off - off, rb + o.off - off
+            nz = (ra if ra > rb else rb, wa if wa > wb else wb)
+        return self._new(op(self._window(off, top), o._window(off, top)), off, nz)
 
     def __add__(self, other):
         return self._combine(other, np.add)
@@ -131,24 +148,31 @@ class Series:
         return self._lift(other)._combine(self, np.subtract)
 
     def __neg__(self):
-        return self._new(-self.c, self.off)
+        return self._new(-self.c, self.off, self._nz)
 
     def __mul__(self, other):
         if not isinstance(other, Series):
-            return self._new(self.c * complex(other), self.off)
+            return self._new(self.c * complex(other), self.off, self._nz)
         n = min(len(self.c), len(other.c))
         off = self.off + other.off
         if self.c.ndim == 1:
-            return self._new(np.convolve(self.c, other.c)[:n], off)
-        # rows padded to stride 2w - 1: c[i, p] d[j, q] lands on row i + j,
-        # column p + q <= 2w - 2, so one 1-D convolution does the 2-D one
-        w = self.c.shape[1]
-        s = 2 * w - 1
-        a = np.zeros((n, s), dtype=complex)
-        b = np.zeros((n, s), dtype=complex)
-        a[:, :w], b[:, :w] = self.c[:n], other.c[:n]
-        prod = np.convolve(a.ravel(), b.ravel())[: n * s]
-        return self._new(prod.reshape(n, s)[:, :w], off)
+            return self._new(np.convolve(self.c, other.c)[:n], off, None)
+        # the occupied blocks, c[:ra, :wa] and d[:rb, :wb], in rows padded to
+        # stride s = wa + wb - 1: c[i, p] d[j, q] lands on row i + j, column
+        # p + q < s, so one 1-D convolution does the 2-D one; the product keeps
+        # its rows below k = ra + rb - 1 (and n), and its columns below w
+        (ra, wa), (rb, wb), w = self._nz, other._nz, self.c.shape[1]
+        ca, cb, s = self.c[:ra, :wa], other.c[:rb, :wb], wa + wb - 1
+        a, b = np.zeros((len(ca), s), dtype=complex), np.zeros((len(cb), s), dtype=complex)
+        a[:, :wa], b[:, :wb] = ca, cb
+        k = len(ca) + len(cb) - 1
+        k = n if k > n else k
+        prod = np.convolve(a.ravel(), b.ravel())[: k * s].reshape(k, s)
+        if k == n and s >= w:
+            return self._new(prod[:, :w], off, (n, w))
+        out = np.zeros((n, w), dtype=complex)
+        out[:k, :s] = prod[:, :w]
+        return self._new(out, off, (k, s if s < w else w))
 
     __rmul__ = __mul__
 
@@ -168,8 +192,8 @@ class Series:
         out = np.zeros((len(c) + 1,) + self.c.shape[1:], dtype=complex)
         out[:-1] = d.reshape((len(c),) + self.c.shape[1:])
         if self.c.ndim == 1 and self.off == 0:
-            return self._new(out[1:], 0)
-        return self._new(out, self.off - 1)
+            return self._new(out[1:], 0, self._nz)
+        return self._new(out, self.off - 1, self._nz)
 
     # -- evaluation ----------------------------------------------------
 
@@ -458,8 +482,9 @@ def solve_log_series(theta: ThetaParams, shape: str, r: complex, N: int = 3) -> 
     ring at 2N+10.  Each P_n is solved on the residual through its
     controlling order x^(n+2) (rows x^-2 .. x^(n+2)); there G (see _move)
     shows its orders x^0 .. x^2, which depend on P_1 alone, so it is
-    linearized once and each order costs one residual evaluation.
-    The result keeps x-orders through N+6 (zero above N) and carries `.p`,
+    linearized once and each order costs one residual evaluation, whose
+    products convolve the block of P_1 .. P_(n-1) (ln-degree at most 2n),
+    not the whole (N+7) x (2N+11) ring.  The result keeps x-orders through N+6 (zero above N) and carries `.p`,
     the list of P_n with trailing zeros trimmed.
     """
     if N < 1:

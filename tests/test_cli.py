@@ -3,8 +3,10 @@
 import contextlib
 import io
 import json
+import os
 import subprocess
 import sys
+import tempfile
 import time
 
 import pytest
@@ -160,6 +162,27 @@ def test_invert_s_from_file(capsys, tmp_path):
     assert code == 0
     re, im = json.loads(out)["value"]
     assert abs(complex(re, im) - 0.27) < 1e-10
+
+
+# the CI monodromy commands' flags, per case
+_MONODROMY_BASE = {"a": {"theta": THETA},
+                   "b": {"thx": "0.31", "thinf": "0.44", "s": "0.27+0.13i", "r": "1.1"},
+                   "c": {"th0": "0.23", "thx": "0.57", "s": "0.4-0.3i"}}
+
+
+def _monodromy_argv(case, flags, out):
+    return ["monodromy", f"--case={case}", *(f"--{k}={v}" for k, v in flags.items()),
+            f"--out={out}"]
+
+
+@pytest.mark.parametrize("case,what", [("b", "s-c"), ("c", "s-b")])
+def test_invert_s_on_the_other_case_exits_2_naming_both(capsys, tmp_path, case, what):
+    p = tmp_path / "rep.json"
+    assert run_cli(capsys, *_monodromy_argv(case, _MONODROMY_BASE[case], p))[0] == 0
+    code, out, err = run_cli(capsys, "invert", "--what", what, "--json-in", str(p))
+    assert (code, out) == (2, "")
+    assert err == (f"error: --json-in {p}: the representation is case {case!r}, "
+                   f"--what {what} needs case {what[-1]!r}\n")
 
 
 def test_validation_errors_exit_2(capsys):
@@ -434,6 +457,52 @@ def test_series_argv_property(point, order):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv + ([] if a is None else [f"--a={a}"]))
+    assert code in (0, 2, 3)
+    assert "Traceback" not in err.getvalue()
+    if code == 0:
+        _strict_json(out.getvalue())
+
+
+def _near(base):
+    """A draw within 0.2 of each real component of a flag value; a complex
+    one is kept."""
+    if base.endswith("i"):
+        return st.just(base)
+    return st.tuples(*(st.floats(-0.2, 0.2).map(lambda d, v=v: repr(float(v) + d))
+                       for v in base.split(","))).map(",".join)
+
+
+@st.composite
+def _invert_s_doc(draw):
+    """(--what, the case of its document, the monodromy flags).  The case is
+    the one --what needs two times in four; every flag is near the CI
+    command's value, except that in one draw in two one flag is any _POINT
+    (independent draws almost never build a representation)."""
+    what = draw(st.sampled_from(["s-b", "s-c"]))
+    case = draw(st.sampled_from([what[-1], what[-1], "a", "c" if what == "s-b" else "b"]))
+    flags = {k: draw(_near(v)) for k, v in _MONODROMY_BASE[case].items()}
+    wild = draw(st.sampled_from([None] * len(flags) + list(flags)))
+    if wild is not None:
+        n = len(flags[wild].split(","))
+        flags[wild] = draw(st.tuples(*[_POINT] * n).map(",".join))
+    return what, case, flags
+
+
+@given(rep=_invert_s_doc())
+@settings(max_examples=30, deadline=None, derandomize=True)
+@example(rep=("s-c", "b", _MONODROMY_BASE["b"]))
+@example(rep=("s-b", "c", _MONODROMY_BASE["c"]))
+def test_invert_s_argv_property(rep):
+    """`invert --what s-b|s-c` on the document of `monodromy --case a|b|c`
+    with any flags: exit 0, 2 or 3, no traceback, and on success exactly
+    one JSON document."""
+    what, case, flags = rep
+    out, err = io.StringIO(), io.StringIO()
+    with (tempfile.TemporaryDirectory() as d, contextlib.redirect_stdout(out),
+          contextlib.redirect_stderr(err)):
+        path = os.path.join(d, "rep.json")
+        assert main(_monodromy_argv(case, flags, path)) in (0, 2, 3)
+        code = main(["invert", f"--what={what}", f"--json-in={path}"])
     assert code in (0, 2, 3)
     assert "Traceback" not in err.getvalue()
     if code == 0:
