@@ -147,7 +147,7 @@ def _theta(pairs):
 
 
 def _params(doc):
-    return {k: l2c(v) for k, v in doc.items()}
+    return {k: l2c(v) for k, v in doc.items() if v is not None}
 
 
 def rep_from_json(doc, path=None) -> MonodromyRep:
@@ -164,6 +164,19 @@ def rep_from_json(doc, path=None) -> MonodromyRep:
 
 # ----------------------------------------------------------------------
 # subcommands
+
+
+def _stored(rep, path, context, *keys):
+    """The values of the document keys ("theta", "params.<name>") that
+    `context` reads from a representation; a missing or null one is a
+    ValueError naming the --json-in path and the key."""
+    out = []
+    for key in keys:
+        value = rep.theta if key == "theta" else rep.params.get(key.removeprefix("params."))
+        if value is None:
+            raise ValueError(f"--json-in {path}: missing key {key!r}, which {context} needs")
+        out.append(value)
+    return out
 
 
 def _require(args, context, *flags):
@@ -254,13 +267,11 @@ def cmd_identity_check(args):
     rep = rep_from_json(load_json(args.json_in), args.json_in)
     if args.theta:
         th = parse_theta(args.theta)
-    elif rep.theta is not None:
-        th = rep.theta
-    elif rep.case == "b":
-        thx, thinf = rep.params["thx"], rep.params["thinf"]
+    elif rep.theta is None and rep.case == "b":
+        thx, thinf = _stored(rep, args.json_in, "identity-check", "params.thx", "params.thinf")
         th = ThetaParams(thx, thx, thinf, thinf)
     else:
-        raise ValueError("no theta stored in the representation; pass --theta")
+        th, = _stored(rep, args.json_in, "identity-check without --theta", "theta")
     res = check_identity(rep, th)
     emit({"residual": c2l(res), "abs_residual": abs(res),
           "order": list(rep.order)}, args.out)
@@ -277,6 +288,8 @@ def cmd_invert(args):
         if rep.case != case:
             raise ValueError(f"--json-in {args.json_in}: the representation is case "
                              f"{rep.case!r}, --what {args.what} needs case {case!r}")
+        _stored(rep, args.json_in, f"--what {args.what}",
+                *(("params.thx", "params.thinf") if case == "b" else ("theta",)))
         val = (invert_s_case_b if case == "b" else invert_s_case_c)(rep)
     elif args.what == "r":
         _require(args, "--what r", "theta", "t0x", "t1x", "t01")
@@ -415,12 +428,13 @@ def cmd_sweep(args):
 
 def cmd_selftest(args):
     from . import acceptance
-    rows = [(n, bool(ok), d) for n, ok, d in acceptance.run_all()]
-    for name, ok, detail in rows:
+    rows = acceptance.run_all()
+    for name, ok, detail, _ in rows:
         print(f"{'PASS' if ok else 'FAIL'}  {name}: {detail}", file=sys.stderr)
-    emit({"results": [{"name": n, "ok": ok, "detail": d} for n, ok, d in rows],
-          "all_ok": all(ok for _, ok, _ in rows)}, args.out)
-    return 0 if all(ok for _, ok, _ in rows) else 1
+    all_ok = all(ok for _, ok, _, _ in rows)
+    emit({"results": [{"name": n, "ok": ok, "detail": d, "gates": g} for n, ok, d, g in rows],
+          "all_ok": all_ok}, args.out)
+    return 0 if all_ok else 1
 
 
 # ----------------------------------------------------------------------

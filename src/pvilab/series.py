@@ -122,7 +122,8 @@ class Series:
         if off == self.off and top == self.off + len(self.c):
             return self.c
         out = np.zeros((top - off,) + self.c.shape[1:], dtype=complex)
-        out[self.off - off:] = self.c[: top - self.off]
+        if top > self.off:      # else no order of self lies in the window
+            out[self.off - off:] = self.c[: top - self.off]
         return out
 
     def _combine(self, other, op):

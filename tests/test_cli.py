@@ -185,6 +185,50 @@ def test_invert_s_on_the_other_case_exits_2_naming_both(capsys, tmp_path, case, 
                    f"--what {what} needs case {what[-1]!r}\n")
 
 
+def _drop_key(path, key, null):
+    """Delete the document key ("theta", "params.thx", ...) at path, or set it
+    to null; a key the document lacks is left missing."""
+    with open(path) as fh:
+        doc = json.load(fh)
+    *parents, last = key.split(".")
+    node = doc
+    for k in parents:
+        node = node[k]
+    if last in node:
+        if null:
+            node[last] = None
+        else:
+            del node[last]
+    with open(path, "w") as fh:
+        json.dump(doc, fh)
+
+
+@pytest.mark.parametrize("null", [False, True])
+@pytest.mark.parametrize("case,key,command,context", [
+    ("c", "theta", ["invert", "--what=s-c"], "--what s-c"),
+    ("c", "theta", ["identity-check"], "identity-check without --theta"),
+    ("b", "params.thx", ["invert", "--what=s-b"], "--what s-b"),
+    ("b", "params.thinf", ["invert", "--what=s-b"], "--what s-b"),
+    ("b", "params.thx", ["identity-check"], "identity-check"),
+])
+def test_missing_key_exits_2_naming_it(capsys, tmp_path, case, key, command, context, null):
+    p = tmp_path / "rep.json"
+    assert run_cli(capsys, *_monodromy_argv(case, _MONODROMY_BASE[case], p))[0] == 0
+    _drop_key(p, key, null)
+    code, out, err = run_cli(capsys, *command, "--json-in", str(p))
+    assert (code, out) == (2, "")
+    assert err == f"error: --json-in {p}: missing key {key!r}, which {context} needs\n"
+
+
+def test_identity_check_theta_flag_needs_no_stored_theta(capsys, tmp_path):
+    p = tmp_path / "rep.json"
+    assert run_cli(capsys, *_monodromy_argv("c", _MONODROMY_BASE["c"], p))[0] == 0
+    _drop_key(p, "theta", null=False)
+    code, out, _ = run_cli(capsys, "identity-check", "--json-in", str(p),
+                           "--theta", "0.23,0.57,0,1")
+    assert code == 0 and json.loads(out)["abs_residual"] < 1e-12
+
+
 def test_validation_errors_exit_2(capsys):
     code, _, err = run_cli(capsys, "series", "--theta", "0.23,0.57,0.31,1",
                            "--class", "form1")
@@ -474,10 +518,11 @@ def _near(base):
 
 @st.composite
 def _invert_s_doc(draw):
-    """(--what, the case of its document, the monodromy flags).  The case is
-    the one --what needs two times in four; every flag is near the CI
-    command's value, except that in one draw in two one flag is any _POINT
-    (independent draws almost never build a representation)."""
+    """(--what, the case of its document, the monodromy flags, the key to
+    drop).  The case is the one --what needs two times in four; every flag
+    is near the CI command's value, except that in one draw in two one flag
+    is any _POINT (independent draws almost never build a representation).
+    In one draw in two a stored key is deleted or set to null."""
     what = draw(st.sampled_from(["s-b", "s-c"]))
     case = draw(st.sampled_from([what[-1], what[-1], "a", "c" if what == "s-b" else "b"]))
     flags = {k: draw(_near(v)) for k, v in _MONODROMY_BASE[case].items()}
@@ -485,28 +530,41 @@ def _invert_s_doc(draw):
     if wild is not None:
         n = len(flags[wild].split(","))
         flags[wild] = draw(st.tuples(*[_POINT] * n).map(",".join))
-    return what, case, flags
+    keys = ["theta", "params.thx", "params.thinf", "params.s"]
+    drop = draw(st.none() | st.tuples(st.sampled_from(keys), st.booleans()))
+    return what, case, flags, drop
+
+
+def _main_captured(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
 
 
 @given(rep=_invert_s_doc())
 @settings(max_examples=30, deadline=None, derandomize=True)
-@example(rep=("s-c", "b", _MONODROMY_BASE["b"]))
-@example(rep=("s-b", "c", _MONODROMY_BASE["c"]))
+@example(rep=("s-c", "b", _MONODROMY_BASE["b"], None))
+@example(rep=("s-b", "c", _MONODROMY_BASE["c"], None))
+@example(rep=("s-c", "c", _MONODROMY_BASE["c"], ("theta", False)))
+@example(rep=("s-b", "b", _MONODROMY_BASE["b"], ("params.thx", False)))
 def test_invert_s_argv_property(rep):
-    """`invert --what s-b|s-c` on the document of `monodromy --case a|b|c`
-    with any flags: exit 0, 2 or 3, no traceback, and on success exactly
-    one JSON document."""
-    what, case, flags = rep
-    out, err = io.StringIO(), io.StringIO()
-    with (tempfile.TemporaryDirectory() as d, contextlib.redirect_stdout(out),
-          contextlib.redirect_stderr(err)):
+    """`invert --what s-b|s-c` and `identity-check` on the document of
+    `monodromy --case a|b|c` with any flags, and with a stored key deleted
+    or null: exit 0, 2 or 3, no traceback, and on success exactly one JSON
+    document."""
+    what, case, flags, drop = rep
+    with tempfile.TemporaryDirectory() as d:
         path = os.path.join(d, "rep.json")
-        assert main(_monodromy_argv(case, flags, path)) in (0, 2, 3)
-        code = main(["invert", f"--what={what}", f"--json-in={path}"])
-    assert code in (0, 2, 3)
-    assert "Traceback" not in err.getvalue()
-    if code == 0:
-        _strict_json(out.getvalue())
+        assert _main_captured(_monodromy_argv(case, flags, path))[0] in (0, 2, 3)
+        if drop is not None and os.path.exists(path):
+            _drop_key(path, *drop)
+        for argv in (["invert", f"--what={what}"], ["identity-check"]):
+            code, out, err = _main_captured(argv + [f"--json-in={path}"])
+            assert code in (0, 2, 3)
+            assert "Traceback" not in err
+            if code == 0:
+                _strict_json(out)
 
 
 SEED_NAN = ["seed", "--theta=1e200,3,0.5i,1e-8", "--sigma=0.25i", "--r=1e-300", "--x=2"]

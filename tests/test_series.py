@@ -106,12 +106,12 @@ _STEPS = {
 def _ring_operand(draw, ring, width):
     """A series of the ring ("ln", "Y" or "1-D") built from an array with
     random trailing zero rows and columns, then zero, a monomial, or moved
-    through +, -, deriv with a second one at another offset (at least 5 rows
-    from x^-2 .. x^2, so that the sums' orders overlap)."""
+    through +, -, deriv with a second one at another offset (1 to 9 rows
+    from x^-2 .. x^2, so that two operands' orders may not overlap)."""
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
 
     def array_series():
-        rows = draw(st.integers(5, 9))
+        rows = draw(st.integers(1, 9))
         c = rng.normal(size=(rows, width)) + 1j * rng.normal(size=(rows, width))
         c[rows - draw(st.integers(0, rows - 1)):] = 0
         c[:, width - draw(st.integers(0, width - 1)):] = 0
@@ -137,21 +137,37 @@ def _ring_pair(draw):
     return draw(_ring_operand(ring, width)), draw(_ring_operand(ring, width))
 
 
+def _placed_sum(a, b):
+    """The rows of a + b over the orders both know, each operand's rows
+    added at their orders: an operand contributes zeros below its first
+    order and nothing above the window."""
+    off, top = min(a.off, b.off), min(a.off + len(a.c), b.off + len(b.c))
+    out = np.zeros((top - off, a.rows().shape[1]), dtype=complex)
+    for s in (a, b):
+        for k, row in enumerate(s.rows()[: max(top - s.off, 0)]):
+            out[s.off + k - off] += row
+    return off, out
+
+
 @given(pair=_ring_pair())
 @settings(max_examples=300, deadline=None, derandomize=True)
 def test_block_product_matches_the_padded_product(pair):
-    """Any two series of the ln, Y or plain power ring: the product of the
-    occupied blocks agrees with the padded product to 1e-14 of its largest
-    coefficient, every block bound holds, and a plain power series product
+    """Any two series of the ln, Y or plain power ring, short or disjoint in
+    order: the product of the occupied blocks agrees with the padded
+    product to 1e-14 of its largest coefficient, the sum is the placed sum
+    bit for bit, every block bound holds, and a plain power series product
     is the plain convolution, bit for bit."""
     a, b = pair
     got, want = a * b, _padded_mul(a, b)
     assert (got.off, got.c.shape) == (want.off, want.c.shape)
     assert np.abs(got.c - want.c).max() <= 1e-14 * np.abs(want.c).max()
+    total = a + b
+    off, rows = _placed_sum(a, b)
+    assert total.off == off and np.array_equal(total.rows(), rows)
     if a.c.ndim == 1:
         assert np.array_equal(got.c, np.convolve(a.c, b.c)[: min(len(a.c), len(b.c))])
         return
-    for s in (a, b, got):
+    for s in (a, b, got, total):
         rows, cols = s._nz
         assert not s.rows()[rows:].any() and not s.rows()[:, cols:].any()
 
