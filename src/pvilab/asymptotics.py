@@ -41,15 +41,6 @@ class CriticalSeed:
     sigma_sign: int = 1          # for one-param kinds: sigma = sign*(th0 +- thx)
     arg_sector: tuple = (-math.pi / 4.0, math.pi / 4.0)
 
-    def to_json(self):
-        return {
-            "kind": self.kind,
-            "sigma": [self.sigma.real, self.sigma.imag],
-            "r": [self.r.real, self.r.imag],
-            "theta": [[t.real, t.imag] for t in self.theta.as_tuple()],
-            "arg_sector": list(self.arg_sector),
-        }
-
 
 def classify(sigma: complex, theta: ThetaParams) -> str:
     """Which leading-term formula applies for this (sigma, theta)."""

@@ -2,8 +2,10 @@
 
 Every subcommand prints a single JSON document (schema_version 1) with
 deterministic bytes: keys sorted, complex numbers as [re, im] pairs,
-matrices row-major.  Exit codes: 0 success, 2 validation error (a stated
-precondition was violated), 3 numeric failure.
+matrices row-major.  The library returns complex numbers and arrays; each
+command builds its document from them here, and emit alone encodes it.
+Exit codes: 0 success, 2 validation error (a stated precondition was
+violated), 3 numeric failure.
 """
 
 from __future__ import annotations
@@ -30,11 +32,12 @@ SCHEMA_VERSION = 1
 # SingularMatrixError, json.JSONDecodeError) is a ValueError, and every
 # numeric failure (StepUnderflow, ChartThrashError, ObstructionError) a
 # RuntimeError, or an ArithmeticError (a series solve that overflows raises
-# FloatingPointError).  MapPoleError is a ZeroDivisionError, so it must be caught
-# here first; OSError is a --json-in, --out or --csv-out path that cannot be
-# opened.
+# FloatingPointError), or a MemoryError (an --order whose coefficient array
+# cannot be allocated).  MapPoleError is a ZeroDivisionError, so it must be
+# caught here first; OSError is a --json-in, --out or --csv-out path that
+# cannot be opened.
 _VALIDATION = (MapPoleError, ValueError, KeyError, OSError)
-_NUMERIC = (ArithmeticError, RuntimeError)
+_NUMERIC = (ArithmeticError, RuntimeError, MemoryError)
 
 
 # ----------------------------------------------------------------------
@@ -68,16 +71,6 @@ def parse_theta(text, flag="--theta") -> ThetaParams:
     return ThetaParams(*parse_values(text, flag, ("th0", "thx", "th1", "thinf")))
 
 
-def c2l(z):
-    z = complex(z)
-    return [z.real, z.imag]
-
-
-def m2l(m):
-    m = np.asarray(m, dtype=complex)
-    return [[c2l(m[i, j]) for j in range(m.shape[1])] for i in range(m.shape[0])]
-
-
 def l2c(pair):
     return complex(pair[0], pair[1])
 
@@ -86,11 +79,22 @@ def l2m(rows):
     return np.array([[l2c(c) for c in row] for row in rows], dtype=complex)
 
 
+def _plain(v):
+    """v with each complex number (Python or numpy) as its [re, im] pair and
+    each array or tuple as a list."""
+    if isinstance(v, dict):
+        return {k: _plain(x) for k, x in v.items()}
+    if isinstance(v, (list, tuple, np.ndarray)):
+        return [_plain(x) for x in v]
+    if isinstance(v, (complex, np.complexfloating)):
+        return [float(v.real), float(v.imag)]
+    return v
+
+
 def emit(doc, out=None):
-    """Write doc as JSON; a value that is not finite is a numeric failure,
-    raised before --out is opened."""
-    doc = dict(doc)
-    doc["schema_version"] = SCHEMA_VERSION
+    """Write doc as JSON, encoded by _plain; a value that is not finite is a
+    numeric failure, raised before --out is opened."""
+    doc = _plain({**doc, "schema_version": SCHEMA_VERSION})
     try:
         text = json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
     except ValueError:
@@ -205,10 +209,10 @@ def cmd_series(args):
     th = parse_theta(args.theta)
     a = parse_complex(args.a, "--a") if args.a is not None else None
     ser = solve_taylor(th, args.klass, a=a, N=args.order)
-    lead = residual_leading_order(pvi_residual_series(ser, th))
-    doc = ser.to_json()
-    doc["residual_first_nonzero_order"] = lead
-    emit(doc, args.out)
+    emit({"class": args.klass, "theta": th.as_tuple(), "a": a, "N": args.order,
+          "coeffs": ser.c,
+          "residual_first_nonzero_order": residual_leading_order(pvi_residual_series(ser, th))},
+         args.out)
     return 0
 
 
@@ -216,11 +220,12 @@ def cmd_seed(args):
     from .asymptotics import make_seed, seed_value
     th = parse_theta(args.theta)
     seed = make_seed(parse_complex(args.sigma, "--sigma"), th, parse_complex(args.r, "--r"))
-    doc = seed.to_json()
+    doc = {"kind": seed.kind, "sigma": seed.sigma, "r": seed.r,
+           "theta": seed.theta.as_tuple(), "arg_sector": seed.arg_sector}
     if args.x is not None:
         x = parse_complex(args.x, "--x")
         y, yp = seed_value(seed, x, three_term=args.three_term)
-        doc["at"] = {"x": c2l(x), "y": c2l(y), "yp": c2l(yp)}
+        doc["at"] = {"x": x, "y": y, "yp": yp}
     emit(doc, args.out)
     return 0
 
@@ -234,8 +239,12 @@ def cmd_continue(args):
     traj = integrate((x0, y0, yp0), th, PathPlan(tuple(verts), args.tol), tol=args.tol)
     xf, yf, ypf = traj.final()
     if args.csv_out:
-        traj.to_csv(args.csv_out)
-    emit({"final": {"x": c2l(xf), "y": c2l(yf), "yp": c2l(ypf)},
+        with open(args.csv_out, "w") as fh:
+            fh.write("x_re,x_im,y_re,y_im,yp_re,yp_im,chart\n")
+            for *point, chart in traj.samples:
+                fh.write(",".join([*(repr(v) for z in point for v in (z.real, z.imag)), chart])
+                         + "\n")
+    emit({"final": {"x": xf, "y": yf, "yp": ypf},
           "n_samples": len(traj.samples),
           "n_events": len(traj.events),
           "residual_audit": traj.residual_audit()}, args.out)
@@ -258,7 +267,12 @@ def _build_rep(args):
 
 
 def cmd_monodromy(args):
-    emit(_build_rep(args).to_json(), args.out)
+    rep = _build_rep(args)
+    t = rep.traces()
+    emit({"case": rep.case, "theta": None if rep.theta is None else rep.theta.as_tuple(),
+          "params": {k: complex(v) for k, v in rep.params.items()},
+          "matrices": rep.matrices(), "order": rep.order,
+          "traces": {"t0x": t.t0x, "t1x": t.t1x, "t01": t.t01}}, args.out)
     return 0
 
 
@@ -273,8 +287,7 @@ def cmd_identity_check(args):
     else:
         th, = _stored(rep, args.json_in, "identity-check without --theta", "theta")
     res = check_identity(rep, th)
-    emit({"residual": c2l(res), "abs_residual": abs(res),
-          "order": list(rep.order)}, args.out)
+    emit({"residual": res, "abs_residual": abs(res), "order": rep.order}, args.out)
     return 0
 
 
@@ -299,28 +312,26 @@ def cmd_invert(args):
         sigma = (parse_complex(args.sigma, "--sigma") if args.sigma is not None
                  else sigma_from_traces(traces.t0x))
         val = r_from_monodromy(sigma, th, traces)
-        emit({"what": args.what, "value": c2l(val), "sigma": c2l(sigma)},
-             args.out)
+        emit({"what": args.what, "value": val, "sigma": sigma}, args.out)
         return 0
     else:
         raise ValueError(f"unknown inversion {args.what!r}")
-    emit({"what": args.what, "value": c2l(val)}, args.out)
+    emit({"what": args.what, "value": val}, args.out)
     return 0
 
 
 def cmd_symmetry(args):
     from .symmetries import XY_GENERATORS, act_theta, act_xy, sigma_image
     th = parse_theta(args.theta)
-    doc = {"generator": args.gen,
-           "theta_image": [c2l(t) for t in act_theta(args.gen, th).as_tuple()]}
+    doc = {"generator": args.gen, "theta_image": act_theta(args.gen, th).as_tuple()}
     if args.sigma is not None:
-        doc["sigma_image"] = c2l(sigma_image(args.gen, parse_complex(args.sigma, "--sigma"), th))
+        doc["sigma_image"] = sigma_image(args.gen, parse_complex(args.sigma, "--sigma"), th)
     if args.xy is not None:
         if args.gen not in XY_GENERATORS:
             raise ValueError(f"generator {args.gen!r} has no pointwise (x,y)-action")
         x, y = parse_values(args.xy, "--xy", ("x", "y"))
         xx, yy = act_xy(args.gen, x, y)
-        doc["xy_image"] = {"x": c2l(xx), "y": c2l(yy)}
+        doc["xy_image"] = {"x": xx, "y": yy}
     emit(doc, args.out)
     return 0
 
@@ -329,10 +340,10 @@ def cmd_hypergeom(args):
     from .hypergeom import connection_matrix, connection_oracle
     th = parse_theta(args.theta)
     cmat = connection_matrix(args.which, th)
-    doc = {"which": args.which, "matrix": m2l(cmat)}
+    doc = {"which": args.which, "matrix": cmat}
     if args.oracle:
         orc = connection_oracle(args.which, th)
-        doc["oracle"] = m2l(orc)
+        doc["oracle"] = orc
         doc["deviation"] = float(np.max(np.abs(cmat - orc)))
     emit(doc, args.out)
     return 0
@@ -373,7 +384,12 @@ def cmd_fuchsian(args):
     from . import fuchsian
     from .numerics import tr2
     if args.action == "build":
-        emit(_build_system(args).to_json(), args.out)
+        sys_ = _build_system(args)
+        emit({"tag": sys_.tag, "theta": sys_.theta.as_tuple(),
+              "params": {k: complex(v) for k, v in sys_.params.items()},
+              "entries": {k: [[[{"power": complex(p), "coeff": c} for p, c in cell]
+                               for cell in row] for row in rows]
+                          for k, rows in sys_.entries.items()}}, args.out)
         return 0
     x = parse_complex(args.x, "--x")
     if args.action == "appendix2":
@@ -387,21 +403,20 @@ def cmd_fuchsian(args):
         n = _field(spec, "n", _positive_int, path, 1 if kind == "IRR1" else 2)
         if kind == "IRR1":
             gs, om1 = fuchsian.appendix2_recursion("IRR1", lead, coeffs, n)
-            emit({"G": [m2l(gm) for gm in gs], "Omega1": m2l(om1)}, args.out)
+            emit({"G": gs, "Omega1": om1}, args.out)
         else:
             k1, k2, lam1 = fuchsian.appendix2_recursion("IRR2", lead, coeffs, n, x=x)
-            emit({"K1": m2l(k1), "K2": m2l(k2), "Lambda1": m2l(lam1)}, args.out)
+            emit({"K1": k1, "K2": k2, "Lambda1": lam1}, args.out)
         return 0
     sys_ = _build_system(args)
     if args.action == "transport":
         _finite_positive(args, "tol")
         center = parse_complex(args.center, "--center")
         m = fuchsian.loop_monodromy(sys_, x, center, tol=args.tol)
-        emit({"center": c2l(center), "x": c2l(x), "matrix": m2l(m),
-              "trace": c2l(tr2(m))}, args.out)
+        emit({"center": center, "x": x, "matrix": m, "trace": tr2(m)}, args.out)
         return 0
     if args.action == "y-from-A":
-        emit({"x": c2l(x), "y": c2l(fuchsian.y_from_A(sys_, x))}, args.out)
+        emit({"x": x, "y": fuchsian.y_from_A(sys_, x)}, args.out)
         return 0
     raise ValueError(f"unknown fuchsian action {args.action!r}")
 
@@ -415,9 +430,9 @@ def cmd_sweep(args):
     results = []
     for idx in range(args.count):
         th = _theta_draw(rng)
-        row = {"index": idx, "theta": [c2l(t) for t in th.as_tuple()]}
+        row = {"index": idx, "theta": th.as_tuple()}
         try:
-            row["coeffs"] = [c2l(c) for c in solve_taylor(th, args.klass, N=args.order).c]
+            row["coeffs"] = solve_taylor(th, args.klass, N=args.order).c
         except (ResonanceError, ObstructionError) as e:
             row["error"] = str(e)
         results.append(row)

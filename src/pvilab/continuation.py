@@ -11,8 +11,6 @@ critical-behavior seeds vs the integrated trajectory).
 from __future__ import annotations
 
 import cmath
-import csv
-import io
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -137,22 +135,6 @@ class Trajectory:
             scale = ((1.0 + abs(x)) ** 4 * (1.0 + abs(y)) ** 6 * (1.0 + abs(yp)) ** 2)
             worst = max(worst, abs(res) / scale)
         return worst
-
-    def to_csv(self, target=None) -> str:
-        out = io.StringIO()
-        w = csv.writer(out, lineterminator="\n")
-        w.writerow(["x_re", "x_im", "y_re", "y_im", "yp_re", "yp_im", "chart"])
-        for x, y, yp, chart in self.samples:
-            w.writerow([repr(x.real), repr(x.imag), repr(y.real), repr(y.imag),
-                        repr(yp.real), repr(yp.imag), chart])
-        text = out.getvalue()
-        if target is not None:
-            if hasattr(target, "write"):
-                target.write(text)
-            else:
-                with open(target, "w") as fh:
-                    fh.write(text)
-        return text
 
 
 def integrate(ic, theta: ThetaParams, path, tol=1e-10) -> Trajectory:

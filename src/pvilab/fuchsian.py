@@ -82,18 +82,6 @@ class LinearSystem:
             new[key] = tuple(tuple(tuple(cell) for cell in row) for row in out)
         return LinearSystem(self.theta, self.tag + "+gauge", new, dict(self.params))
 
-    def to_json(self):
-        def term(p, c):
-            p, c = complex(p), complex(c)
-            return {"power": [p.real, p.imag], "coeff": [c.real, c.imag]}
-        return {
-            "tag": self.tag,
-            "theta": [[t.real, t.imag] for t in self.theta.as_tuple()],
-            "params": {k: [complex(v).real, complex(v).imag] for k, v in self.params.items()},
-            "entries": {k: [[[term(p, c) for p, c in self.entries[k][i][j]]
-                             for j in range(2)] for i in range(2)] for k in _KEYS},
-        }
-
 
 def _pack(a0, ax, a1):
     def t(cell):
@@ -216,11 +204,6 @@ class Loop:
     radius: float
     basepoint: complex | None = None
     orientation: int = 1
-
-    def to_json(self):
-        b = None if self.basepoint is None else [self.basepoint.real, self.basepoint.imag]
-        return {"center": [complex(self.center).real, complex(self.center).imag],
-                "radius": self.radius, "basepoint": b, "orientation": self.orientation}
 
 
 def transport(sys: LinearSystem, x, loop_or_vertices, tol=1e-10) -> np.ndarray:

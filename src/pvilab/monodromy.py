@@ -61,21 +61,6 @@ class MonodromyRep:
     def matrices(self):
         return {"M0": self.M0, "Mx": self.Mx, "M1": self.M1, "Minf": self.Minf}
 
-    def to_json(self):
-        def m(M):
-            return [[[M[i, j].real, M[i, j].imag] for j in range(2)] for i in range(2)]
-        t = self.traces()
-        return {
-            "case": self.case,
-            "theta": None if self.theta is None else
-                     [[v.real, v.imag] for v in self.theta.as_tuple()],
-            "params": {k: [complex(v).real, complex(v).imag] for k, v in self.params.items()},
-            "matrices": {k: m(v) for k, v in self.matrices().items()},
-            "order": list(self.order),
-            "traces": {k: [complex(v).real, complex(v).imag]
-                       for k, v in (("t0x", t.t0x), ("t1x", t.t1x), ("t01", t.t01))},
-        }
-
 
 def discover_order(M0, Mx, M1, Minf):
     """All orderings of M0*Mx*M1 (up to inversion) that reproduce Minf to 1e-8."""

@@ -233,18 +233,6 @@ class Series:
     def eval_deriv(self, x, a=None, branch: BranchSpec = PRINCIPAL):
         return self.deriv().eval(x, a, branch)
 
-    def to_json(self):
-        """The JSON document of a Taylor-class solution."""
-        m = self.meta
-        th = m.get("theta")
-        return {
-            "class": m.get("class"),
-            "theta": [[t.real, t.imag] for t in th.as_tuple()] if th else None,
-            "a": [m["a"].real, m["a"].imag] if m.get("a") is not None else None,
-            "N": int(m.get("N", len(self.c) - 1)),
-            "coeffs": [[z.real, z.imag] for z in self.c],
-        }
-
 
 # the ring under the names of the three kinds it covers
 PSeries = LogSeries = OmegaSeries = Series
@@ -463,7 +451,7 @@ def solve_taylor(theta: ThetaParams, klass: str, a=None, N: int = 12) -> Series:
             move = _move(lin, 0, res.shape)
         _solve_slots(res[:w], [move[:w]], b, [n], f"order {n}", m=m)
         res += b[n] * move
-    return Series(b[: N + 1], meta={"class": klass, "theta": theta, "a": a, "N": N})
+    return Series(b[: N + 1])
 
 
 # ----------------------------------------------------------------------
@@ -510,7 +498,7 @@ def solve_log_series(theta: ThetaParams, shape: str, r: complex, N: int = 3) -> 
         moves = [_move(lin, n - 2, res.rows().shape, j) for j in range(2 * n + 3)]
         _solve_slots(res.rows(), moves, c, [(n, j) for j in range(2 * n + 3)],
                      f"x-order {n}", res.off)
-    out = Series(c, meta={"shape": shape, "theta": theta, "r": r, "N": N})
+    out = Series(c, meta={"N": N})
     out.p = [np.trim_zeros(q, "b") if q.any() else q[:1] for q in c]
     return out
 
@@ -566,6 +554,4 @@ def solve_omega_series(theta: ThetaParams, branch: str, a, K: int = 6, M: int = 
             _solve_slots(r[: k + 5], [move[: k + 5]], g, [(k, N)],
                          f"slot (k={k}, N={N})", res.off)
             r += g[k, N] * move
-    return Series(g[: K + 1], omega=omega, a=a,
-                  meta={"branch": branch, "theta": theta, "a": a, "K": K, "M": M,
-                        "omega": omega})
+    return Series(g[: K + 1], omega=omega, a=a)

@@ -85,11 +85,3 @@ def test_log_generic_seed_shape():
     u = cmath.log(x) + (4.0 * r + 2.0 * TH.th0) / d
     f = -d / 4.0 * u * u + TH.th0 ** 2 / d
     assert abs(y - x * f) < 1e-15 * abs(x * f)
-
-
-def test_seed_json_round_trip_fields():
-    seed = make_seed(0.3 + 0.2j, TH, 0.8)
-    doc = seed.to_json()
-    assert doc["kind"] == "power-generic"
-    assert doc["sigma"] == [0.3, 0.2]
-    assert len(doc["theta"]) == 4

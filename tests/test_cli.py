@@ -9,12 +9,14 @@ import sys
 import tempfile
 import time
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from pvilab import continuation
-from pvilab.cli import main, parse_complex, parse_theta, rep_from_json
+from pvilab import continuation, hypergeom
+from pvilab.cli import emit, main, parse_complex, parse_theta, rep_from_json
 from pvilab.series import TAYLOR_CLASSES
+from pvilab.symmetries import GENERATORS, XY_GENERATORS
 
 THETA = "0.23,0.57,0.31,0.44"
 
@@ -132,6 +134,64 @@ def test_series_output_schema(capsys):
     assert doc["schema_version"] == 1
     assert len(doc["coeffs"]) == 7
     assert doc["residual_first_nonzero_order"] is None
+
+
+def test_seed_json_round_trip_fields(capsys):
+    code, out, _ = run_cli(capsys, "seed", "--theta", THETA, "--sigma", "0.3+0.2i", "--r", "0.8")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["kind"] == "power-generic"
+    assert doc["sigma"] == [0.3, 0.2]
+    assert len(doc["theta"]) == 4
+
+
+def test_rep_json_contains_everything(capsys):
+    code, out, _ = run_cli(capsys, "monodromy", "--case", "b", "--thx", "0.31",
+                           "--thinf", "0.44", "--s", "0.27", "--r", "1.0")
+    assert code == 0
+    doc = json.loads(out)
+    assert set(doc["matrices"]) == {"M0", "Mx", "M1", "Minf"}
+    assert doc["case"] == "b"
+    assert doc["params"]["s"] == [0.27, 0.0]
+    assert set(doc["traces"]) == {"t0x", "t1x", "t01"}
+
+
+def test_system_json_shape(capsys):
+    code, out, _ = run_cli(capsys, "fuchsian", "--action", "build", "--case", "b",
+                           "--thx", "0.31", "--thinf", "0.44", "--s", "0.27", "--r", "1")
+    assert code == 0
+    doc = json.loads(out)
+    assert set(doc["entries"]) == {"0", "x", "1"}
+    assert doc["tag"] == "case-b"
+    cell = doc["entries"]["0"][0][0][0]
+    assert set(cell) == {"power", "coeff"}
+
+
+def test_emit_writes_complex_numbers_as_pairs_and_arrays_as_lists(capsys):
+    emit({"a": 1 - 2.5j, "b": np.complex128(0.25j),
+          "v": np.array([0.5 - 0.5j, 2.0]),
+          "m": np.array([[1, 2j], [-3, 4 - 1j]]),
+          "t": (1, 0.5 + 0j),
+          "nested": {"f": np.float64(0.125), "list": [{"n": 7, "none": None}, [1 + 0j, "s"]]}})
+    # the expected keys are written in sorted order, so the text pins the sort
+    want = {"a": [1.0, -2.5], "b": [0.0, 0.25],
+            "m": [[[1.0, 0.0], [0.0, 2.0]], [[-3.0, 0.0], [4.0, -1.0]]],
+            "nested": {"f": 0.125, "list": [{"n": 7, "none": None}, [[1.0, 0.0], "s"]]},
+            "schema_version": 1, "t": [1, [0.5, 0.0]], "v": [[0.5, -0.5], [2.0, 0.0]]}
+    assert capsys.readouterr().out == json.dumps(want, indent=2) + "\n"
+
+
+def test_nan_in_a_matrix_exits_3_before_out_is_opened(capsys, tmp_path, monkeypatch):
+    m = np.array([[1.0, complex("nan+1j")], [0.0, 1.0]])
+    with pytest.raises(FloatingPointError, match="not finite"):
+        emit({"m": m})
+    monkeypatch.setattr(hypergeom, "connection_matrix", lambda which, th: m)
+    out = tmp_path / "doc.json"
+    code, stdout, err = run_cli(capsys, "hypergeom", "--which=C01", f"--theta={THETA}",
+                                f"--out={out}")
+    assert (code, stdout) == (3, "")
+    assert err == "numeric failure: FloatingPointError: the result is not finite (overflow)\n"
+    assert not out.exists()
 
 
 def test_output_bytes_are_deterministic(capsys):
@@ -320,6 +380,17 @@ def test_continue_csv_and_summary(capsys, tmp_path):
     doc = json.loads(out)
     assert doc["n_samples"] >= 2
     assert csv.read_text().startswith("x_re,x_im,")
+
+
+def test_trajectory_csv_columns(capsys, tmp_path):
+    csv = tmp_path / "traj.csv"
+    code, out, _ = run_cli(capsys, "continue", "--theta", "0.21,0.33,0.17,0.52",
+                           "--ic", "0.01,1.35258971,-0.15817967",
+                           "--path", "0.01;0.05", "--tol", "1e-8", "--csv-out", str(csv))
+    assert code == 0
+    lines = csv.read_text().splitlines()
+    assert lines[0] == "x_re,x_im,y_re,y_im,yp_re,yp_im,chart"
+    assert len(lines) == json.loads(out)["n_samples"] + 1
 
 
 def test_symmetry_rejects_xy_for_parameter_only_generators(capsys):
@@ -516,6 +587,17 @@ def _near(base):
                        for v in base.split(","))).map(",".join)
 
 
+def _draw_flags(draw, base):
+    """Each flag of base near its value, except that in one draw in two one
+    flag is any _POINT (independent draws almost never build a case)."""
+    flags = {k: draw(_near(v)) for k, v in base.items()}
+    wild = draw(st.sampled_from([None] * len(flags) + list(flags)))
+    if wild is not None:
+        n = len(flags[wild].split(","))
+        flags[wild] = draw(st.tuples(*[_POINT] * n).map(",".join))
+    return flags
+
+
 @st.composite
 def _invert_s_doc(draw):
     """(--what, the case of its document, the monodromy flags, the key to
@@ -525,11 +607,7 @@ def _invert_s_doc(draw):
     In one draw in two a stored key is deleted or set to null."""
     what = draw(st.sampled_from(["s-b", "s-c"]))
     case = draw(st.sampled_from([what[-1], what[-1], "a", "c" if what == "s-b" else "b"]))
-    flags = {k: draw(_near(v)) for k, v in _MONODROMY_BASE[case].items()}
-    wild = draw(st.sampled_from([None] * len(flags) + list(flags)))
-    if wild is not None:
-        n = len(flags[wild].split(","))
-        flags[wild] = draw(st.tuples(*[_POINT] * n).map(",".join))
+    flags = _draw_flags(draw, _MONODROMY_BASE[case])
     keys = ["theta", "params.thx", "params.thinf", "params.s"]
     drop = draw(st.none() | st.tuples(st.sampled_from(keys), st.booleans()))
     return what, case, flags, drop
@@ -621,6 +699,19 @@ def test_result_not_finite_exits_3(capsys, tmp_path, argv):
     assert code == 3 and not (tmp_path / "doc.json").exists()
 
 
+# 10^17 orders need 1.39 EiB, beyond any address space in use, so the
+# allocation fails at once; 10^18 is numpy's "array is too big", exit 2
+@pytest.mark.parametrize("argv", [
+    ["series", f"--theta={THETA}", "--class=form1", "--order=100000000000000000"],
+    ["sweep", "--count=1", "--order=100000000000000000"],
+], ids=["series", "sweep"])
+def test_unallocatable_order_exits_3(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert err.startswith("numeric failure: ") and "MemoryError" in err
+    assert err.count("\n") == 1
+
+
 @pytest.mark.parametrize("argv,order", [
     (["--theta=0.3,0.3,-1.5,1.5", "--class=form2", "--a=1e100", "--order=12"], 2),
     (["--theta=0.3,0.5,0,1", "--class=form3", "--a=1e300"], 1),
@@ -674,3 +765,102 @@ def test_malformed_json_in_exits_2_naming_path_and_key(capsys, tmp_path, command
     assert (code, out) == (2, "")
     assert err.startswith(f"error: --json-in {p}: ") and repr(key) in err
     assert err.count("\n") == 1
+
+
+def _argv_doc(argv):
+    """Run argv: exit 0, 2 or 3 and no traceback.  The strict JSON document
+    printed on exit 0, else None."""
+    code, out, err = _main_captured(argv)
+    assert code in (0, 2, 3)
+    assert "Traceback" not in err
+    return _strict_json(out) if code == 0 else None
+
+
+def _pair(value):
+    return isinstance(value, list) and len(value) == 2 and all(type(v) is float for v in value)
+
+
+@st.composite
+def _case_argv(draw, command, bases):
+    """command --case with each of its flags drawn by _draw_flags."""
+    case = draw(st.sampled_from(sorted(bases)))
+    return [command, f"--case={case}",
+            *(f"--{k}={v}" for k, v in _draw_flags(draw, bases[case]).items())]
+
+
+_THETA_ANY = st.one_of(_near(THETA), st.tuples(*[_POINT] * 4).map(",".join))
+
+
+@given(argv=_case_argv("monodromy", _MONODROMY_BASE))
+@settings(max_examples=30, deadline=None, derandomize=True)
+def test_monodromy_argv_property(argv):
+    """Any flags of `monodromy --case a|b|c`: exit 0, 2 or 3, no traceback,
+    and on success one JSON document whose params and traces are pairs."""
+    doc = _argv_doc(argv)
+    if doc is not None:
+        assert all(_pair(v) for v in (*doc["params"].values(), *doc["traces"].values()))
+
+
+@given(argv=_case_argv("fuchsian", CASE_FLAGS["fuchsian"]),
+       action=st.sampled_from(["build", "y-from-A"]), x=st.none() | _POINT)
+@settings(max_examples=30, deadline=None, derandomize=True)
+def test_fuchsian_argv_property(argv, action, x):
+    """Any flags of `fuchsian --action build|y-from-A --case a|b|c` and any
+    --x: exit 0, 2 or 3, no traceback, and on success one JSON document
+    whose params, powers, coefficients and y are pairs."""
+    doc = _argv_doc([*argv, f"--action={action}", *([] if x is None else [f"--x={x}"])])
+    if doc is None:
+        return
+    if action == "build":
+        terms = [t for rows in doc["entries"].values() for row in rows for cell in row
+                 for t in cell]
+        assert terms and all(_pair(t["power"]) and _pair(t["coeff"]) for t in terms)
+        assert all(_pair(v) for v in doc["params"].values())
+    else:
+        assert _pair(doc["y"])
+
+
+@given(gen=st.sampled_from(GENERATORS + XY_GENERATORS + ("z9",)), theta=_THETA_ANY,
+       sigma=st.none() | _POINT, xy=st.none() | st.tuples(_POINT, _POINT).map(",".join))
+@settings(max_examples=30, deadline=None, derandomize=True)
+def test_symmetry_argv_property(gen, theta, sigma, xy):
+    """Any generator, --theta, --sigma and --xy of `symmetry`: exit 0, 2 or
+    3, no traceback, and on success one JSON document of pairs."""
+    argv = ["symmetry", f"--gen={gen}", f"--theta={theta}"]
+    argv += ([] if sigma is None else [f"--sigma={sigma}"]) + ([] if xy is None else [f"--xy={xy}"])
+    doc = _argv_doc(argv)
+    if doc is not None:
+        assert len(doc["theta_image"]) == 4 and all(_pair(t) for t in doc["theta_image"])
+        assert sigma is None or _pair(doc["sigma_image"])
+        assert xy is None or _pair(doc["xy_image"]["x"]) and _pair(doc["xy_image"]["y"])
+
+
+@given(which=st.sampled_from(["C0inf", "C01", "Cinf0", "C01c"]), theta=_THETA_ANY,
+       oracle=st.booleans())
+@settings(max_examples=30, deadline=None, derandomize=True)
+def test_hypergeom_argv_property(which, theta, oracle):
+    """Any --which and --theta of `hypergeom`, with and without --oracle:
+    exit 0, 2 or 3, no traceback, and on success one JSON document whose
+    matrices are 2x2 of pairs."""
+    doc = _argv_doc(["hypergeom", f"--which={which}", f"--theta={theta}",
+                     *(["--oracle"] if oracle else [])])
+    if doc is not None:
+        for key in ("matrix", "oracle") if oracle else ("matrix",):
+            assert len(doc[key]) == 2 and all(len(row) == 2 and all(_pair(z) for z in row)
+                                              for row in doc[key])
+
+
+@given(klass=st.sampled_from(TAYLOR_CLASSES + ("taylor9",)), order=st.integers(1, 24),
+       count=st.integers(1, 8), seed=st.integers(-1, 2 ** 32))
+@settings(max_examples=30, deadline=None, derandomize=True)
+def test_sweep_argv_property(klass, order, count, seed):
+    """Any --class, --order, --count and --seed of `sweep`: exit 0, 2 or 3,
+    no traceback, and on success one JSON document of count results whose
+    theta and coefficients are pairs."""
+    doc = _argv_doc(["sweep", f"--class={klass}", f"--order={order}", f"--count={count}",
+                     f"--seed={seed}"])
+    if doc is not None:
+        assert [r["index"] for r in doc["results"]] == list(range(count))
+        for r in doc["results"]:
+            assert all(_pair(t) for t in r["theta"])
+            assert "error" in r or len(r["coeffs"]) == order + 1 and all(map(_pair, r["coeffs"]))

@@ -1,6 +1,5 @@
 """Numeric continuation: charts, path validation, and seed verification."""
 
-import io
 import math
 import warnings
 
@@ -116,20 +115,6 @@ def test_crossing_stays_in_y_chart(theta, exact, path):
     assert xf == path[-1]
     assert max(abs(yf - y) / (1.0 + abs(y)), abs(ypf - yp) / (1.0 + abs(yp))) < 1e-6
     assert t.events == []
-
-
-def test_trajectory_csv_columns():
-    ser = solve_taylor(TH, "form1", N=10)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        ic = (1e-2, ser.eval(1e-2), ser.eval_deriv(1e-2))
-    t = integrate(ic, TH, PathPlan((1e-2, 0.05)), tol=1e-8)
-    buf = io.StringIO()
-    text = t.to_csv(buf)
-    header = text.splitlines()[0]
-    assert header == "x_re,x_im,y_re,y_im,yp_re,yp_im,chart"
-    assert buf.getvalue() == text
-    assert len(text.splitlines()) == len(t.samples) + 1
 
 
 def test_seed_and_verify_series_seed():

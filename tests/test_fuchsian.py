@@ -126,8 +126,6 @@ def test_basepoint_loop_is_conjugated_plain_loop(sys_a):
     u = fuchsian.transport(sys_a, x, [b, c + r], tol=1e-12)
     mb = fuchsian.transport(sys_a, x, fuchsian.Loop(c, r, basepoint=b), tol=1e-12)
     assert np.max(np.abs(mb - inv2(u) @ m @ u)) < 1e-10
-    doc = fuchsian.Loop(c, r, basepoint=b).to_json()
-    assert doc["center"] == [1.0, 0.0] and doc["basepoint"] == [1.5, 0.1]
 
 
 @pytest.mark.parametrize("center", [0.0, "x", 1.0])
@@ -189,11 +187,3 @@ def test_appendix2_guards():
                                      [np.eye(2)] * 3, 2)  # no x
     with pytest.raises(ValueError):
         fuchsian.appendix2_recursion("IRR9", np.diag([1.0, -1.0]), [np.eye(2)], 1)
-
-
-def test_system_json_shape(sys_b):
-    doc = sys_b.to_json()
-    assert set(doc["entries"]) == {"0", "x", "1"}
-    assert doc["tag"] == "case-b"
-    cell = doc["entries"]["0"][0][0][0]
-    assert set(cell) == {"power", "coeff"}

@@ -116,12 +116,3 @@ def test_r_from_monodromy_generic_value_is_finite():
     traces = TraceData(2.0 * cmath.cos(math.pi * sigma), 0.9, 1.1)
     r = r_from_monodromy(sigma, TH, traces)
     assert np.isfinite(r.real) and np.isfinite(r.imag)
-
-
-def test_rep_json_contains_everything():
-    rep = build_case_b(0.31, 0.44, 0.27, 1.0)
-    doc = rep.to_json()
-    assert set(doc["matrices"]) == {"M0", "Mx", "M1", "Minf"}
-    assert doc["case"] == "b"
-    assert doc["params"]["s"] == [0.27, 0.0]
-    assert set(doc["traces"]) == {"t0x", "t1x", "t01"}
