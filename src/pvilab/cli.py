@@ -405,6 +405,9 @@ def cmd_fuchsian(args):
             gs, om1 = fuchsian.appendix2_recursion("IRR1", lead, coeffs, n)
             emit({"G": gs, "Omega1": om1}, args.out)
         else:
+            if x == 0:
+                raise ValueError("--x must be nonzero for the IRR2 recursion, "
+                                 "which divides by x^2")
             k1, k2, lam1 = fuchsian.appendix2_recursion("IRR2", lead, coeffs, n, x=x)
             emit({"K1": k1, "K2": k2, "Lambda1": lam1}, args.out)
         return 0

@@ -1,11 +1,12 @@
 """Numeric continuation of PVI solutions along complex-x paths.
 
-Integrates the first-order system (y, y') with the embedded 5(4) pair in
-the y chart, switching to the one pole chart w = 1/y where |y| grows large
-(movable poles).  Crossings of y = 0, 1, x at a regular x are integrated in
-the y chart: there the simple pole of the right-hand side is removable on
-a solution.  Also provides seed-consistency diagnostics (series and
-critical-behavior seeds vs the integrated trajectory).
+Integrates the first-order system (y, y') with the DOP853 integrator
+`integrate.dp45` in the y chart, switching to the one pole chart w = 1/y
+where |y| grows large (movable poles).  Crossings of y = 0, 1, x at a
+regular x are integrated in the y chart: there the simple pole of the
+right-hand side is removable on a solution.  Also provides seed-consistency
+diagnostics (series and critical-behavior seeds vs the integrated
+trajectory).
 """
 
 from __future__ import annotations

@@ -209,10 +209,11 @@ class Loop:
 def transport(sys: LinearSystem, x, loop_or_vertices, tol=1e-10) -> np.ndarray:
     """Monodromy of the fundamental solution normalized to I at the start.
 
-    Integrates dPsi/dlambda = A(lambda) Psi along a Loop (its circle in one
-    dp45 call, in the parameter t of Loop, plus the straight basepoint legs)
-    or edge by edge along a polygon given as a list of vertices.  The result
-    M satisfies Psi_continued = Psi * M for Psi(start) = I.
+    Integrates dPsi/dlambda = A(lambda) Psi with the DOP853 integrator along
+    a Loop (its circle in one dp45 call, in the parameter t of Loop, plus the
+    straight basepoint legs) or edge by edge along a polygon given as a list
+    of vertices.  The result M satisfies Psi_continued = Psi * M for
+    Psi(start) = I.
 
     The right-hand side is written out in Python complex arithmetic: on 2x2
     arrays each numpy operation costs more in dispatch than in arithmetic.
@@ -301,6 +302,7 @@ def _dn(d_list, n):
     return d_list[min(n, len(d_list)) - 1]
 
 
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")
 def appendix2_recursion(kind, leading, coeff_list, n_max, x=None):
     """Gauge series removing the z^{-n} (n >= 2) tails of the model systems.
 
@@ -314,7 +316,9 @@ def appendix2_recursion(kind, leading, coeff_list, n_max, x=None):
     z^{-2} balances.
 
     coeff_list entries beyond the last stored matrix repeat the last one
-    (the systems at hand have constant tails).
+    (the systems at hand have constant tails).  Raises ValueError for IRR2
+    at x = 0, since the recursion divides by x^2.  An overflow gives
+    coefficients that are not finite, without a warning.
     """
     lead = np.asarray(leading, dtype=complex)
     w = np.diag(lead)
@@ -347,6 +351,8 @@ def appendix2_recursion(kind, leading, coeff_list, n_max, x=None):
         if x is None:
             raise ValueError("IRR2 recursion needs the deformation parameter x")
         x = complex(x)
+        if x == 0:
+            raise ValueError("IRR2 recursion divides by x^2: x must be nonzero")
         es = ds
         lam1 = np.diag(np.diag(es[0]))
         k1 = np.diag([-es[1][0, 0], -es[1][1, 1]]).astype(complex)

@@ -367,7 +367,8 @@ def ode_transport(p: GaussParams, z0, W0, path, tol=1e-12):
     """Continue a (value, derivative) frame of the Gauss ODE along a path.
 
     W0 is the 2x2 frame [[f1, f2], [f1', f2']] at z0; path is a list of
-    complex waypoints starting after z0.  Returns the frame at path[-1].
+    complex waypoints starting after z0, each leg integrated by the DOP853
+    integrator `integrate.dp45`.  Returns the frame at path[-1].
 
     The right-hand side is written out in Python complex arithmetic: on
     arrays of four entries each numpy operation costs more in dispatch than

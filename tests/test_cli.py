@@ -371,6 +371,19 @@ def test_fuchsian_appendix2_needs_no_case(capsys, tmp_path):
     assert json.loads(out)["Omega1"] == [[[0.5, 0.0], [0.0, 0.0]], [[0.0, 0.0], [-0.5, 0.0]]]
 
 
+_IRR2 = {"kind": "IRR2", "leading": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [-1.0, 0.0]]],
+         "coeffs": [[[[0.5, 0.0], [0.2, 0.0]], [[0.3, 0.0], [-0.5, 0.0]]]] * 2, "n": 2}
+
+
+def test_appendix2_irr2_at_x_0_exits_2_naming_x(capsys, tmp_path):
+    spec = tmp_path / "irr2.json"
+    spec.write_text(json.dumps(_IRR2))
+    code, out, err = run_cli(capsys, "fuchsian", "--action", "appendix2",
+                             "--json-in", str(spec), "--x", "0")
+    assert (code, out) == (2, "")
+    assert err == "error: --x must be nonzero for the IRR2 recursion, which divides by x^2\n"
+
+
 def test_continue_csv_and_summary(capsys, tmp_path):
     csv = tmp_path / "traj.csv"
     code, out, _ = run_cli(capsys, "continue", "--theta", "0.21,0.33,0.17,0.52",
@@ -864,3 +877,54 @@ def test_sweep_argv_property(klass, order, count, seed):
         for r in doc["results"]:
             assert all(_pair(t) for t in r["theta"])
             assert "error" in r or len(r["coeffs"]) == order + 1 and all(map(_pair, r["coeffs"]))
+
+
+def _complex_entries(extreme):
+    """[re, im] pairs of finite floats, with 0, 1e-300 and 1e300 among them
+    when extreme."""
+    part = st.floats(-3.0, 3.0)
+    if extreme:
+        part |= st.sampled_from([0.0, 1e-300, 1e300])
+    return st.tuples(part, part).map(list)
+
+
+@st.composite
+def _appendix2_spec(draw):
+    """An appendix2 document: kind, a diagonal leading matrix whose two
+    entries are equal one time in four, 1 to 3 coefficient matrices and n.
+    One document in four may hold 0, 1e-300 and 1e300 (independent extreme
+    entries almost always overflow the recursion)."""
+    z = _complex_entries(draw(st.integers(0, 3)) == 0)
+    a = draw(z)
+    b = a if draw(st.integers(0, 3)) == 0 else draw(z)
+    mat = st.tuples(z, z, z, z).map(lambda e: [e[:2], e[2:]])
+    return {"kind": draw(st.sampled_from(["IRR1", "IRR2"])),
+            "leading": [[a, [0.0, 0.0]], [[0.0, 0.0], b]],
+            "coeffs": [draw(mat) for _ in range(draw(st.integers(1, 3)))],
+            "n": draw(st.integers(1, 12))}
+
+
+@given(spec=_appendix2_spec(), x=st.sampled_from(["0", "1e-3"]) | _POINT)
+@settings(max_examples=30, deadline=None, derandomize=True)
+@example(spec=_IRR2, x="0")
+@example(spec=_IRR2, x="1e-300")
+def test_appendix2_argv_property(spec, x):
+    """Any document and --x of `fuchsian --action appendix2`: exit 0, 2 or
+    3, no traceback, exit 2 on equal leading entries, and on success one
+    JSON document whose coefficient matrices are 2x2 of pairs."""
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "spec.json")
+        with open(path, "w") as fh:
+            json.dump(spec, fh)
+        code, out, err = _main_captured(["fuchsian", "--action=appendix2",
+                                         f"--json-in={path}", f"--x={x}"])
+    assert code in (0, 2, 3)
+    assert "Traceback" not in err
+    if spec["leading"][0][0] == spec["leading"][1][1]:
+        assert code == 2
+    if code == 0:
+        doc = _strict_json(out)
+        mats = doc["G"] + [doc["Omega1"]] if spec["kind"] == "IRR1" else \
+            [doc["K1"], doc["K2"], doc["Lambda1"]]
+        assert all(len(m) == 2 and all(len(row) == 2 and all(_pair(z) for z in row)
+                                       for row in m) for m in mats)

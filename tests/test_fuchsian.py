@@ -185,5 +185,8 @@ def test_appendix2_guards():
     with pytest.raises(ValueError):
         fuchsian.appendix2_recursion("IRR2", np.diag([1.0, -1.0]),
                                      [np.eye(2)] * 3, 2)  # no x
+    with pytest.raises(ValueError, match="x must be nonzero"):
+        fuchsian.appendix2_recursion("IRR2", np.diag([1.0, -1.0]),
+                                     [np.eye(2)] * 3, 2, x=0)  # divides by x^2
     with pytest.raises(ValueError):
         fuchsian.appendix2_recursion("IRR9", np.diag([1.0, -1.0]), [np.eye(2)], 1)

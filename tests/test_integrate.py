@@ -1,4 +1,4 @@
-"""The embedded 5(4) pair on problems with known solutions."""
+"""The DOP853 integrator on problems with known solutions."""
 
 import numpy as np
 import pytest
@@ -71,8 +71,10 @@ def test_zero_span_returns_initial():
     assert dp45(lambda t, y: y, 0.3, 0.3, y0)[0] == y0[0]
 
 
-def test_accepted_step_costs_six_evaluations():
-    # a cubic is integrated exactly by both orders, so no step is rejected
+def test_accepted_step_costs_twelve_evaluations():
+    # a cubic is integrated exactly by all three orders, so no step is
+    # rejected; each accepted step evaluates stages 2 to 12 and f at the
+    # new point
     evals, steps = [], []
 
     def f(t, y):
@@ -83,7 +85,7 @@ def test_accepted_step_costs_six_evaluations():
              step_cb=lambda t, y: steps.append(t))
     assert y[0] == pytest.approx(1.0, abs=1e-12)
     assert len(steps) > 1
-    assert len(evals) == 1 + 6 * len(steps)
+    assert len(evals) == 1 + 12 * len(steps)
 
 
 def test_first_stage_recomputed_after_replacement():
@@ -108,7 +110,15 @@ def test_first_stage_recomputed_after_replacement():
              step_cb=lambda t, y: steps.append(t) or cb(t, y))
     t_sw = switch[0]
     assert y[0].real == pytest.approx(t_sw + 2.0 * (1.0 - t_sw), abs=1e-12)
-    assert len(evals) == 2 + 6 * len(steps)
+    assert len(evals) == 2 + 12 * len(steps)
+
+
+def test_eighth_order_integrates_a_degree_seven_polynomial_exactly():
+    # the eighth-order weights integrate t**7 exactly, so y(1) = 1 to
+    # rounding even at a coarse tolerance; a fifth-order method misses it
+    y = dp45(lambda t, y: [8.0 * t ** 7 + 0j], 0.0, 1.0, np.array([0.0 + 0j]),
+             tol=1e-3, h0=0.5)
+    assert abs(y[0] - 1.0) <= 1e-14
 
 
 @pytest.mark.parametrize("tol", [1e-17, 1e-20, 1e-300, 0.0])
