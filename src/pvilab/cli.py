@@ -424,11 +424,24 @@ def cmd_fuchsian(args):
     raise ValueError(f"unknown fuchsian action {args.action!r}")
 
 
+# the classes whose hypothesis fixes a relation between the thetas, which
+# four independent random draws never satisfy
+_UNDRAWABLE = {
+    "form2": "th1 = +-thinf and th0 = +-thx",
+    "form3": "thinf = 1 and th1 = 0",
+    "taylor2": "th0 + thx = 1 and th1 = +-(thinf - 1)",
+    "taylor3": "th0 = thx = 0",
+}
+
+
 def cmd_sweep(args):
     """Taylor coefficients over a reproducible batch of random theta draws."""
     from .pvi import _theta_draw
     from .series import ObstructionError, solve_taylor
     _at_least_one(args, "order", "count")
+    if args.klass in _UNDRAWABLE:
+        raise ValueError(f"--class {args.klass} needs {_UNDRAWABLE[args.klass]}, which no "
+                         "random theta draw satisfies; solve it with `pvilab series`")
     rng = np.random.default_rng(args.seed)
     results = []
     for idx in range(args.count):

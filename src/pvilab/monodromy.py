@@ -62,16 +62,29 @@ class MonodromyRep:
         return {"M0": self.M0, "Mx": self.Mx, "M1": self.M1, "Minf": self.Minf}
 
 
+def _mul2(a, b):
+    """The product of two 2x2 matrices given as row-major 4-tuples."""
+    a00, a01, a10, a11 = a
+    b00, b01, b10, b11 = b
+    return (a00 * b00 + a01 * b10, a00 * b01 + a01 * b11,
+            a10 * b00 + a11 * b10, a10 * b01 + a11 * b11)
+
+
 def discover_order(M0, Mx, M1, Minf):
-    """All orderings of M0*Mx*M1 (up to inversion) that reproduce Minf to 1e-8."""
-    mats = {"M0": M0, "Mx": Mx, "M1": M1}
+    """All orderings of M0*Mx*M1 (up to inversion) that reproduce Minf to 1e-8.
+
+    The products are written out in Python complex arithmetic: on 2x2
+    arrays each numpy operation costs more in dispatch than in arithmetic.
+    """
+    mats = {k: tuple(np.ravel(M).tolist()) for k, M in zip(_LABELS, (M0, Mx, M1))}
+    target = tuple(np.ravel(Minf).tolist())
+    tol = 1e-8 * max(abs(v) for m in (*mats.values(), target) for v in m)
     found = []
-    scale = max(np.max(np.abs(M)) for M in (M0, Mx, M1, Minf))
     for perm in itertools.permutations(_LABELS):
-        P = mats[perm[0]] @ mats[perm[1]] @ mats[perm[2]]
-        if np.max(np.abs(P - Minf)) < 1e-8 * scale:
+        P = _mul2(_mul2(mats[perm[0]], mats[perm[1]]), mats[perm[2]])
+        if all(abs(p - q) < tol for p, q in zip(P, target)):
             found.append("*".join(perm))
-        if np.max(np.abs(P @ Minf - np.eye(2))) < 1e-8 * scale:
+        if all(abs(p - q) < tol for p, q in zip(_mul2(P, target), (1.0, 0.0, 0.0, 1.0))):
             found.append("*".join(perm) + "=inv")
     return tuple(found)
 

@@ -8,16 +8,19 @@ One ring, `Series`, holds sum c[k, j] x^(k + off) B^j, where B is
 A 1-D `c` is the width-1 case, a plain power series (the Taylor classes).
 Products are truncated 2-D convolutions of the blocks their operands occupy;
 only the derivative depends on the kind of B.  The solvers seed the printed
-coefficients and free parameters and find the rest with one kernel,
-`_solve_slots`, through the generic residual expression in pvi.py: evaluate
-the residual, take the move of each unknown coefficient (`_move`, from the
-exact partials `_lin`), then solve at the controlling order, on arrays cut
-to the slots' columns.  The log solver evaluates the residual once per
-order; the Taylor and omega solvers once per block of orders, on whose rows
-the residual is linear in the block's coefficients, and add each solved
-coefficient's move to the stored residual: a Taylor block from n0 holds
-while the controlling order stays below x^(2 n0), an omega block is one
-column of the double series.
+coefficients and free parameters and find the rest through the generic
+residual expression in pvi.py: evaluate the residual, take the move of each
+unknown coefficient from the exact partials (`_lin`), then solve at the
+controlling order.  The Taylor and omega solvers have one unknown per order
+and solve a block of orders at a time with one kernel, `_solve_block`: on
+the block's rows the residual is linear in the block's coefficients, so it
+is evaluated once, every order's move is a row of one matrix
+(`_block_moves`), and forward substitution adds each solved coefficient's
+move to the stored residual.  A Taylor block from n0 holds while the
+controlling order stays below x^(2 n0); an omega block is one column of the
+double series.  The log solver evaluates the residual once per order and
+solves the ln-coefficients of each P_n together by least squares (`_move`,
+`_solve_slots`).
 """
 
 from __future__ import annotations
@@ -90,9 +93,10 @@ class Series:
         self.omega = None if omega is None else complex(omega)
         self.a = a
         self.meta = meta or {}
-        i, j = np.nonzero(self.rows())
-        self._nz = None if self.c.ndim == 1 else (int(i.max(initial=0)) + 1,
-                                                 int(j.max(initial=0)) + 1)
+        self._nz = None
+        if self.c.ndim > 1:
+            i, j = np.nonzero(self.c)
+            self._nz = int(i.max(initial=0)) + 1, int(j.max(initial=0)) + 1
 
     def _new(self, c, off, nz):
         """A series of the same kind; c is already a complex array."""
@@ -114,9 +118,6 @@ class Series:
     def variable(self):
         return self._monomial(1.0, 1)
 
-    def _lift(self, other):
-        return other if isinstance(other, Series) else self._monomial(complex(other), 0)
-
     def _window(self, off, top):
         """c over the orders off .. top - 1, zero below self.off."""
         if off == self.off and top == self.off + len(self.c):
@@ -126,16 +127,35 @@ class Series:
             out[self.off - off:] = self.c[: top - self.off]
         return out
 
+    def _scalar(self, value, op):
+        """op(self, value) for a number lifted to value x^0 at the truncation
+        of self: the other entries meet the lift's zeros, as through a
+        monomial, so that signed zeros come out the same."""
+        out, k = op(self.c, 0.0), -self.off
+        if 0 <= k < len(out):
+            out.reshape(len(out), -1)[k, 0] = op(self.rows()[k, 0], value)
+        nz = self._nz
+        if nz:
+            rows = k + 1 if k > 0 else 1
+            nz = (nz[0] if nz[0] > rows else rows, nz[1])
+        return self._new(out, self.off, nz)
+
     def _combine(self, other, op):
-        o = self._lift(other)
-        off = min(self.off, o.off)
-        top = min(self.off + len(self.c), o.off + len(o.c))
+        if not isinstance(other, Series):
+            return self._scalar(complex(other), op)
+        o, off = other, self.off
+        if o.off == off and o.c.shape == self.c.shape:    # no window to cut
+            a, b = self.c, o.c
+        else:
+            off = min(self.off, o.off)
+            top = min(self.off + len(self.c), o.off + len(o.c))
+            a, b = self._window(off, top), o._window(off, top)
         nz = None
         if self._nz and o._nz:    # conditionals, not max(): the call would cost more
             (ra, wa), (rb, wb) = self._nz, o._nz
             ra, rb = ra + self.off - off, rb + o.off - off
             nz = (ra if ra > rb else rb, wa if wa > wb else wb)
-        return self._new(op(self._window(off, top), o._window(off, top)), off, nz)
+        return self._new(op(a, b), off, nz)
 
     def __add__(self, other):
         return self._combine(other, np.add)
@@ -146,7 +166,8 @@ class Series:
         return self._combine(other, np.subtract)
 
     def __rsub__(self, other):
-        return self._lift(other)._combine(self, np.subtract)
+        # v - s is -s + v to the bit, signed zeros included
+        return (-self)._scalar(complex(other), np.add)
 
     def __neg__(self):
         return self._new(-self.c, self.off, self._nz)
@@ -183,17 +204,21 @@ class Series:
         The new bottom order x^(off-1) is kept unless the series is a plain
         power series from x^0, where it vanishes identically.
         """
-        c = self.rows()
+        if self.c.ndim == 1:
+            out = np.zeros(len(self.c) + 1, dtype=complex)
+            np.multiply(np.arange(self.off, self.off + len(self.c)), self.c, out=out[:-1])
+            if self.off == 0:
+                return self._new(out[1:], 0, None)
+            return self._new(out, self.off - 1, None)
+        c = self.c
         n = np.arange(self.off, self.off + len(c))[:, None]
         if self.omega is None:
             d = n * c
             d[:, :-1] += np.arange(1, c.shape[1]) * c[:, 1:]
         else:
             d = (n + np.arange(c.shape[1]) * self.omega) * c
-        out = np.zeros((len(c) + 1,) + self.c.shape[1:], dtype=complex)
-        out[:-1] = d.reshape((len(c),) + self.c.shape[1:])
-        if self.c.ndim == 1 and self.off == 0:
-            return self._new(out[1:], 0, self._nz)
+        out = np.zeros((len(c) + 1, c.shape[1]), dtype=complex)
+        out[:-1] = d
         return self._new(out, self.off - 1, self._nz)
 
     # -- evaluation ----------------------------------------------------
@@ -259,7 +284,7 @@ def residual_leading_order(res):
 
 
 # ----------------------------------------------------------------------
-# the order-by-order kernel
+# the solve kernels
 
 
 def _lin(theta, s, lam, rows):
@@ -302,53 +327,134 @@ def _move(lin, d, shape, j=0):
     return out
 
 
-def _controlling_row(moves, what):
-    """The first row where one of the moves exceeds 1e-8 of the largest move."""
+# The thresholds of every solve.  A move's controlling row is the first
+# above _REACH of the move's largest entry; the residual rows below it must
+# stay under _NOISE of max(1, largest residual entry); a single slot whose
+# linear coefficient is below _RESONANT of max(1, largest entry of residual
+# plus move) is a resonance; a least-squares solve must be consistent to
+# _CONSISTENT of max(1, largest entry of the controlling residual row).
+_REACH, _NOISE, _RESONANT, _CONSISTENT = 1e-8, 1e-9, 1e-10, 1e-7
+
+
+def _solve_slots(r, moves, c, slots, what, off=0):
+    """Solve the unknown coefficients c[slots] (zero on entry) in place, by
+    least squares: the ln-coefficients of one P_n.
+
+    r is the residual at c, its rows from x^off, and moves[i] the move of r
+    per unit of c[slots[i]] (_move).  The controlling x-order is the first
+    row where a move exceeds _REACH of the largest; every lower order must
+    vanish to _NOISE of the residual, and the system at the controlling
+    order be consistent to _CONSISTENT.  Under the solvers' np.errstate, a
+    residual or move that is not finite (an overflow) raises
+    FloatingPointError.  `what` names the step in error messages.
+    """
+    scale = np.abs(r).max()
+    if not np.isfinite(scale):
+        raise FloatingPointError(f"{what}: the residual is not finite (overflow)")
     reach = np.abs(moves).max(axis=(0, 2))
     top = reach.max()
     if not np.isfinite(top):
         raise FloatingPointError(f"{what}: the move is not finite (overflow)")
     if top == 0:
         raise ObstructionError(f"{what}: coefficient does not enter the residual")
-    return int(np.argmax(reach > 1e-8 * top))
-
-
-def _solve_slots(r, moves, c, slots, what, off=0, m=None):
-    """Solve the unknown coefficients c[slots] (zero on entry) in place.
-
-    r is the residual at c, its rows from x^off on the slots' columns, and
-    moves[i] the move of r per unit of c[slots[i]] (_move).  The controlling
-    x-order m (_controlling_row, unless the caller has found it) is the first
-    where a move exceeds 1e-8 of the largest; every lower order must vanish
-    to 1e-9 of the residual.  One slot, on one column, is solved by division
-    (a linear coefficient below 1e-10 is a resonance); several slots, the
-    ln-coefficients of one P_n, by least squares over the columns of order m,
-    consistent to 1e-7.  Under the solvers' np.errstate, a residual or move
-    that is not finite (an overflow) raises FloatingPointError.  `what` names
-    the step in error messages.
-    """
-    scale = np.abs(r).max()
-    if not np.isfinite(scale):
-        raise FloatingPointError(f"{what}: the residual is not finite (overflow)")
-    m = _controlling_row(moves, what) if m is None else m
-    noise = 1e-9 * max(1.0, scale)
+    m = int(np.argmax(reach > _REACH * top))
+    noise = _NOISE * max(1.0, scale)
     bad = np.nonzero(np.abs(r[:m]).max(axis=1) > noise)[0]
     if len(bad):
         raise ObstructionError(
             f"{what}: residual obstruction at order {off + bad[0]} (resonance?)")
-    if len(slots) == 1:
-        clin = moves[0][m, 0]
-        if abs(clin) < 1e-10 * max(1.0, np.abs(r + moves[0]).max()):
-            raise ResonanceError(f"{what}: resonant (vanishing linear coefficient)")
-        c[slots[0]] = -r[m, 0] / clin
-        return
     A = np.stack([d[m] for d in moves], axis=1)
     sol, *_ = np.linalg.lstsq(A, -r[m], rcond=None)
     resid = np.abs(A @ sol + r[m]).max()
-    if resid > 1e-7 * max(1.0, np.abs(r[m]).max()):
+    if resid > _CONSISTENT * max(1.0, np.abs(r[m]).max()):
         raise ObstructionError(f"{what}: inconsistent linear system (residual {resid:.2e})")
     for s, v in zip(slots, sol):
         c[s] = v
+
+
+def _block_moves(lin, ds):
+    """moves[j]: the move G + d G' + d^2 G''/2 at d = ds[j] (see _move, j = 0)
+    of the residual rows that lin = (G, G', G''/2) covers, one row a slot.
+
+    d^2 is formed in Python, as _move forms it, and each product is numpy's
+    scalar-times-array one, so that every entry keeps the bits of _move's.
+    """
+    g, g1, g2 = (t[:, 0] for t in lin)
+    d = np.array(ds, dtype=complex)[:, None]
+    dd = np.array([v * v for v in ds], dtype=complex)[:, None]
+    return g + d * g1 + dd * g2
+
+
+def _solve_block(r, moves, c, first, wlen, what, off=0, end=None):
+    """Solve the single slots c[first], c[first + 1], .. (zero on entry) in
+    place; return the residual rows each solved slot saw, one row a slot.
+
+    r is the residual on one column, its rows from x^off.  Slot first + j
+    enters it at its own order x^(first + j), above x^off: moves[j][i] is
+    its move (_block_moves) on the row x^(first + j + i), down to r's last
+    row.  It is solved at its controlling order, the first row of the window
+    x^(first + j) .. x^(first + j + wlen - 1) where the move exceeds _REACH
+    of its largest entry there.  With `end`, the block stops before the
+    first later slot whose controlling order reaches x^end.
+
+    Forward substitution adds each solved slot's move to the residual with
+    numpy's array update r += c_j move_j, so that every coefficient keeps
+    the bits of an order-by-order solve.  Then every slot's checks run at
+    once on the residual it saw, through its window: finite, below _NOISE
+    under the controlling row, a linear coefficient above _RESONANT.  The
+    first slot that fails raises what an order-by-order solve raised: its
+    residual is checked before its move at the first slot and in a block
+    without `end`, after it at the later slots of a block with `end`.
+    `what(slot)` names the step in error messages.
+    """
+    count, width = moves.shape
+    rows, start = len(r), first - off
+    A = np.abs(moves[:, :wlen])
+    top = A.max(axis=1)
+    m = start + np.arange(count) + (A > _REACH * top[:, None]).argmax(axis=1)
+    ctrl = m.tolist()
+    broken = (~np.isfinite(top) | (top == 0)).tolist()    # the move, in the window
+    solved = next((j for j in range(count)
+                   if broken[j] or j and end is not None and off + ctrl[j] >= end), count)
+    # each move on the whole column, zero above its slot's row
+    full = np.zeros((count, start + width + count), dtype=complex)
+    step = full.strides[1]
+    np.lib.stride_tricks.as_strided(full[:, start:], moves.shape,
+                                    (full.strides[0] + step, step))[...] += moves
+    full = full[:, :rows]
+    seen = np.empty((solved + 1, rows), dtype=complex)
+    seen[0] = r
+    for j, i in enumerate(ctrl[:solved]):
+        c[first + j] = v = -seen[j, i] / full[j, i]
+        np.add(seen[j], v * full[j], out=seen[j + 1])
+    # the checks of the solved slots and of one whose move stopped the block
+    at = np.arange(min(solved + 1, count))
+    win = start + at + wlen - 1
+    P = np.maximum.accumulate(np.abs(seen[: len(at)]), axis=1)
+    scale = P[at, win]
+    noise = _NOISE * np.maximum(1.0, scale)
+    obstructed = P[at, m[: len(at)] - 1] > noise
+    near = np.maximum.accumulate(np.abs(seen[:solved] + full[:solved]), axis=1)
+    resonant = (np.abs(full[at[:solved], ctrl[:solved]])
+                < _RESONANT * np.maximum(1.0, near[at[:solved], win[:solved]]))
+    failed = (~np.isfinite(scale) | obstructed)[:solved] | resonant
+    if failed.any():
+        j = int(failed.argmax())
+    elif solved < count and broken[solved]:
+        j = solved
+    else:
+        return seen[:solved]
+    name = what(first + j)
+    if j == solved and (j and end is not None or np.isfinite(scale[j])):
+        if np.isfinite(top[j]):
+            raise ObstructionError(f"{name}: coefficient does not enter the residual")
+        raise FloatingPointError(f"{name}: the move is not finite (overflow)")
+    if not np.isfinite(scale[j]):
+        raise FloatingPointError(f"{name}: the residual is not finite (overflow)")
+    if obstructed[j]:
+        bad = int(np.argmax(np.abs(seen[j, : ctrl[j]]) > noise[j]))
+        raise ObstructionError(f"{name}: residual obstruction at order {off + bad} (resonance?)")
+    raise ResonanceError(f"{name}: resonant (vanishing linear coefficient)")
 
 
 # ----------------------------------------------------------------------
@@ -421,14 +527,16 @@ def solve_taylor(theta: ThetaParams, klass: str, a=None, N: int = 12) -> Series:
     Seed the printed coefficients and free parameter (_taylor_seed; a class
     without one rejects `a`), then solve each b_n from the first residual
     order it reaches, on the residual through x^(n + _WINDOW - 1).  The
-    orders come in doubling blocks: at a block start n0 the residual is
-    evaluated, and G (see _move) linearized at lambda = n0, on the rows
-    x^0 .. x^(min(2 n0, N) + W - 1).  Each solved b_n then moves the stored
-    residual rows by x^n G(n), which is exact below x^(2 n0): there the
-    residual is linear in b_n0, b_n0+1, .., and the rows of G that reach
-    them, below x^n0, depend on b_0 .. b_(n0-1) alone.  The block ends at
-    the first order whose controlling row reaches x^(2 n0), so form1 at
-    N = 48 makes 6 residual evaluations and 6 linearizations.
+    orders come in doubling blocks, each one call of _solve_block: at a
+    block start n0 the residual is evaluated, and G (see _move) linearized
+    at lambda = n0, on the rows x^0 .. x^(min(2 n0, N) + W - 1).  The move
+    of b_n is x^n G(n), for every n0 <= n <= min(2 n0, N) at once, and
+    forward substitution adds it to the stored residual once b_n is
+    solved, which is exact below x^(2 n0): there the residual is linear in
+    b_n0, b_n0+1, .., and the rows of G that reach them, below x^n0, depend
+    on b_0 .. b_(n0-1) alone.  The block ends at the first order whose
+    controlling row reaches x^(2 n0), so form1 at N = 48 makes 6 residual
+    evaluations and 6 linearizations.
     """
     if N < 0:
         raise ValueError(f"N = {N}: the order must be at least 0")
@@ -436,21 +544,14 @@ def solve_taylor(theta: ThetaParams, klass: str, a=None, N: int = 12) -> Series:
     b = np.zeros(N + _WINDOW, dtype=complex)
     for k, v in seed.items():
         b[k] = v
-    n0 = None    # the start of the current block
-    for n in range(max(seed) + 1, N + 1):
-        w = n + _WINDOW
-        if n0 is not None:
-            move = _move([t[: rows - n] for t in lin], n - n0, (rows, 1))
-            if (m := _controlling_row([move[:w]], f"order {n}")) >= 2 * n0:
-                n0 = None
-        if n0 is None:
-            n0, rows, m = n, min(2 * n, N) + _WINDOW, None
-            s = Series(b[:rows])
-            res = pvi_residual_series(s, theta).rows()
-            lin = _lin(theta, s, n, rows - n)
-            move = _move(lin, 0, res.shape)
-        _solve_slots(res[:w], [move[:w]], b, [n], f"order {n}", m=m)
-        res += b[n] * move
+    n = max(seed) + 1
+    while n <= N:
+        top = min(2 * n, N)
+        s = Series(b[: top + _WINDOW])
+        res = pvi_residual_series(s, theta).rows()[:, 0]
+        lin = _lin(theta, s, n, top + _WINDOW - n)
+        n += len(_solve_block(res, _block_moves(lin, range(top - n + 1)), b, n, _WINDOW,
+                              "order {}".format, end=2 * n))
     return Series(b[: N + 1])
 
 
@@ -520,9 +621,9 @@ def solve_omega_series(theta: ThetaParams, branch: str, a, K: int = 6, M: int = 
     its move is x^k Y^N G_0(k + N omega) (see _move).  G_0, column 0 of G,
     depends on the Taylor column alone, so it is linearized once.  Column N
     of the residual is linear in the column-N slots, whose products land in
-    columns 2N and up, so it is evaluated once per column, kept as a
-    one-column view, and each solved slot adds its move to it: K = 6, M = 2
-    makes 2 residual evaluations on the Y ring.
+    columns 2N and up, so it is evaluated once per column and solved as one
+    block of _solve_block, each solved slot adding its move to it: K = 6,
+    M = 2 makes 2 residual evaluations on the Y ring.
     """
     if M < 1:
         raise ValueError(f"M = {M}: the family needs at least the column N = 1")
@@ -548,10 +649,8 @@ def solve_omega_series(theta: ThetaParams, branch: str, a, K: int = 6, M: int = 
     g[0, 1] = omega_sign * y0.c[0] / (ti - 1.0)
     for N in range(1, M + 1):
         res = pvi_residual_series(Series(g, omega=omega), theta)
-        r = res.rows()[:, N:N + 1]    # column N, a view the solved slots move
-        for k in range(1 if N == 1 else 0, K + 1):
-            move = _move([t[: K + 3 - k] for t in lin], k + (N - 1) * omega, r.shape)
-            _solve_slots(r[: k + 5], [move[: k + 5]], g, [(k, N)],
-                         f"slot (k={k}, N={N})", res.off)
-            r += g[k, N] * move
+        first = 1 if N == 1 else 0
+        moves = _block_moves(lin, [k + (N - 1) * omega for k in range(first, K + 1)])
+        _solve_block(res.rows()[:, N], moves, g[:, N], first, 3,    # x^k .. x^(k+2)
+                     f"slot (k={{}}, N={N})".format, res.off)
     return Series(g[: K + 1], omega=omega, a=a)

@@ -427,6 +427,21 @@ def test_hypergeom_oracle_deviation(capsys):
     assert json.loads(out)["deviation"] < 1e-8
 
 
+@pytest.mark.parametrize("klass,hypothesis", [
+    ("form2", "th1 = +-thinf and th0 = +-thx"),
+    ("form3", "thinf = 1 and th1 = 0"),
+    ("taylor2", "th0 + thx = 1 and th1 = +-(thinf - 1)"),
+    ("taylor3", "th0 = thx = 0"),
+])
+def test_sweep_rejects_a_class_no_draw_satisfies(capsys, klass, hypothesis):
+    # four independent real thetas never meet the class's relation, so every
+    # row would be an error and no coefficient would come out
+    code, out, err = run_cli(capsys, "sweep", "--class", klass, "--count", "2")
+    assert (code, out) == (2, "")
+    assert err == (f"error: --class {klass} needs {hypothesis}, which no random theta "
+                   "draw satisfies; solve it with `pvilab series`\n")
+
+
 def test_sweep_is_seeded_and_sorted(capsys):
     _, out1, _ = run_cli(capsys, "sweep", "--count", "4", "--order", "4",
                          "--seed", "11")

@@ -1,6 +1,7 @@
 """Closed-form monodromy constructors, trace identity, and inversions."""
 
 import cmath
+import itertools
 import math
 
 import numpy as np
@@ -77,6 +78,40 @@ def test_discover_order_finds_planted_product():
     m0, mx, m1 = sl2(), sl2(), sl2()
     found = discover_order(m0, mx, m1, mx @ m0 @ m1)
     assert "Mx*M0*M1" in found
+
+
+def _matmul_order(M0, Mx, M1, Minf):
+    """discover_order through numpy's matrix products, the reference."""
+    mats = {"M0": M0, "Mx": Mx, "M1": M1}
+    scale = max(np.max(np.abs(M)) for M in (M0, Mx, M1, Minf))
+    found = []
+    for perm in itertools.permutations(mats):
+        P = mats[perm[0]] @ mats[perm[1]] @ mats[perm[2]]
+        if np.max(np.abs(P - Minf)) < 1e-8 * scale:
+            found.append("*".join(perm))
+        if np.max(np.abs(P @ Minf - np.eye(2))) < 1e-8 * scale:
+            found.append("*".join(perm) + "=inv")
+    return tuple(found)
+
+
+def test_discover_order_matches_the_matrix_product_reference():
+    # every ordering planted as Minf or its inverse, on commuting and generic
+    # triples, and a Minf that no ordering reproduces
+    rng = np.random.default_rng(11)
+
+    def sl2():
+        m = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        return m / np.sqrt(complex(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]))
+
+    for trial in range(20):
+        m0, mx, m1 = sl2(), sl2(), (sl2() if trial % 4 else np.diag([1j, -1j]))
+        if trial % 5 == 0:
+            mx = m0 @ m0
+        mats = {"M0": m0, "Mx": mx, "M1": m1}
+        for perm in itertools.permutations(mats):
+            P = mats[perm[0]] @ mats[perm[1]] @ mats[perm[2]]
+            for target in (P, np.linalg.inv(P), P + 1e-3):
+                assert discover_order(m0, mx, m1, target) == _matmul_order(m0, mx, m1, target)
 
 
 def test_check_identity_trace_only_path():

@@ -2,10 +2,10 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from pvilab import series
-from pvilab.pvi import ResonanceError, ThetaParams, pvi_residual_series
+from pvilab.pvi import ResonanceError, ThetaParams, _theta_draw, pvi_residual_series
 from pvilab.series import (TAYLOR_CLASSES, ObstructionError, Series,
                            TrustRadiusWarning, residual_leading_order,
                            solve_log_series, solve_omega_series, solve_taylor)
@@ -170,6 +170,23 @@ def test_block_product_matches_the_padded_product(pair):
     for s in (a, b, got, total):
         rows, cols = s._nz
         assert not s.rows()[rows:].any() and not s.rows()[:, cols:].any()
+
+
+@pytest.mark.parametrize("shape,off", [((6,), 0), ((6,), -2), ((6,), 1), ((5, 3), -2),
+                                       ((5, 3), 0)])
+def test_scalar_sum_is_the_lifted_monomial_sum_bit_for_bit(shape, off):
+    """s + v, s - v and v - s equal the sums with the monomial v x^0 at the
+    truncation of s, signed zeros included, and carry its block bound."""
+    c = np.zeros(shape, dtype=complex)
+    c.flat[::2] = complex(-0.0, -0.0)
+    c.flat[1::3] = 1.5 - 2.5j
+    c[2:] = 0    # below the lift's row at off = -2, so that the lift raises the bound
+    s = Series(c, off, None if len(shape) == 1 else 0.3 + 0.1j)
+    v = -0.0 if off else 0.25 - 1j
+    lift = s._monomial(v, 0)
+    for got, want in ((s + v, s._combine(lift, np.add)), (s - v, s._combine(lift, np.subtract)),
+                      (v - s, lift._combine(s, np.subtract))):
+        assert (got.off, got._nz, got.c.tobytes()) == (want.off, want._nz, want.c.tobytes())
 
 
 def test_residual_leading_order_reads_the_offset():
@@ -400,16 +417,42 @@ def _recorded_solves(monkeypatch):
     solves = {}
     solve_slots = series._solve_slots
 
-    def recording(r, mv, c, slots, what, off=0, m=None):
+    def recording(r, mv, c, slots, what, off=0):
         solves[slots[0]] = (r.copy(), [d.copy() for d in mv])
-        return solve_slots(r, mv, c, slots, what, off, m)
+        return solve_slots(r, mv, c, slots, what, off)
     monkeypatch.setattr(series, "_solve_slots", recording)
     return solves
 
 
-def _omega_solves(solves):
-    """The (k, N) slots of a solve_omega_series record, without its Taylor column."""
-    return {s: v for s, v in solves.items() if isinstance(s, tuple)}
+def _recorded_blocks(monkeypatch):
+    """[(first, off, moves, seen)] for every _solve_block call, copied: the
+    first slot, the residual's first x-order, the block's move rows, and the
+    residual each solved slot saw."""
+    blocks = []
+    solve_block = series._solve_block
+
+    def recording(r, moves, c, first, wlen, what, off=0, end=None):
+        seen = solve_block(r, moves, c, first, wlen, what, off, end)
+        blocks.append((first, off, moves.copy(), seen.copy()))
+        return seen
+    monkeypatch.setattr(series, "_solve_block", recording)
+    return blocks
+
+
+def _taylor_slots(blocks):
+    """{n: (move row from x^n, residual seen)} over the solved orders."""
+    return {first + j: (moves[j], row) for first, _, moves, seen in blocks
+            for j, row in enumerate(seen)}
+
+
+def _omega_slots(blocks):
+    """{(k, N): (move row from x^k, residual seen)} of a solve_omega_series
+    record: after the blocks of its Taylor column, which have off = 0, one
+    block per column N, on the rows from x^-2."""
+    cols = [b for b in blocks if b[1] != 0]
+    return {(first + j, N): (moves[j], row)
+            for N, (first, _, moves, seen) in enumerate(cols, 1)
+            for j, row in enumerate(seen)}
 
 
 LOG_CASES = [
@@ -443,19 +486,22 @@ def test_assembled_log_move_matches_the_probed_move(monkeypatch, shape, theta):
 @pytest.mark.parametrize("branch", ["form1", "riuffa"])
 @pytest.mark.parametrize("omega_sign", [1, -1])
 def test_assembled_omega_move_matches_the_probed_move(monkeypatch, branch, omega_sign):
-    solves = _recorded_solves(monkeypatch)
+    blocks = _recorded_blocks(monkeypatch)
     K, M = 6, 3
     om = solve_omega_series(TH, branch, a=0.15, K=K, M=M, omega_sign=omega_sign)
-    moves = _omega_solves(solves)
-    assert len(moves) == K + (M - 1) * (K + 1)
-    for (k, N), (_, (got,)) in moves.items():
+    slots = _omega_slots(blocks)
+    assert len(slots) == K + (M - 1) * (K + 1)
+    for (k, N), (move, _) in slots.items():
         # the columns below N solved, column N through x^(k-1)
         base = np.zeros((k + 5, M + 1), dtype=complex)
         base[: min(k + 5, K + 1), :N] = om.c[: k + 5, :N]
         base[:k, N] = om.c[:k, N]
         _, want = _probe(lambda v: pvi_residual_series(Series(v, omega=om.omega), TH),
                          base, (k, N))
-        want = want[:, N:N + 1]
+        want = want[:, N]
+        # the kernel's move of the rows x^k .. x^(k+2), zero on x^-2 .. x^(k-1)
+        got = np.zeros(k + 5, dtype=complex)
+        got[k + 2:] = move[:3]
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
@@ -473,8 +519,8 @@ def _all_probe_omega(theta, branch, K, M):
             res, move = _probe(
                 lambda v: pvi_residual_series(Series(v[: k + 5], omega=omega), theta),
                 g, (k, N), 1.0)
-            series._solve_slots(res.rows()[:, N:N + 1], [move[:, N:N + 1]], g, [(k, N)],
-                                f"slot {k, N}", res.off)
+            _ref_solve_one(res.rows()[:, N:N + 1], move[:, N:N + 1], g, (k, N),
+                           f"slot {k, N}", res.off)
     return g[: K + 1]
 
 
@@ -511,16 +557,17 @@ TAYLOR_BASE = [
 
 @pytest.mark.parametrize("klass,theta,a", TAYLOR_BASE, ids=[k for k, _, _ in TAYLOR_BASE])
 def test_assembled_taylor_move_matches_the_probed_move(monkeypatch, klass, theta, a):
-    solves = _recorded_solves(monkeypatch)
+    blocks = _recorded_blocks(monkeypatch)
     b = solve_taylor(theta, klass, a=a, N=48).c
+    slots = _taylor_slots(blocks)
     for n in range(11, 49):
         # the rows x^0 .. x^(n+7), linear in b_n; b_0 .. b_(n-1) from b
         c = np.zeros(n + 8, dtype=complex)
         c[:n] = b[:n]
         _, want = _probe(lambda v: pvi_residual_series(Series(v), theta), c, n)
         assert not want[:n].any()
-        got = solves[n][1][0]
-        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+        got = slots[n][0][:8]    # the kernel's move of the rows x^n .. x^(n+7)
+        assert np.abs(got - want[n:, 0]).max() <= 1e-12 * np.abs(want).max()
 
 
 def _all_probe_taylor(theta, klass, a, N):
@@ -532,7 +579,7 @@ def _all_probe_taylor(theta, klass, a, N):
     for n in range(max(seed) + 1, N + 1):
         res, move = _probe(lambda v: pvi_residual_series(Series(v[: n + 8]), theta),
                            b, n, 1.0)
-        series._solve_slots(res.rows(), [move], b, [n], f"order {n}")
+        _ref_solve_one(res.rows(), move, b, n, f"order {n}")
     return b[: N + 1]
 
 
@@ -552,45 +599,292 @@ def test_taylor_evaluates_once_per_doubling_block(monkeypatch):
                      for c in (("res", rows), ("lin", rows, rows - n0))]
 
 
-def _assert_exact_through_controlling_row(got, fresh, moves):
-    """The residual rows a solve receives match a fresh evaluation at and
-    below the row it solves, to 1e-12 of their largest entry or of 1, the
-    scale of _solve_slots' noise floor.  The floor matters on decaying
+def _assert_exact_through_controlling_row(got, fresh, m):
+    """The residual rows a slot sees match a fresh evaluation at and below
+    its controlling row m, to 1e-12 of their largest entry or of 1, the
+    scale of the kernel's noise floor.  The floor matters on decaying
     series: at the taylor1+ base point row m is 4e-5, and the rows below it,
     zero up to rounding, differ by 6e-17."""
-    m = series._controlling_row(moves, "")
     scale = max(1.0, np.abs(fresh[: m + 1]).max())
     assert np.abs(got[: m + 1] - fresh[: m + 1]).max() <= 1e-12 * scale
 
 
 @pytest.mark.parametrize("klass,theta,a", TAYLOR_BASE, ids=[k for k, _, _ in TAYLOR_BASE])
 def test_taylor_block_residual_matches_a_fresh_evaluation(monkeypatch, klass, theta, a):
-    solves = _recorded_solves(monkeypatch)
+    blocks = _recorded_blocks(monkeypatch)
     b = solve_taylor(theta, klass, a=a, N=48).c
-    for n, (got, moves) in solves.items():
+    for n, (move, got) in _taylor_slots(blocks).items():
         # b_0 .. b_(n-1) solved, the rest zero, on the rows x^0 .. x^(n+7)
         c = np.zeros(n + 8, dtype=complex)
         c[:n] = b[:n]
-        fresh = pvi_residual_series(Series(c), theta).rows()
-        _assert_exact_through_controlling_row(got, fresh, moves)
+        fresh = pvi_residual_series(Series(c), theta).rows()[:, 0]
+        m = n + _ref_controlling_row(move[:8, None], "")    # from x^n on
+        _assert_exact_through_controlling_row(got, fresh, m)
 
 
 @pytest.mark.parametrize("branch", ["form1", "riuffa"])
 @pytest.mark.parametrize("omega_sign", [1, -1])
 def test_omega_column_residual_matches_a_fresh_evaluation(monkeypatch, branch, omega_sign):
-    solves = _recorded_solves(monkeypatch)
+    blocks = _recorded_blocks(monkeypatch)
     K, M = 6, 3
     om = solve_omega_series(TH, branch, a=0.15, K=K, M=M, omega_sign=omega_sign)
-    for (k, N), (got, moves) in _omega_solves(solves).items():
+    for (k, N), (move, got) in _omega_slots(blocks).items():
         # the columns below N solved, column N through x^(k-1), on x^-2 .. x^(k+2)
         base = np.zeros((k + 5, M + 1), dtype=complex)
         base[: min(k + 5, K + 1), :N] = om.c[: k + 5, :N]
         base[:k, N] = om.c[:k, N]
-        fresh = pvi_residual_series(Series(base, omega=om.omega), TH).rows()[:, N:N + 1]
-        _assert_exact_through_controlling_row(got, fresh, moves)
+        fresh = pvi_residual_series(Series(base, omega=om.omega), TH).rows()[:, N]
+        m = k + 2 + _ref_controlling_row(move[:3, None], "")    # from x^k on
+        _assert_exact_through_controlling_row(got, fresh, m)
 
 
 @pytest.mark.parametrize("klass", ["form1", "riuffa", "taylor1+", "taylor1-"])
 def test_taylor_class_without_free_parameter_rejects_a(klass):
     with pytest.raises(ValueError, match="has no free parameter: a = "):
         solve_taylor(TH, klass, a=5.0, N=4)
+
+
+# ----------------------------------------------------------------------
+# the order-by-order solves that _solve_block replaced, kept as its reference
+
+
+def _ref_controlling_row(move, what):
+    """The first row where the move exceeds 1e-8 of its largest entry."""
+    reach = np.abs(move).max(axis=1)
+    top = reach.max()
+    if not np.isfinite(top):
+        raise FloatingPointError(f"{what}: the move is not finite (overflow)")
+    if top == 0:
+        raise ObstructionError(f"{what}: coefficient does not enter the residual")
+    return int(np.argmax(reach > 1e-8 * top))
+
+
+def _ref_solve_one(r, move, c, slot, what, off=0, m=None):
+    """Solve c[slot] from the residual rows r (from x^off) and its move, both
+    (rows, 1), at the controlling row m (found here if None), after the
+    checks: r finite, zero to 1e-9 below m, linear coefficient above 1e-10."""
+    scale = np.abs(r).max()
+    if not np.isfinite(scale):
+        raise FloatingPointError(f"{what}: the residual is not finite (overflow)")
+    m = _ref_controlling_row(move, what) if m is None else m
+    noise = 1e-9 * max(1.0, scale)
+    bad = np.nonzero(np.abs(r[:m]).max(axis=1) > noise)[0]
+    if len(bad):
+        raise ObstructionError(
+            f"{what}: residual obstruction at order {off + bad[0]} (resonance?)")
+    clin = move[m, 0]
+    if abs(clin) < 1e-10 * max(1.0, np.abs(r + move).max()):
+        raise ResonanceError(f"{what}: resonant (vanishing linear coefficient)")
+    c[slot] = -r[m, 0] / clin
+
+
+def _ref_move(lin, d, rows):
+    """The move x^k G(lambda_0 + d) in the last len(lin[0]) of `rows` rows."""
+    g, g1, g2 = lin
+    out = np.zeros((rows, 1), dtype=complex)
+    out[-len(g):] += g + d * g1 + d * d * g2
+    return out
+
+
+def _per_order_block(r, moves, c, first, wlen, what, off=0, end=None):
+    """_solve_block's arguments through the per-order loop: a slot inside a
+    block with `end` checks its move before the residual."""
+    r, rows, start = r.copy()[:, None], len(r), first - off
+    for j, t in enumerate(moves):
+        n, w = first + j, start + j + wlen
+        move = np.zeros((rows, 1), dtype=complex)
+        move[start + j:] += t[: rows - start - j, None]
+        m = None
+        if j and end is not None:
+            m = _ref_controlling_row(move[:w], what(n))
+            if off + m >= end:
+                return j
+        _ref_solve_one(r[:w], move[:w], c, n, what(n), off, m)
+        r += c[n] * move
+    return len(moves)
+
+
+def _per_order_taylor(theta, klass, a=None, N=12):
+    """solve_taylor order by order, in doubling blocks of one linearization."""
+    seed = series._taylor_seed(theta, klass, a)
+    b = np.zeros(N + 8, dtype=complex)
+    for k, v in seed.items():
+        b[k] = v
+    n0 = None
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in range(max(seed) + 1, N + 1):
+            w = n + 8
+            if n0 is not None:
+                move = _ref_move([t[: rows - n] for t in lin], n - n0, rows)
+                if (m := _ref_controlling_row(move[:w], f"order {n}")) >= 2 * n0:
+                    n0 = None
+            if n0 is None:
+                n0, rows, m = n, min(2 * n, N) + 8, None
+                s = Series(b[:rows])
+                res = pvi_residual_series(s, theta).rows()
+                lin = series._lin(theta, s, n, rows - n)
+                move = _ref_move(lin, 0, rows)
+            _ref_solve_one(res[:w], move[:w], b, n, f"order {n}", m=m)
+            res += b[n] * move
+    return b[: N + 1]
+
+
+def _per_order_omega(theta, branch, a, K, M, omega_sign=1):
+    """solve_omega_series slot by slot on one residual per column."""
+    _, _, t1, ti = theta.as_tuple()
+    omega = omega_sign * (t1 + ti - 1.0 if branch == "riuffa" else ti - t1 - 1.0)
+    y0 = _per_order_taylor(theta, branch, N=K)
+    g = np.zeros((K + 5, M + 1), dtype=complex)
+    g[: K + 1, 0] = y0
+    with np.errstate(over="ignore", invalid="ignore"):
+        lin = series._lin(theta, Series(g[:, :1], omega=omega), omega, K + 3)
+        g[0, 1] = omega_sign * y0[0] / (ti - 1.0)
+        for N in range(1, M + 1):
+            res = pvi_residual_series(Series(g, omega=omega), theta)
+            r = res.rows()[:, N:N + 1]
+            for k in range(1 if N == 1 else 0, K + 1):
+                move = _ref_move([t[: K + 3 - k] for t in lin], k + (N - 1) * omega, K + 5)
+                _ref_solve_one(r[: k + 5], move[: k + 5], g, (k, N),
+                               f"slot (k={k}, N={N})", res.off)
+                r += g[k, N] * move
+    return g[: K + 1]
+
+
+def _outcome(solve, *args, **kw):
+    """The coefficients' bytes, or the error's type and message."""
+    try:
+        return solve(*args, **kw).c.tobytes()
+    except (ArithmeticError, RuntimeError, ValueError) as e:
+        return type(e), str(e)
+
+
+def _ref_outcome(solve, *args, **kw):
+    try:
+        return solve(*args, **kw).tobytes()
+    except (ArithmeticError, RuntimeError, ValueError) as e:
+        return type(e), str(e)
+
+
+@pytest.mark.parametrize("N", [1, 6, 12, 48])
+@pytest.mark.parametrize("klass,theta,a", TAYLOR_BASE, ids=[k for k, _, _ in TAYLOR_BASE])
+def test_taylor_block_solve_keeps_the_per_order_bits(klass, theta, a, N):
+    assert _outcome(solve_taylor, theta, klass, a=a, N=N) == \
+        _ref_outcome(_per_order_taylor, theta, klass, a, N)
+
+
+@pytest.mark.parametrize("K,M", [(0, 2), (4, 1), (6, 2), (10, 3)])    # K = 0: an empty N = 1 block
+@pytest.mark.parametrize("branch", ["form1", "riuffa"])
+@pytest.mark.parametrize("omega_sign", [1, -1])
+@pytest.mark.parametrize("theta", [TH, ThetaParams(0.23, 0.57, 0.31 + 0.2j, 0.44)],
+                         ids=["real", "complex"])
+def test_omega_block_solve_keeps_the_per_order_bits(K, M, branch, omega_sign, theta):
+    # a complex omega makes d = k + (N - 1) omega complex, whose square numpy's
+    # array product rounds differently from _move's Python product
+    got = solve_omega_series(theta, branch, a=0.15, K=K, M=M, omega_sign=omega_sign).c
+    assert got.tobytes() == _per_order_omega(theta, branch, 0.15, K, M, omega_sign).tobytes()
+
+
+def test_block_solve_raises_the_per_order_errors_of_the_taylor1p_sweep():
+    # the draws of `pvilab sweep --class taylor1+ --count 64 --order 48 --seed 1`
+    rng = np.random.default_rng(1)
+    draws = [_theta_draw(rng) for _ in range(64)]
+    got = [_outcome(solve_taylor, th, "taylor1+", N=48) for th in draws]
+    assert got == [_ref_outcome(_per_order_taylor, th, "taylor1+", None, 48) for th in draws]
+    # 19 resonances at orders 5 .. 32, at block starts (b_1 is seeded, so
+    # blocks start at 2, 4, 8, 16, 32) and inside blocks
+    errors = [e for e in got if isinstance(e, tuple)]
+    assert {e[0] for e in errors} == {ResonanceError}
+    orders = {int(e[1].split()[1].rstrip(":")) for e in errors}
+    assert len(errors) == 19 and min(orders) == 5 and max(orders) == 32
+    assert orders & {2, 4, 8, 16, 32} and orders - {2, 4, 8, 16, 32}
+
+
+@pytest.mark.parametrize("theta,klass,a,N", [
+    (ThetaParams(0.3, 0.3, -1.5, 1.5), "form2", 1e100, 12),
+    (ThetaParams(0.3, 0.5, 0.0, 1.0), "form3", 1e300, 12),
+])
+def test_block_solve_raises_the_per_order_overflow(theta, klass, a, N):
+    got = _outcome(solve_taylor, theta, klass, a=a, N=N)
+    assert got == _ref_outcome(_per_order_taylor, theta, klass, a, N)
+    assert got[0] is FloatingPointError
+
+
+@pytest.mark.parametrize("theta,branch", [(ThetaParams(0.23, 0.57, 0.31, 0.81), "form1"),
+                                          (ThetaParams(0.23, 0.57, 0.2, 0.3), "riuffa")])
+def test_omega_block_solve_raises_the_per_order_obstruction(theta, branch):
+    # omega = -1/2: the column N = 3 obstructs at its first solved slot
+    got = _outcome(solve_omega_series, theta, branch, 0.15, K=10, M=3)
+    assert got == _ref_outcome(_per_order_omega, theta, branch, 0.15, 10, 3)
+    assert got == (ObstructionError,
+                   "slot (k=1, N=3): residual obstruction at order 1 (resonance?)")
+
+
+@st.composite
+def _faulty_block(draw):
+    """_solve_block arguments with planted faults: a slot whose move is zero,
+    not finite, tiny at its own row or zero in its first rows, residual rows
+    that are infinite, overflow in the substitution or stay nonzero below
+    the controlling row, in a block with or without `end`."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    count, wlen, first, off = draw(st.integers(1, 5)), draw(st.integers(1, 4)), \
+        draw(st.integers(1, 4)), draw(st.sampled_from([0, -2]))
+    start = first - off
+    rows = start + count + wlen + draw(st.integers(0, 3))
+    moves = rng.normal(size=(count, rows - start)) + 1j * rng.normal(size=(count, rows - start))
+    r = np.zeros(rows, dtype=complex)
+    r[start:] = rng.normal(size=rows - start)
+    for _ in range(draw(st.integers(0, 3))):
+        j, i = draw(st.integers(0, count - 1)), draw(st.integers(0, wlen - 1))
+        fault = draw(st.sampled_from(["zero", "inf", "nan", "tiny", "huge", "overflow",
+                                      "below", "late"]))
+        if fault == "zero":
+            moves[j, :wlen] = 0
+        elif fault in ("inf", "nan"):
+            moves[j, i] = np.inf if fault == "inf" else np.nan
+        elif fault == "tiny":
+            moves[j, 0] = 1e-12
+        elif fault == "huge":
+            r[draw(st.integers(0, rows - 1))] = np.inf
+        elif fault == "overflow":
+            # a move past its window that carries the later rows past 1e308
+            moves[j, i + 1:] = 1e307
+        elif fault == "below":
+            r[draw(st.integers(0, start + j))] = 1e-3
+        else:
+            moves[j, : i + 1] = 0
+    end = draw(st.sampled_from([None, first + 1, first + 2, first + count]))
+    return r, moves, first, wlen, off, end
+
+
+def _late_faults(end):
+    """A block whose second slot has an infinite move and sees an infinite
+    residual row that the first slot's window does not reach."""
+    moves = np.ones((2, 6), dtype=complex)
+    moves[1, 0] = np.inf
+    r = np.zeros(7, dtype=complex)
+    r[1], r[3] = 1.0, np.inf
+    return r, moves, 1, 2, 0, end
+
+
+@given(block=_faulty_block())
+@example(block=_late_faults(end=3))     # the move is checked first inside a block
+@example(block=_late_faults(end=None))  # the residual first at every slot of an omega column
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_block_kernel_solves_and_raises_as_the_per_order_loop(block):
+    """On any block, the kernel solves the slots the per-order loop solved,
+    to the bit, or raises the error that loop raised, where it raised it
+    (the solvers then drop the coefficients, which the kernel has written
+    past the failing slot)."""
+    r, moves, first, wlen, off, end = block
+    what = "order {}".format
+    got, want = np.zeros(first + len(moves), complex), np.zeros(first + len(moves), complex)
+    outcomes = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for solve, c in ((series._solve_block, got), (_per_order_block, want)):
+            try:
+                out = solve(r, moves, c, first, wlen, what, off, end)
+                outcomes.append(out if isinstance(out, int) else len(out))
+            except (ArithmeticError, RuntimeError, ValueError) as e:
+                outcomes.append((type(e), str(e)))
+    assert outcomes[0] == outcomes[1]
+    assert isinstance(outcomes[0], tuple) or got.tobytes() == want.tobytes()
