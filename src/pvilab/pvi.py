@@ -4,7 +4,9 @@ The residual operator and its partials are written once over duck-typed
 "ring elements": anything with +, -, * (including scalars on either side)
 works, so the same expression serves pointwise complex evaluation and every
 kind of the truncated series ring in series.py (plain power, log-polynomial
-and x^omega double series).
+and x^omega double series).  Both are formed from one set of shared factors
+(`_factors`), so that pvi_residual_series can return the residual and the
+partials from one pass, the partials on fewer rows.
 """
 
 from __future__ import annotations
@@ -125,26 +127,20 @@ def pvi_rhs(x: complex, y: complex, yp: complex, p: AbgdParams) -> complex:
     return t1 - t2 + pref * bracket
 
 
-def pvi_residual_expr(x, y, yp, ypp, theta: ThetaParams):
-    """PVI residual times the common denominator x^2 (x-1)^2 y (y-1) (y-x).
-
-    Generic over the ring of x, y: vanishes identically (as a polynomial)
-    on exact solutions, including the singular ones, instead of hitting 0/0.
-    """
-    p = theta_to_abgd(theta)
-    x2 = x * x
-    xm1 = x - 1.0
-    xm1_2 = xm1 * xm1
-    ym1 = y - 1.0
-    ymx = y - x
+def _factors(x, y):
+    """The factors the residual and its partials share: x-1, (x-1)^2, y-1,
+    y-x, y (y-1), u = y (y-1) (y-x), v = (y-1) (y-x) and w = y (y-x)."""
+    xm1, ym1, ymx = x - 1.0, y - 1.0, y - x
     yy1 = y * ym1
+    return xm1, xm1 * xm1, ym1, ymx, yy1, yy1 * ymx, ym1 * ymx, y * ymx
+
+
+def _residual(p: AbgdParams, x, yp, ypp, xm1, xm1_2, ym1, ymx, yy1, u, v, w):
+    x2 = x * x
     # each shared product once, with its operands in the order of the
     # textbook form, so that the result keeps its bytes
     q = x2 * xm1_2          # x^2 (x-1)^2
     qy = q * yy1            # x^2 (x-1)^2 y (y-1)
-    u = yy1 * ymx           # y (y-1) (y-x)
-    v = ym1 * ymx           # (y-1) (y-x)
-    w = y * ymx             # y (y-x)
     r = qy * ymx * ypp      # the full denominator times y''
     r = r - 0.5 * q * (v + w + yy1) * (yp * yp)
     r = r + (x * xm1_2 + x2 * xm1) * yy1 * ymx * yp + qy * yp
@@ -155,27 +151,10 @@ def pvi_residual_expr(x, y, yp, ypp, theta: ThetaParams):
     return r
 
 
-def pvi_linearization_expr(x, y, yp, ypp, theta: ThetaParams):
-    """(F0, F1, F2): the partials of pvi_residual_expr in y, y' and y'',
-    the last two divided by x and x^2.
-
-    Every y' in the residual carries a factor x and every y'' a factor x^2,
-    so all three are polynomials, and a change delta of y moves the residual
-    by F0 delta + F1 x delta' + F2 x^2 delta'' to first order.  Generic over
-    the ring of x, y, like pvi_residual_expr.
-    """
-    p = theta_to_abgd(theta)
-    xm1 = x - 1.0
-    xm1_2 = xm1 * xm1
+def _linearization(p: AbgdParams, y, x, yp, ypp, xm1, xm1_2, ym1, ymx, yy1, u, v, w):
     xx1 = x * xm1           # x (x-1)
     xq = x * xm1_2          # x (x-1)^2
     q = x * xq              # x^2 (x-1)^2
-    ym1 = y - 1.0
-    ymx = y - x
-    yy1 = y * ym1
-    u = yy1 * ymx           # y (y-1) (y-x)
-    v = ym1 * ymx
-    w = y * ymx
     s = v + w + yy1         # du/dy
     ty = y + ym1            # 2y - 1, the y-derivative of y (y-1)
     f2 = xm1_2 * u
@@ -187,16 +166,40 @@ def pvi_linearization_expr(x, y, yp, ypp, theta: ThetaParams):
     return f0, f1, f2
 
 
-def pvi_residual_series(series, theta: ThetaParams):
+def pvi_residual_expr(x, y, yp, ypp, theta: ThetaParams):
+    """PVI residual times the common denominator x^2 (x-1)^2 y (y-1) (y-x).
+
+    Generic over the ring of x, y: vanishes identically (as a polynomial)
+    on exact solutions, including the singular ones, instead of hitting 0/0.
+    """
+    return _residual(theta_to_abgd(theta), x, yp, ypp, *_factors(x, y))
+
+
+def pvi_linearization_expr(x, y, yp, ypp, theta: ThetaParams):
+    """(F0, F1, F2): the partials of pvi_residual_expr in y, y' and y'',
+    the last two divided by x and x^2.
+
+    Every y' in the residual carries a factor x and every y'' a factor x^2,
+    so all three are polynomials, and a change delta of y moves the residual
+    by F0 delta + F1 x delta' + F2 x^2 delta'' to first order.  Generic over
+    the ring of x, y, like pvi_residual_expr.
+    """
+    return _linearization(theta_to_abgd(theta), y, x, yp, ypp, *_factors(x, y))
+
+
+def pvi_residual_series(series, theta: ThetaParams, rows=0):
     """Residual of a series object; returns the residual in the same ring.
 
     Any ring works whose elements provide .variable() (the element x at the
-    same truncation) and .deriv(), such as series.Series of any kind.
+    same truncation), .deriv() and .head(rows) (the first `rows` rows), such
+    as series.Series of any kind.  With rows > 0 the same pass also forms
+    (F0, F1, F2) of pvi_linearization_expr from its x, y, y', y'' and shared
+    factors, each cut by .head(rows), and returns (residual, (F0, F1, F2)).
     """
-    x = series.variable()
-    yp = series.deriv()
-    ypp = yp.deriv()
-    return pvi_residual_expr(x, series, yp, ypp, theta)
+    x, yp = series.variable(), series.deriv()
+    ops, p = (x, yp, yp.deriv()) + _factors(x, series), theta_to_abgd(theta)
+    r = _residual(p, *ops)
+    return (r, _linearization(p, *(t.head(rows) for t in (series,) + ops))) if rows else r
 
 
 # ----------------------------------------------------------------------

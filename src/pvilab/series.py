@@ -17,10 +17,10 @@ the block's rows the residual is linear in the block's coefficients, so it
 is evaluated once, every order's move is a row of one matrix
 (`_block_moves`), and forward substitution adds each solved coefficient's
 move to the stored residual.  A Taylor block from n0 holds while the
-controlling order stays below x^(2 n0); an omega block is one column of the
-double series.  The log solver evaluates the residual once per order and
-solves the ln-coefficients of each P_n together by least squares (`_move`,
-`_solve_slots`).
+controlling order stays below x^(2 n0), its residual and partials from
+one pass; an omega block is one column of the double series.  The log
+solver evaluates the residual once per order and solves the ln-coefficients
+of each P_n together by least squares (`_moves`, `_solve_slots`).
 """
 
 from __future__ import annotations
@@ -104,16 +104,21 @@ class Series:
         out.c, out.off, out.omega, out.a, out.meta, out._nz = c, off, self.omega, self.a, {}, nz
         return out
 
+    def head(self, rows):
+        """self truncated to its first `rows` rows, as a product with a shorter operand is."""
+        return self._new(self.c[:rows], self.off, self._nz and (min(self._nz[0], rows), self._nz[1]))
+
     def rows(self):
         """c as a (rows, width) view."""
         return self.c.reshape(len(self.c), -1)
 
     def _monomial(self, value, order):
-        """value x^order at the same truncation as self."""
-        c, k = np.zeros_like(self.c), order - self.off
-        if 0 <= k < len(c):
+        """value x^order at the truncation of self, from x^order if below self.off."""
+        off = min(order, self.off)
+        c, k = np.zeros((self.off + len(self.c) - off,) + self.c.shape[1:], dtype=complex), order - off
+        if k < len(c):
             c.reshape(len(c), -1)[k, 0] = value
-        return self._new(c, self.off, self._nz and (k + 1 if k > 0 else 1, 1))
+        return self._new(c, off, self._nz and (k + 1, 1))
 
     def variable(self):
         return self._monomial(1.0, 1)
@@ -130,18 +135,18 @@ class Series:
     def _scalar(self, value, op):
         """op(self, value) for a number lifted to value x^0 at the truncation
         of self: the other entries meet the lift's zeros, as through a
-        monomial, so that signed zeros come out the same."""
-        out, k = op(self.c, 0.0), -self.off
-        if 0 <= k < len(out):
-            out.reshape(len(out), -1)[k, 0] = op(self.rows()[k, 0], value)
-        nz = self._nz
-        if nz:
-            rows = k + 1 if k > 0 else 1
-            nz = (nz[0] if nz[0] > rows else rows, nz[1])
-        return self._new(out, self.off, nz)
+        monomial, so that signed zeros come out the same.  A series from
+        above x^0 is first extended down to x^0 with zero rows."""
+        c, off, nz = self.c, self.off, self._nz
+        if off > 0:
+            c, nz, off = self._window(0, off + len(c)), nz and (nz[0] + off, nz[1]), 0
+        out, k = op(c, 0.0), -off
+        if k < len(out):
+            out.reshape(len(out), -1)[k, 0] = op(c.reshape(len(c), -1)[k, 0], value)
+        return self._new(out, off, nz and (nz[0] if nz[0] > k else k + 1, nz[1]))
 
     def _combine(self, other, op):
-        if not isinstance(other, Series):
+        if other.__class__ is not Series:
             return self._scalar(complex(other), op)
         o, off = other, self.off
         if o.off == off and o.c.shape == self.c.shape:    # no window to cut
@@ -166,19 +171,18 @@ class Series:
         return self._combine(other, np.subtract)
 
     def __rsub__(self, other):
-        # v - s is -s + v to the bit, signed zeros included
-        return (-self)._scalar(complex(other), np.add)
+        return self._scalar(complex(other), lambda c, v: v - c)
 
     def __neg__(self):
         return self._new(-self.c, self.off, self._nz)
 
     def __mul__(self, other):
-        if not isinstance(other, Series):
+        if other.__class__ is not Series:
             return self._new(self.c * complex(other), self.off, self._nz)
-        n = min(len(self.c), len(other.c))
-        off = self.off + other.off
-        if self.c.ndim == 1:
-            return self._new(np.convolve(self.c, other.c)[:n], off, None)
+        a, b = self.c, other.c
+        n, off = len(a) if len(a) < len(b) else len(b), self.off + other.off
+        if self._nz is None:
+            return self._new(np.convolve(a, b)[:n], off, None)
         # the occupied blocks, c[:ra, :wa] and d[:rb, :wb], in rows padded to
         # stride s = wa + wb - 1: c[i, p] d[j, q] lands on row i + j, column
         # p + q < s, so one 1-D convolution does the 2-D one; the product keeps
@@ -287,19 +291,25 @@ def residual_leading_order(res):
 # the solve kernels
 
 
-def _lin(theta, s, lam, rows):
-    """lin = (G, G', G''/2) at lambda_0 = lam (see _move) on the orders
-    x^0 .. x^(rows-1), from the exact partials of the residual at the series s."""
+def _partials(theta, s):
+    """(F0, F1, F2) of pvi_linearization_expr at the series s."""
     yp = s.deriv()
-    f0, f1, f2 = pvi_linearization_expr(s.variable(), s, yp, yp.deriv(), theta)
+    return pvi_linearization_expr(s.variable(), s, yp, yp.deriv(), theta)
+
+
+def _lin(f, lam, rows):
+    """lin = (G, G', G''/2) at lambda_0 = lam (see _moves) on the orders
+    x^0 .. x^(rows-1), from the partials f = (F0, F1, F2) of the residual."""
+    f0, f1, f2 = f
     g = f0 + lam * f1 + lam * (lam - 1.0) * f2
     g1 = f1 + (2.0 * lam - 1.0) * f2
     return tuple(t.rows()[-t.off: rows - t.off] for t in (g, g1, f2))
 
 
-def _move(lin, d, shape, j=0):
-    """The move of residual rows of `shape` per unit of the slot x^k B^j, from
-    lin = (G, G', G''/2) at lambda_0, with d = lambda - lambda_0.
+def _moves(lin, d, shape, count):
+    """moves[j]: the move of residual rows of `shape` per unit of the slot
+    x^k B^j, for every j < count, from lin = (G, G', G''/2) at lambda_0, with
+    d = lambda - lambda_0.
 
     A slot delta moves the residual by F_0 delta + F_1 x delta' + F_2 x^2 delta''
     (pvi_linearization_expr); let G(lambda) = F_0 + lambda F_1 + lambda(lambda-1) F_2.
@@ -313,17 +323,17 @@ def _move(lin, d, shape, j=0):
     which keep x-orders, so row i of G depends on y through x^i alone: lin
     holds the rows of G the window shows from x^k up, the same for every
     slot once those coefficients are final.  They fill the top rows, column
-    0 at column j.
+    0 at column j, each term added into zeros after the one before it.
     """
     g, g1, g2 = lin
-    terms = [(j, g + d * g1 + d * d * g2)]
-    if j > 0:
-        terms += [(j - 1, j * (g1 + 2.0 * d * g2)), (j - 2, j * (j - 1) * g2)]
-    out = np.zeros(shape, dtype=complex)
-    for col, t in terms:
-        if col >= 0:
-            t = t[:, : shape[1] - col]
-            out[-len(t):, col: col + t.shape[1]] += t
+    j = np.arange(count)
+    at = count + np.arange(shape[1]) - j[:, None]    # slot j, column c: term column c - j
+    out = np.zeros((count,) + shape, dtype=complex)
+    for i, (t, scale) in enumerate(((g + d * g1 + d * d * g2, None), (g1 + 2.0 * d * g2, j),
+                                    (g2, j * (j - 1)))):
+        pad = np.concatenate([np.zeros((len(t), count)), t], axis=1)
+        t = pad[:, at[i:] + i].transpose(1, 0, 2)
+        out[i:, -len(pad):] += scale[i:, None, None] * t if i else t
     return out
 
 
@@ -336,12 +346,12 @@ def _move(lin, d, shape, j=0):
 _REACH, _NOISE, _RESONANT, _CONSISTENT = 1e-8, 1e-9, 1e-10, 1e-7
 
 
-def _solve_slots(r, moves, c, slots, what, off=0):
-    """Solve the unknown coefficients c[slots] (zero on entry) in place, by
-    least squares: the ln-coefficients of one P_n.
+def _solve_slots(r, moves, c, what, off=0):
+    """Solve the unknown coefficients c[:len(moves)] (zero on entry) in
+    place, by least squares: c is P_n, its ln-coefficients the slots.
 
-    r is the residual at c, its rows from x^off, and moves[i] the move of r
-    per unit of c[slots[i]] (_move).  The controlling x-order is the first
+    r is the residual at P_n, its rows from x^off, and moves[i] the move of
+    r per unit of c[i] (_moves).  The controlling x-order is the first
     row where a move exceeds _REACH of the largest; every lower order must
     vanish to _NOISE of the residual, and the system at the controlling
     order be consistent to _CONSISTENT.  Under the solvers' np.errstate, a
@@ -363,21 +373,20 @@ def _solve_slots(r, moves, c, slots, what, off=0):
     if len(bad):
         raise ObstructionError(
             f"{what}: residual obstruction at order {off + bad[0]} (resonance?)")
-    A = np.stack([d[m] for d in moves], axis=1)
+    A = moves[:, m].T.copy()
     sol, *_ = np.linalg.lstsq(A, -r[m], rcond=None)
     resid = np.abs(A @ sol + r[m]).max()
     if resid > _CONSISTENT * max(1.0, np.abs(r[m]).max()):
         raise ObstructionError(f"{what}: inconsistent linear system (residual {resid:.2e})")
-    for s, v in zip(slots, sol):
-        c[s] = v
+    c[: len(sol)] = sol
 
 
 def _block_moves(lin, ds):
-    """moves[j]: the move G + d G' + d^2 G''/2 at d = ds[j] (see _move, j = 0)
+    """moves[j]: the move G + d G' + d^2 G''/2 at d = ds[j] (see _moves, j = 0)
     of the residual rows that lin = (G, G', G''/2) covers, one row a slot.
 
-    d^2 is formed in Python, as _move forms it, and each product is numpy's
-    scalar-times-array one, so that every entry keeps the bits of _move's.
+    d^2 is formed in Python, as _moves forms it, and each product is numpy's
+    scalar-times-array one, so that every entry keeps the bits of _moves.
     """
     g, g1, g2 = (t[:, 0] for t in lin)
     d = np.array(ds, dtype=complex)[:, None]
@@ -528,15 +537,15 @@ def solve_taylor(theta: ThetaParams, klass: str, a=None, N: int = 12) -> Series:
     without one rejects `a`), then solve each b_n from the first residual
     order it reaches, on the residual through x^(n + _WINDOW - 1).  The
     orders come in doubling blocks, each one call of _solve_block: at a
-    block start n0 the residual is evaluated, and G (see _move) linearized
-    at lambda = n0, on the rows x^0 .. x^(min(2 n0, N) + W - 1).  The move
-    of b_n is x^n G(n), for every n0 <= n <= min(2 n0, N) at once, and
-    forward substitution adds it to the stored residual once b_n is
-    solved, which is exact below x^(2 n0): there the residual is linear in
-    b_n0, b_n0+1, .., and the rows of G that reach them, below x^n0, depend
-    on b_0 .. b_(n0-1) alone.  The block ends at the first order whose
-    controlling row reaches x^(2 n0), so form1 at N = 48 makes 6 residual
-    evaluations and 6 linearizations.
+    block start n0, one pass of pvi_residual_series forms the residual on
+    the rows x^0 .. x^(top + W - 1), top = min(2 n0, N), and G (see _moves)
+    at lambda = n0 on the x^0 .. x^(top + W - n0 - 1) the moves read.  The
+    move of b_n is x^n G(n), for every n0 <= n <= top at once, and forward
+    substitution adds it to the stored residual once b_n is solved, which
+    is exact below x^(2 n0): there the residual is linear in b_n0, b_n0+1,
+    .., and the rows of G that reach them, below x^n0, depend on b_0 ..
+    b_(n0-1) alone.  The block ends at the first order whose controlling
+    row reaches x^(2 n0), so form1 at N = 48 makes 6 evaluations.
     """
     if N < 0:
         raise ValueError(f"N = {N}: the order must be at least 0")
@@ -547,10 +556,9 @@ def solve_taylor(theta: ThetaParams, klass: str, a=None, N: int = 12) -> Series:
     n = max(seed) + 1
     while n <= N:
         top = min(2 * n, N)
-        s = Series(b[: top + _WINDOW])
-        res = pvi_residual_series(s, theta).rows()[:, 0]
-        lin = _lin(theta, s, n, top + _WINDOW - n)
-        n += len(_solve_block(res, _block_moves(lin, range(top - n + 1)), b, n, _WINDOW,
+        res, f = pvi_residual_series(Series(b[: top + _WINDOW]), theta, top + _WINDOW - n)
+        lin = _lin(f, n, top + _WINDOW - n)
+        n += len(_solve_block(res.c, _block_moves(lin, range(top - n + 1)), b, n, _WINDOW,
                               "order {}".format, end=2 * n))
     return Series(b[: N + 1])
 
@@ -570,7 +578,7 @@ def solve_log_series(theta: ThetaParams, shape: str, r: complex, N: int = 3) -> 
     Higher P_n are found by a linear least-squares solve against the
     residual, with the ln-degree of P_n capped at 2n+2 and that of the
     ring at 2N+10.  Each P_n is solved on the residual through its
-    controlling order x^(n+2) (rows x^-2 .. x^(n+2)); there G (see _move)
+    controlling order x^(n+2) (rows x^-2 .. x^(n+2)); there G (see _moves)
     shows its orders x^0 .. x^2, which depend on P_1 alone, so it is
     linearized once and each order costs one residual evaluation, whose
     products convolve the block of P_1 .. P_(n-1) (ln-degree at most 2n),
@@ -593,12 +601,11 @@ def solve_log_series(theta: ThetaParams, shape: str, r: complex, N: int = 3) -> 
 
     c = np.zeros((N + 7, 2 * N + 11), dtype=complex)
     c[1, : len(P1)] = P1
-    lin = _lin(theta, Series(c[:9]), 2, 3)    # G at lambda = 2 on x^0 .. x^2
+    lin = _lin(_partials(theta, Series(c[:9])), 2, 3)    # G at lambda = 2 on x^0 .. x^2
     for n in range(2, N + 1):
         res = pvi_residual_series(Series(c[: n + 5]), theta)
-        moves = [_move(lin, n - 2, res.rows().shape, j) for j in range(2 * n + 3)]
-        _solve_slots(res.rows(), moves, c, [(n, j) for j in range(2 * n + 3)],
-                     f"x-order {n}", res.off)
+        moves = _moves(lin, n - 2, res.rows().shape, 2 * n + 3)
+        _solve_slots(res.rows(), moves, c[n], f"x-order {n}", res.off)
     out = Series(c, meta={"N": N})
     out.p = [np.trim_zeros(q, "b") if q.any() else q[:1] for q in c]
     return out
@@ -618,7 +625,7 @@ def solve_omega_series(theta: ThetaParams, branch: str, a, K: int = 6, M: int = 
     normalization b0/(thinf-1) * sign so the two leading terms reproduce the
     printed one-parameter asymptotics with a identified with r.  Each
     c[k, N] is solved from column N of the residual through x^(k+2), where
-    its move is x^k Y^N G_0(k + N omega) (see _move).  G_0, column 0 of G,
+    its move is x^k Y^N G_0(k + N omega) (see _moves).  G_0, column 0 of G,
     depends on the Taylor column alone, so it is linearized once.  Column N
     of the residual is linear in the column-N slots, whose products land in
     columns 2N and up, so it is evaluated once per column and solved as one
@@ -645,7 +652,7 @@ def solve_omega_series(theta: ThetaParams, branch: str, a, K: int = 6, M: int = 
     y0 = solve_taylor(theta, branch, N=K)
     g = np.zeros((K + 5, M + 1), dtype=complex)
     g[: K + 1, 0] = y0.c
-    lin = _lin(theta, Series(g[:, :1], omega=omega), omega, K + 3)    # G_0 on x^0 .. x^(K+2)
+    lin = _lin(_partials(theta, Series(g[:, :1], omega=omega)), omega, K + 3)    # G_0 on x^0 .. x^(K+2)
     g[0, 1] = omega_sign * y0.c[0] / (ti - 1.0)
     for N in range(1, M + 1):
         res = pvi_residual_series(Series(g, omega=omega), theta)

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from pvilab import series
-from pvilab.pvi import ResonanceError, ThetaParams, _theta_draw, pvi_residual_series
+from pvilab.pvi import (ResonanceError, ThetaParams, _theta_draw, pvi_linearization_expr,
+                        pvi_residual_series)
 from pvilab.series import (TAYLOR_CLASSES, ObstructionError, Series,
                            TrustRadiusWarning, residual_leading_order,
                            solve_log_series, solve_omega_series, solve_taylor)
@@ -173,20 +174,42 @@ def test_block_product_matches_the_padded_product(pair):
 
 
 @pytest.mark.parametrize("shape,off", [((6,), 0), ((6,), -2), ((6,), 1), ((5, 3), -2),
-                                       ((5, 3), 0)])
+                                       ((5, 3), 0), ((6,), 2), ((5, 3), 2)])
 def test_scalar_sum_is_the_lifted_monomial_sum_bit_for_bit(shape, off):
     """s + v, s - v and v - s equal the sums with the monomial v x^0 at the
-    truncation of s, signed zeros included, and carry its block bound."""
+    truncation of s, signed zeros included, and carry its block bound.  A
+    series from above x^0 is stored from x^0 for the sum, which keeps v."""
     c = np.zeros(shape, dtype=complex)
     c.flat[::2] = complex(-0.0, -0.0)
     c.flat[1::3] = 1.5 - 2.5j
     c[2:] = 0    # below the lift's row at off = -2, so that the lift raises the bound
     s = Series(c, off, None if len(shape) == 1 else 0.3 + 0.1j)
-    v = -0.0 if off else 0.25 - 1j
-    lift = s._monomial(v, 0)
-    for got, want in ((s + v, s._combine(lift, np.add)), (s - v, s._combine(lift, np.subtract)),
-                      (v - s, lift._combine(s, np.subtract))):
-        assert (got.off, got._nz, got.c.tobytes()) == (want.off, want._nz, want.c.tobytes())
+    for v in (-0.0, 0.25 - 1j):
+        lift = s._monomial(v, 0)
+        for got, want, at0 in ((s + v, s._combine(lift, np.add), v),
+                               (s - v, s._combine(lift, np.subtract), -v),
+                               (v - s, lift._combine(s, np.subtract), v)):
+            assert (got.off, got._nz, got.c.tobytes()) == (want.off, want._nz, want.c.tobytes())
+            assert got.off == min(off, 0) and got.off + len(got.c) == off + len(c)
+            if off > 0:
+                assert got.rows()[0, 0] == at0 and not got.rows()[1: off].any()
+
+
+@pytest.mark.parametrize("off", [1, 2])
+@pytest.mark.parametrize("shape,omega", [((8,), None), ((8, 3), None), ((8, 3), 0.3 + 0.1j)],
+                         ids=["power", "ln", "Y"])
+def test_residual_does_not_depend_on_the_offset_a_series_is_stored_from(shape, omega, off):
+    """y stored from x^off and the same y stored from x^0, with off zero
+    rows, have the same residual on their common orders, up to rounding."""
+    rng = np.random.default_rng(off)
+    c = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    high = Series(c, off, omega)
+    low = Series(np.concatenate([np.zeros((off,) + shape[1:]), c]), 0, omega)
+    assert high.variable().rows()[1 - high.variable().off, 0] == 1.0
+    a, b = pvi_residual_series(high, TH), pvi_residual_series(low, TH)
+    lo, top = min(a.off, b.off), min(a.off + len(a.c), b.off + len(b.c))
+    a, b = a._window(lo, top), b._window(lo, top)
+    assert np.abs(a - b).max() <= 1e-13 * np.abs(b).max()
 
 
 def test_residual_leading_order_reads_the_offset():
@@ -384,42 +407,44 @@ def test_log_series_matches_all_probe_reference(shape, theta):
 
 
 def _counted_calls(monkeypatch, ring=lambda s: True):
-    """The solver's calls, in order, on series s that pass `ring`: ("res", rows)
-    for a residual evaluation and ("lin", rows, orders) for a linearization."""
+    """The solver's evaluations, in order, on series s that pass `ring`:
+    ("res", rows) for a residual, ("res", rows, orders) for a residual with
+    the partials on its first `orders` rows, and ("lin", rows) for the
+    partials alone."""
     calls = []
-    residual, lin = series.pvi_residual_series, series._lin
+    residual, partials = series.pvi_residual_series, series._partials
 
-    def counted_residual(s, theta):
+    def counted_residual(s, theta, rows=0):
         if ring(s):
-            calls.append(("res", len(s.c)))
-        return residual(s, theta)
+            calls.append(("res", len(s.c)) + ((rows,) if rows else ()))
+        return residual(s, theta, rows)
 
-    def counted_lin(theta, s, lam, rows):
+    def counted_partials(theta, s):
         if ring(s):
-            calls.append(("lin", len(s.c), rows))
-        return lin(theta, s, lam, rows)
+            calls.append(("lin", len(s.c)))
+        return partials(theta, s)
     monkeypatch.setattr(series, "pvi_residual_series", counted_residual)
-    monkeypatch.setattr(series, "_lin", counted_lin)
+    monkeypatch.setattr(series, "_partials", counted_partials)
     return calls
 
 
 def test_log_series_linearizes_once_then_one_residual_per_order(monkeypatch):
     calls = _counted_calls(monkeypatch)
     solve_log_series(TH, "shape2", 0.1, N=5)
-    # G on x^0 .. x^2 from P_1 on the rows x^0 .. x^8, then one residual per
-    # order on x^0 .. x^(n+4)
-    assert calls == [("lin", 9, 3)] + [("res", n + 5) for n in range(2, 6)]
+    # the partials from P_1 on the rows x^0 .. x^8 (G is kept on x^0 .. x^2),
+    # then one residual per order on x^0 .. x^(n+4)
+    assert calls == [("lin", 9)] + [("res", n + 5) for n in range(2, 6)]
 
 
 def _recorded_solves(monkeypatch):
-    """{first slot: (residual rows, moves)} as _solve_slots receives them,
+    """{step name: (residual rows, moves)} as _solve_slots receives them,
     copied, for every call."""
     solves = {}
     solve_slots = series._solve_slots
 
-    def recording(r, mv, c, slots, what, off=0):
-        solves[slots[0]] = (r.copy(), [d.copy() for d in mv])
-        return solve_slots(r, mv, c, slots, what, off)
+    def recording(r, mv, c, what, off=0):
+        solves[what] = (r.copy(), [d.copy() for d in mv])
+        return solve_slots(r, mv, c, what, off)
     monkeypatch.setattr(series, "_solve_slots", recording)
     return solves
 
@@ -475,12 +500,47 @@ def test_assembled_log_move_matches_the_probed_move(monkeypatch, shape, theta):
         # P_1 .. P_(n-1) solved, the rest zero, on the rows x^-2 .. x^(n+2)
         base = np.zeros((n + 5, c.shape[1]), dtype=complex)
         base[:n] = c[:n]
-        moves = solves[(n, 0)][1]
+        moves = solves[f"x-order {n}"][1]
         assert len(moves) == 2 * n + 3
         for j, got in enumerate(moves):
             _, want = _probe(lambda v: pvi_residual_series(Series(v), theta), base, (n, j))
             assert not want[: n + 2].any()
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def _ref_log_move(lin, d, shape, j):
+    """The move of one slot x^k L^j, term by term into zeros, as the log
+    solver formed it slot by slot."""
+    g, g1, g2 = lin
+    terms = [(j, g + d * g1 + d * d * g2)]
+    if j > 0:
+        terms += [(j - 1, j * (g1 + 2.0 * d * g2)), (j - 2, j * (j - 1) * g2)]
+    out = np.zeros(shape, dtype=complex)
+    for col, t in terms:
+        if col >= 0:
+            t = t[:, : shape[1] - col]
+            out[-len(t):, col: col + t.shape[1]] += t
+    return out
+
+
+@pytest.mark.parametrize("shape,theta", LOG_CASES, ids=[s for s, _ in LOG_CASES])
+def test_log_moves_keep_the_per_slot_bits(shape, theta):
+    c = solve_log_series(theta, shape, 0.4 + 0.1j, N=8).c
+    lins = [series._lin(series._partials(theta, Series(c[:9])), 2, 3)]
+    # signed zeros and non-finite entries, which an extra product or sum would change
+    rng = np.random.default_rng(5)
+    planted = [t.copy() for t in lins[0]]
+    for t in planted:
+        t.flat[rng.choice(t.size, 12, replace=False)] = [-0.0, complex(-0.0, 0.0),
+                                                          complex(0.0, -0.0), np.inf] * 3
+    lins.append(planted)
+    for lin in lins:
+        for n in range(2, 9):
+            rows = (n + 7, c.shape[1])
+            with np.errstate(invalid="ignore"):    # inf times zero, as in a solve
+                want = np.stack([_ref_log_move(lin, n - 2, rows, j) for j in range(2 * n + 3)])
+                got = series._moves(lin, n - 2, rows, 2 * n + 3)
+            assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("branch", ["form1", "riuffa"])
@@ -535,10 +595,10 @@ def test_omega_series_matches_all_probe_reference(branch, K):
 def test_omega_series_linearizes_once_then_one_residual_per_column(monkeypatch):
     calls = _counted_calls(monkeypatch, ring=lambda s: s.omega is not None)
     solve_omega_series(TH, "form1", a=0.15, K=6, M=2)
-    # G_0 on x^0 .. x^8 from the Taylor column on the rows x^0 .. x^10, then
-    # one residual per column N on the rows x^0 .. x^10, which each solved
-    # slot of the column moves exactly
-    assert calls == [("lin", 11, 9), ("res", 11), ("res", 11)]
+    # the partials from the Taylor column on the rows x^0 .. x^10 (G_0 is kept
+    # on x^0 .. x^8), then one residual per column N on the rows x^0 .. x^10,
+    # which each solved slot of the column moves exactly
+    assert calls == [("lin", 11), ("res", 11), ("res", 11)]
 
 
 # the taylor-series benchmark's base points, one per Taylor class
@@ -593,10 +653,64 @@ def test_taylor_matches_all_probe_reference(klass, theta, a):
 def test_taylor_evaluates_once_per_doubling_block(monkeypatch):
     calls = _counted_calls(monkeypatch)
     solve_taylor(TH, "form1", N=14)
-    # blocks start at n0 = 1, 2, 4, 8: the residual and G at lambda = n0 on
-    # the rows x^0 .. x^(min(2 n0, 14) + 7), G kept on x^0 .. x^(rows - n0 - 1)
-    assert calls == [c for n0, rows in ((1, 10), (2, 12), (4, 16), (8, 22))
-                     for c in (("res", rows), ("lin", rows, rows - n0))]
+    # blocks start at n0 = 1, 2, 4, 8: one evaluation each, the residual on
+    # the rows x^0 .. x^(min(2 n0, 14) + 7) and in the same pass the partials,
+    # for G at lambda = n0, on the x^0 .. x^(rows - n0 - 1) the block reads
+    assert calls == [("res", rows, rows - n0)
+                     for n0, rows in ((1, 10), (2, 12), (4, 16), (8, 22))]
+
+
+def _recorded_evaluations(monkeypatch):
+    """[(c, orders, residual, lam, lin)] for every evaluation with partials,
+    copied: the series' coefficients, the rows the partials cover, the
+    residual, and the lambda_0 and (G, G', G''/2) that _lin forms from them."""
+    evals = []
+    residual, lin = series.pvi_residual_series, series._lin
+
+    def recording_residual(s, theta, rows=0):
+        out = residual(s, theta, rows)
+        if rows:
+            evals.append([s.c.copy(), rows, out[0].c.copy()])
+        return out
+
+    def recording_lin(f, lam, rows):
+        out = lin(f, lam, rows)
+        if evals and len(evals[-1]) == 3:
+            evals[-1] += [lam, [t.copy() for t in out]]
+        return out
+    monkeypatch.setattr(series, "pvi_residual_series", recording_residual)
+    monkeypatch.setattr(series, "_lin", recording_lin)
+    return evals
+
+
+def _assert_one_pass_keeps_the_bits(evals, theta):
+    """Each block's residual is that of a residual-only evaluation, and its G
+    that of pvi_linearization_expr on the block's whole truncation, byte
+    for byte."""
+    assert evals
+    for c, orders, res, lam, lin in evals:
+        s = Series(c)
+        assert res.tobytes() == pvi_residual_series(s, theta).c.tobytes()
+        f = pvi_linearization_expr(s.variable(), s, s.deriv(), s.deriv().deriv(), theta)
+        assert all(len(t.c) == len(c) for t in f)
+        for got, want in zip(lin, series._lin(f, lam, orders)):
+            assert len(got) == orders and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("N", [12, 48])
+@pytest.mark.parametrize("klass,theta,a", TAYLOR_BASE, ids=[k for k, _, _ in TAYLOR_BASE])
+def test_taylor_block_evaluation_keeps_the_bits_of_two(monkeypatch, klass, theta, a, N):
+    evals = _recorded_evaluations(monkeypatch)
+    solve_taylor(theta, klass, a=a, N=N)
+    _assert_one_pass_keeps_the_bits(evals, theta)
+
+
+@pytest.mark.parametrize("K", [6, 10])
+@pytest.mark.parametrize("branch", ["form1", "riuffa"])
+def test_omega_taylor_column_evaluation_keeps_the_bits_of_two(monkeypatch, branch, K):
+    evals = _recorded_evaluations(monkeypatch)
+    solve_omega_series(TH, branch, a=0.15, K=K, M=2)
+    _assert_one_pass_keeps_the_bits(evals, TH)
 
 
 def _assert_exact_through_controlling_row(got, fresh, m):
@@ -722,7 +836,7 @@ def _per_order_taylor(theta, klass, a=None, N=12):
                 n0, rows, m = n, min(2 * n, N) + 8, None
                 s = Series(b[:rows])
                 res = pvi_residual_series(s, theta).rows()
-                lin = series._lin(theta, s, n, rows - n)
+                lin = series._lin(series._partials(theta, s), n, rows - n)
                 move = _ref_move(lin, 0, rows)
             _ref_solve_one(res[:w], move[:w], b, n, f"order {n}", m=m)
             res += b[n] * move
@@ -737,7 +851,7 @@ def _per_order_omega(theta, branch, a, K, M, omega_sign=1):
     g = np.zeros((K + 5, M + 1), dtype=complex)
     g[: K + 1, 0] = y0
     with np.errstate(over="ignore", invalid="ignore"):
-        lin = series._lin(theta, Series(g[:, :1], omega=omega), omega, K + 3)
+        lin = series._lin(series._partials(theta, Series(g[:, :1], omega=omega)), omega, K + 3)
         g[0, 1] = omega_sign * y0[0] / (ti - 1.0)
         for N in range(1, M + 1):
             res = pvi_residual_series(Series(g, omega=omega), theta)
