@@ -1,11 +1,13 @@
 """Gauss hypergeometric machinery: series, logarithmic second solutions,
 2x2 first-order reductions, and the closed-form connection matrices.
 
-The connection matrices are pure Gamma/exponential products.  An
-independent numeric oracle lives here too, so the closed forms are never
-trusted on faith: one builder, `kummer_bases`, gives Kummer's local solution
-bases at 0, 1 and infinity from the Gauss parameters (a, b, c) alone, and
-ODE transport carries them between the singular points.
+The connection matrices are pure Gamma/exponential products; the matrices
+of one computation evaluate each Gamma value once, from a table local to
+the call.  An independent numeric oracle lives here too, so the closed
+forms are never trusted on faith: one builder, `kummer_bases`, gives
+Kummer's local solution bases at 0, 1 and infinity from the Gauss
+parameters (a, b, c) alone, and ODE transport carries them between the
+singular points.
 """
 
 from __future__ import annotations
@@ -213,11 +215,17 @@ def xi_from_phi(case: int, phi, dphi, z, a=0.0, b=0.0, c=0.0, r=1.0, s=0.0):
 # closed-form connection matrices
 
 
-def _g(z):
-    try:
-        return gamma(z)
-    except PoleError as e:
-        raise ResonanceError(f"connection-matrix Gamma pole: {e}") from e
+def _gammas(which, table):
+    """Gamma for matrix `which` through `table`, a dict local to one call: each distinct
+    argument evaluated once, on first use, and a pole raised naming `which`."""
+    def g(z):
+        if z not in table:
+            try:
+                table[z] = gamma(z)
+            except PoleError as e:
+                raise ResonanceError(f"{which}: connection-matrix Gamma pole: {e}") from e
+        return table[z]
+    return g
 
 
 def _eip(q):
@@ -232,51 +240,64 @@ def connection_matrix(which: str, theta: ThetaParams, flip_th1=False) -> np.ndar
     with th1 -> -th1 via flip_th1) or "Cinf0" | "C01c" (the unipotent
     construction, which only involves th0 and thx).
     """
+    return mat2(*_connection(which, theta, flip_th1, {}))
+
+
+def _connection(which, theta, flip_th1, table):
+    """Row-major entries of connection matrix `which`, Gamma values from `table`."""
     t0, tx, t1, ti = theta.as_tuple()
     if flip_th1:
         t1 = -t1
+    g = _gammas(which, table)
     if which == "C0inf":
         # row prefactors Gamma(1 + th1 - thinf), Gamma(thinf - th1 - 1): the
         # full exponent difference of the basis at infinity (see notes on the
         # half-angle slip in the printed form)
         p = t1 - ti
-        c11 = (_g(1.0 + p) * _g(1.0 + t0) * _eip(t0 + tx + ti - t1)
-               / (_g(t0 / 2 + tx / 2 + t1 / 2 - ti / 2 + 1.0) * _g(t0 / 2 - tx / 2 + t1 / 2 - ti / 2 + 1.0)))
-        c12 = (_g(1.0 + p) * _g(1.0 - t0) * _eip(tx - t0 + ti - t1)
-               / (_g(-t0 / 2 - tx / 2 - ti / 2 + t1 / 2 + 1.0) * _g(tx / 2 - t0 / 2 + t1 / 2 - ti / 2 + 1.0)))
-        c21 = (-_g(-p - 1.0) * _g(1.0 + t0) * _eip(t0 + tx + t1 - ti)
-               / (_g(t0 / 2 + tx / 2 + ti / 2 - t1 / 2) * _g(t0 / 2 - tx / 2 + ti / 2 - t1 / 2)))
-        c22 = (-_g(-p - 1.0) * _g(1.0 - t0) * _eip(tx - t0 + t1 - ti)
-               / (_g(-t0 / 2 - tx / 2 - t1 / 2 + ti / 2) * _g(tx / 2 - t0 / 2 + ti / 2 - t1 / 2)))
-        return mat2(c11, c12, c21, c22)
+        c11 = (g(1.0 + p) * g(1.0 + t0) * _eip(t0 + tx + ti - t1)
+               / (g(t0 / 2 + tx / 2 + t1 / 2 - ti / 2 + 1.0) * g(t0 / 2 - tx / 2 + t1 / 2 - ti / 2 + 1.0)))
+        c12 = (g(1.0 + p) * g(1.0 - t0) * _eip(tx - t0 + ti - t1)
+               / (g(-t0 / 2 - tx / 2 - ti / 2 + t1 / 2 + 1.0) * g(tx / 2 - t0 / 2 + t1 / 2 - ti / 2 + 1.0)))
+        c21 = (-g(-p - 1.0) * g(1.0 + t0) * _eip(t0 + tx + t1 - ti)
+               / (g(t0 / 2 + tx / 2 + ti / 2 - t1 / 2) * g(t0 / 2 - tx / 2 + ti / 2 - t1 / 2)))
+        c22 = (-g(-p - 1.0) * g(1.0 - t0) * _eip(tx - t0 + t1 - ti)
+               / (g(-t0 / 2 - tx / 2 - t1 / 2 + ti / 2) * g(tx / 2 - t0 / 2 + ti / 2 - t1 / 2)))
+        return c11, c12, c21, c22
     if which == "C01":
-        c11 = (_g(-tx) * _g(1.0 + t0)
-               / (_g(t0 / 2 - tx / 2 + t1 / 2 - ti / 2 + 1.0) * _g(t0 / 2 - tx / 2 + ti / 2 - t1 / 2)))
-        c12 = (_g(-tx) * _g(1.0 - t0)
-               / (_g(-t0 / 2 - tx / 2 - ti / 2 + t1 / 2 + 1.0) * _g(-t0 / 2 - tx / 2 - t1 / 2 + ti / 2)))
-        c21 = (_g(tx) * _g(1.0 + t0)
-               / (_g(t0 / 2 + tx / 2 + ti / 2 - t1 / 2) * _g(t0 / 2 + tx / 2 + t1 / 2 - ti / 2 + 1.0)))
-        c22 = (_g(tx) * _g(1.0 - t0)
-               / (_g(tx / 2 - t0 / 2 + ti / 2 - t1 / 2) * _g(tx / 2 - t0 / 2 + t1 / 2 - ti / 2 + 1.0)))
-        return mat2(c11, c12, c21, c22)
+        c11 = (g(-tx) * g(1.0 + t0)
+               / (g(t0 / 2 - tx / 2 + t1 / 2 - ti / 2 + 1.0) * g(t0 / 2 - tx / 2 + ti / 2 - t1 / 2)))
+        c12 = (g(-tx) * g(1.0 - t0)
+               / (g(-t0 / 2 - tx / 2 - ti / 2 + t1 / 2 + 1.0) * g(-t0 / 2 - tx / 2 - t1 / 2 + ti / 2)))
+        c21 = (g(tx) * g(1.0 + t0)
+               / (g(t0 / 2 + tx / 2 + ti / 2 - t1 / 2) * g(t0 / 2 + tx / 2 + t1 / 2 - ti / 2 + 1.0)))
+        c22 = (g(tx) * g(1.0 - t0)
+               / (g(tx / 2 - t0 / 2 + ti / 2 - t1 / 2) * g(tx / 2 - t0 / 2 + t1 / 2 - ti / 2 + 1.0)))
+        return c11, c12, c21, c22
     if which == "Cinf0":
-        c12 = (_g(-t0) * cmath.exp(-1j * math.pi * (t0 / 2 + tx / 2 + 1.5))
-               / (_g(-t0 / 2 - tx / 2 + 1.5) * _g(-t0 / 2 + tx / 2 + 1.5)))
-        c21 = (-_g(-t0 / 2 - tx / 2 - 0.5) * _g(-t0 / 2 + tx / 2 - 0.5)
-               / (_g(1.0 - t0) * cmath.exp(-1j * math.pi * (t0 / 2 - tx / 2 - 1.5))))
-        c22 = (_g(t0) * cmath.exp(-1j * math.pi * (-t0 / 2 + tx / 2 + 1.5))
-               / (_g(t0 / 2 - tx / 2 + 1.5) * _g(t0 / 2 + tx / 2 + 1.5)))
-        return 2.0 * mat2(0.0, c12, c21, c22)
+        c12 = (g(-t0) * cmath.exp(-1j * math.pi * (t0 / 2 + tx / 2 + 1.5))
+               / (g(-t0 / 2 - tx / 2 + 1.5) * g(-t0 / 2 + tx / 2 + 1.5)))
+        c21, c22 = _cinf0_row2(t0, tx, table)
+        return 0.0, 2.0 * c12, 2.0 * c21, 2.0 * c22
     if which == "C01c":
-        c11 = _g(-tx) * _g(1.0 + t0) / (_g(t0 / 2 - tx / 2 + 1.5) * _g(t0 / 2 - tx / 2 - 0.5))
-        c12 = _g(-tx) * _g(1.0 - t0) / (_g(-t0 / 2 - tx / 2 + 1.5) * _g(-t0 / 2 - tx / 2 - 0.5))
+        c11 = g(-tx) * g(1.0 + t0) / (g(t0 / 2 - tx / 2 + 1.5) * g(t0 / 2 - tx / 2 - 0.5))
+        c12 = g(-tx) * g(1.0 - t0) / (g(-t0 / 2 - tx / 2 + 1.5) * g(-t0 / 2 - tx / 2 - 0.5))
         # (2,1) denominator Gamma(th0/2 + thx/2 - 1/2): the standard 0-1
         # connection coefficient 1/[Gamma(alpha) Gamma(beta)] (see notes on
         # the sign slip in the printed form)
-        c21 = _g(tx) * _g(1.0 + t0) / (_g(t0 / 2 + tx / 2 + 1.5) * _g(t0 / 2 + tx / 2 - 0.5))
-        c22 = _g(tx) * _g(1.0 - t0) / (_g(-t0 / 2 + tx / 2 + 1.5) * _g(-t0 / 2 + tx / 2 - 0.5))
-        return mat2(c11, c12, c21, c22)
+        c21 = g(tx) * g(1.0 + t0) / (g(t0 / 2 + tx / 2 + 1.5) * g(t0 / 2 + tx / 2 - 0.5))
+        c22 = g(tx) * g(1.0 - t0) / (g(-t0 / 2 + tx / 2 + 1.5) * g(-t0 / 2 + tx / 2 - 0.5))
+        return c11, c12, c21, c22
     raise ValueError(f"unknown connection matrix {which!r}")
+
+
+def _cinf0_row2(t0, tx, table):
+    """(c21, c22) of Cinf0, before its factor 2."""
+    g = _gammas("Cinf0", table)
+    c21 = (-g(-t0 / 2 - tx / 2 - 0.5) * g(-t0 / 2 + tx / 2 - 0.5)
+           / (g(1.0 - t0) * cmath.exp(-1j * math.pi * (t0 / 2 - tx / 2 - 1.5))))
+    c22 = (g(t0) * cmath.exp(-1j * math.pi * (-t0 / 2 + tx / 2 + 1.5))
+           / (g(t0 / 2 - tx / 2 + 1.5) * g(t0 / 2 + tx / 2 + 1.5)))
+    return c21, c22
 
 
 # ----------------------------------------------------------------------

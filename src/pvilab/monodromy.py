@@ -3,7 +3,8 @@ classes at x=0, the trace identity, sigma extraction, and the r-inversion.
 
 The product-order relation between M0, Mx, M1 and Minf is discovered
 numerically at build time and recorded as data (the loop basis fixes it,
-and we do not assert one basis).
+and we do not assert one basis).  A build does its 2x2 algebra on row-major
+4-tuples in Python complex arithmetic and stores the four matrices as arrays.
 """
 
 from __future__ import annotations
@@ -15,9 +16,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import exp_diag_sigma3, inv2, mat2, tr2, gamma
+from .numerics import SingularMatrixError, mat2, tr2, gamma
 from .pvi import ResonanceError, ThetaParams, is_int
-from .hypergeom import connection_matrix
+from .hypergeom import _cinf0_row2, _connection
 
 __all__ = [
     "MonodromyRep",
@@ -70,14 +71,44 @@ def _mul2(a, b):
             a10 * b00 + a11 * b10, a10 * b01 + a11 * b11)
 
 
-def discover_order(M0, Mx, M1, Minf):
-    """All orderings of M0*Mx*M1 (up to inversion) that reproduce Minf to 1e-8.
+def _inv2(m):
+    """`numerics.inv2` of a row-major 4-tuple: its singularity test, then the adjugate over det."""
+    a, b, c, d = m
+    det = a * d - b * c
+    scale = max(abs(a), abs(b), abs(c), abs(d), 1.0)    # its square may overflow to inf
+    if abs(det) < 1e-14 * scale * scale:
+        raise SingularMatrixError(f"matrix is singular to tolerance, det = {det}")
+    return d / det, -b / det, -c / det, a / det
 
-    The products are written out in Python complex arithmetic: on 2x2
-    arrays each numpy operation costs more in dispatch than in arithmetic.
+
+def _diag(theta):
+    """exp(i pi theta sigma3) as a row-major 4-tuple."""
+    e = cmath.exp(1j * math.pi * theta)
+    return e, 0.0, 0.0, 1.0 / e
+
+
+def _conj(L, D, R):
+    """L D R for a diagonal D: the columns of L scaled, times R."""
+    return _mul2((L[0] * D[0], L[1] * D[3], L[2] * D[0], L[3] * D[3]), R)
+
+
+def _rep(M0, Mx, M1, Minf, **fields):
+    """The representation of four row-major 4-tuples, its matrices as arrays."""
+    return MonodromyRep(mat2(*M0), mat2(*Mx), mat2(*M1), mat2(*Minf),
+                        discover_order(M0, Mx, M1, Minf), **fields)
+
+
+def discover_order(M0, Mx, M1, Minf):
+    """All orderings of M0*Mx*M1 (up to inversion) that reproduce Minf to
+    within 1e-8 of the largest entry of the four matrices.
+
+    The matrices are 2x2 arrays or row-major 4-tuples.  The products are
+    written out in Python complex arithmetic: on 2x2 arrays each numpy
+    operation costs more in dispatch than in arithmetic.
     """
-    mats = {k: tuple(np.ravel(M).tolist()) for k, M in zip(_LABELS, (M0, Mx, M1))}
-    target = tuple(np.ravel(Minf).tolist())
+    *mats, target = (M if isinstance(M, tuple) else tuple(np.ravel(M).tolist())
+                     for M in (M0, Mx, M1, Minf))
+    mats = dict(zip(_LABELS, mats))
     tol = 1e-8 * max(abs(v) for m in (*mats.values(), target) for v in m)
     found = []
     for perm in itertools.permutations(_LABELS):
@@ -104,16 +135,13 @@ def build_case_a(theta: ThetaParams, flip_th1=False) -> MonodromyRep:
     if flip_th1:
         t1 = -t1
     _nonresonant(t0, tx, t1, ti)
-    C0i = connection_matrix("C0inf", theta, flip_th1=flip_th1)
-    C01 = connection_matrix("C01", theta, flip_th1=flip_th1)
-    C0i_i = inv2(C0i)
-    C01_i = inv2(C01)
-    M0 = C0i @ exp_diag_sigma3(t0) @ C0i_i
-    Mx = C0i @ C01_i @ exp_diag_sigma3(tx) @ C01 @ C0i_i
-    M1 = exp_diag_sigma3(-t1)
-    Minf = exp_diag_sigma3(-ti)
-    return MonodromyRep(M0, Mx, M1, Minf, discover_order(M0, Mx, M1, Minf),
-                        case="a", theta=theta, params={"flip_th1": 1.0 if flip_th1 else 0.0})
+    table = {}
+    C0i = _connection("C0inf", theta, flip_th1, table)
+    C01 = _connection("C01", theta, flip_th1, table)
+    C0i_i = _inv2(C0i)
+    Mx = _mul2(_conj(_mul2(C0i, _inv2(C01)), _diag(tx), C01), C0i_i)
+    return _rep(_conj(C0i, _diag(t0), C0i_i), Mx, _diag(-t1), _diag(-ti),
+                case="a", theta=theta, params={"flip_th1": 1.0 if flip_th1 else 0.0})
 
 
 def build_case_b(thx, thinf, s, r) -> MonodromyRep:
@@ -124,30 +152,24 @@ def build_case_b(thx, thinf, s, r) -> MonodromyRep:
     _nonresonant(thx, thinf)
     if r == 0:
         raise ValueError("r must be nonzero")
-    G = mat2(1.0, 1.0, (s + thx) / r, s / r)
-    Gi = inv2(G)
-    M0 = G @ exp_diag_sigma3(thx) @ Gi
-    Mx = G @ exp_diag_sigma3(-thx) @ Gi
-    M1 = exp_diag_sigma3(-thinf)
-    Minf = M1.copy()
-    return MonodromyRep(M0, Mx, M1, Minf, discover_order(M0, Mx, M1, Minf),
-                        case="b", theta=None,
-                        params={"thx": thx, "thinf": thinf, "s": s, "r": r})
+    G = (1.0, 1.0, (s + thx) / r, s / r)
+    Gi = _inv2(G)
+    M1 = _diag(-thinf)
+    return _rep(_conj(G, _diag(thx), Gi), _conj(G, _diag(-thx), Gi), M1, M1, case="b", theta=None,
+                params={"thx": thx, "thinf": thinf, "s": s, "r": r})
 
 
 def build_case_c(th0, thx, s) -> MonodromyRep:
     """Representation of the unipotent class (thinf=1, th1=0), parameter a=(1-s)^{-1}."""
     _nonresonant(th0, thx)
     theta = ThetaParams(th0, thx, 0.0, 1.0)
-    Ci0 = connection_matrix("Cinf0", theta)
-    C01 = connection_matrix("C01c", theta)
-    Ci0_i = inv2(Ci0)
-    M0 = Ci0_i @ exp_diag_sigma3(th0) @ Ci0
-    Mx = Ci0_i @ inv2(C01) @ exp_diag_sigma3(thx) @ C01 @ Ci0
-    M1 = mat2(1.0, 0.0, 2j * math.pi * s, 1.0)
-    Minf = mat2(-1.0, 0.0, 2j * math.pi * (1.0 - s), -1.0)
-    return MonodromyRep(M0, Mx, M1, Minf, discover_order(M0, Mx, M1, Minf),
-                        case="c", theta=theta, params={"s": s})
+    table = {}
+    Ci0 = _connection("Cinf0", theta, False, table)
+    C01 = _connection("C01c", theta, False, table)
+    Ci0_i = _inv2(Ci0)
+    Mx = _mul2(_conj(_mul2(Ci0_i, _inv2(C01)), _diag(thx), C01), Ci0)
+    return _rep(_conj(Ci0_i, _diag(th0), Ci0), Mx, (1.0, 0.0, 2j * math.pi * s, 1.0),
+                (-1.0, 0.0, 2j * math.pi * (1.0 - s), -1.0), case="c", theta=theta, params={"s": s})
 
 
 def check_identity(rep_or_traces, theta: ThetaParams) -> complex:
@@ -240,11 +262,11 @@ def invert_s_case_b(rep: MonodromyRep) -> complex:
 
 def invert_s_case_c(rep: MonodromyRep) -> complex:
     """s from tr(M1 M0) for the unipotent class."""
-    th0, thx = rep.theta.th0, rep.theta.thx
-    Ci0 = connection_matrix("Cinf0", ThetaParams(th0, thx, 0.0, 1.0))
+    th0, thx, _, _ = rep.theta.as_tuple()
+    c21, c22 = _cinf0_row2(th0, thx, {})
     tr10 = tr2(rep.M1 @ rep.M0)
     sp = cmath.sin(math.pi * th0)
     if abs(sp) < 1e-14:
         raise ResonanceError("sin(pi th0) = 0")
     return (tr10 - 2.0 * cmath.cos(math.pi * th0)) / (4.0 * math.pi * sp) \
-        * Ci0[1, 0] / Ci0[1, 1]
+        * c21 / c22

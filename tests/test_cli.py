@@ -420,6 +420,26 @@ def test_symmetry_map_pole_exits_2(capsys):
     assert err == "error: x2 pole at y = 0 or x = 0\n"
 
 
+@pytest.mark.parametrize("argv,which", [
+    (["hypergeom", "--which", "C01c", "--theta", "0.5,0.5,0,1"], "C01c"),
+    # the build forms Cinf0 first, and Cinf0 needs Gamma(-1) too
+    (["monodromy", "--case", "c", "--th0", "0.5", "--thx", "0.5", "--s", "0.3"], "Cinf0"),
+])
+def test_gamma_pole_exits_2_naming_the_matrix(capsys, argv, which):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: {which}: connection-matrix Gamma pole: Gamma pole at z = (-1+0j)\n"
+
+
+def test_singular_conjugator_exits_2(capsys):
+    # the square of the conjugator's largest entry overflows to inf, and the
+    # singularity test of numerics.inv2 still refuses it
+    code, out, err = run_cli(capsys, "monodromy", "--case", "b", "--thx", "0.31",
+                             "--thinf", "0.44", "--s", "0.27", "--r", "1e-300")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: matrix is singular to tolerance, det = ")
+
+
 def test_hypergeom_oracle_deviation(capsys):
     code, out, _ = run_cli(capsys, "hypergeom", "--which", "C01c",
                            "--theta", THETA, "--oracle")

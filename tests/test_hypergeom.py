@@ -13,8 +13,8 @@ from pvilab.hypergeom import (GaussParams, connection_matrix,
                               kummer_bases, norlund_g1, ode_transport,
                               poch, reduction_matrices,
                               xi_from_phi)
-from pvilab.numerics import det2, tr2
-from pvilab.pvi import ResonanceError, ThetaParams
+from pvilab.numerics import det2, gamma, tr2
+from pvilab.pvi import ResonanceError, ThetaParams, _theta_draw
 
 TH = ThetaParams(0.23, 0.57, 0.31, 0.44)
 
@@ -137,6 +137,74 @@ def test_reducible_u_matches_mpmath():
 def test_connection_matrix_resonance_raises():
     with pytest.raises(ResonanceError):
         connection_matrix("C01", ThetaParams(0.23, 1.0, 0.31, 0.44))
+
+
+def _written_out(which, theta, flip_th1):
+    """The connection matrices with every Gamma factor evaluated where it
+    appears: the reference the Gamma table must reproduce bit for bit."""
+    g, mat2 = gamma, lambda *c: np.array([[c[0], c[1]], [c[2], c[3]]], dtype=complex)
+
+    def eip(q):
+        return cmath.exp(0.5j * math.pi * q)
+
+    t0, tx, t1, ti = theta.as_tuple()
+    if flip_th1:
+        t1 = -t1
+    if which == "C0inf":
+        p = t1 - ti
+        c11 = (g(1.0 + p) * g(1.0 + t0) * eip(t0 + tx + ti - t1)
+               / (g(t0 / 2 + tx / 2 + t1 / 2 - ti / 2 + 1.0) * g(t0 / 2 - tx / 2 + t1 / 2 - ti / 2 + 1.0)))
+        c12 = (g(1.0 + p) * g(1.0 - t0) * eip(tx - t0 + ti - t1)
+               / (g(-t0 / 2 - tx / 2 - ti / 2 + t1 / 2 + 1.0) * g(tx / 2 - t0 / 2 + t1 / 2 - ti / 2 + 1.0)))
+        c21 = (-g(-p - 1.0) * g(1.0 + t0) * eip(t0 + tx + t1 - ti)
+               / (g(t0 / 2 + tx / 2 + ti / 2 - t1 / 2) * g(t0 / 2 - tx / 2 + ti / 2 - t1 / 2)))
+        c22 = (-g(-p - 1.0) * g(1.0 - t0) * eip(tx - t0 + t1 - ti)
+               / (g(-t0 / 2 - tx / 2 - t1 / 2 + ti / 2) * g(tx / 2 - t0 / 2 + ti / 2 - t1 / 2)))
+        return mat2(c11, c12, c21, c22)
+    if which == "C01":
+        c11 = (g(-tx) * g(1.0 + t0)
+               / (g(t0 / 2 - tx / 2 + t1 / 2 - ti / 2 + 1.0) * g(t0 / 2 - tx / 2 + ti / 2 - t1 / 2)))
+        c12 = (g(-tx) * g(1.0 - t0)
+               / (g(-t0 / 2 - tx / 2 - ti / 2 + t1 / 2 + 1.0) * g(-t0 / 2 - tx / 2 - t1 / 2 + ti / 2)))
+        c21 = (g(tx) * g(1.0 + t0)
+               / (g(t0 / 2 + tx / 2 + ti / 2 - t1 / 2) * g(t0 / 2 + tx / 2 + t1 / 2 - ti / 2 + 1.0)))
+        c22 = (g(tx) * g(1.0 - t0)
+               / (g(tx / 2 - t0 / 2 + ti / 2 - t1 / 2) * g(tx / 2 - t0 / 2 + t1 / 2 - ti / 2 + 1.0)))
+        return mat2(c11, c12, c21, c22)
+    if which == "Cinf0":
+        c12 = (g(-t0) * cmath.exp(-1j * math.pi * (t0 / 2 + tx / 2 + 1.5))
+               / (g(-t0 / 2 - tx / 2 + 1.5) * g(-t0 / 2 + tx / 2 + 1.5)))
+        c21 = (-g(-t0 / 2 - tx / 2 - 0.5) * g(-t0 / 2 + tx / 2 - 0.5)
+               / (g(1.0 - t0) * cmath.exp(-1j * math.pi * (t0 / 2 - tx / 2 - 1.5))))
+        c22 = (g(t0) * cmath.exp(-1j * math.pi * (-t0 / 2 + tx / 2 + 1.5))
+               / (g(t0 / 2 - tx / 2 + 1.5) * g(t0 / 2 + tx / 2 + 1.5)))
+        return 2.0 * mat2(0.0, c12, c21, c22)
+    c11 = g(-tx) * g(1.0 + t0) / (g(t0 / 2 - tx / 2 + 1.5) * g(t0 / 2 - tx / 2 - 0.5))
+    c12 = g(-tx) * g(1.0 - t0) / (g(-t0 / 2 - tx / 2 + 1.5) * g(-t0 / 2 - tx / 2 - 0.5))
+    c21 = g(tx) * g(1.0 + t0) / (g(t0 / 2 + tx / 2 + 1.5) * g(t0 / 2 + tx / 2 - 0.5))
+    c22 = g(tx) * g(1.0 - t0) / (g(-t0 / 2 + tx / 2 + 1.5) * g(-t0 / 2 + tx / 2 - 0.5))
+    return mat2(c11, c12, c21, c22)
+
+
+@pytest.mark.parametrize("flip_th1", [False, True])
+@pytest.mark.parametrize("which", ["C0inf", "C01", "Cinf0", "C01c"])
+def test_connection_matrix_keeps_the_written_out_bits(which, flip_th1):
+    rng = np.random.default_rng(23)
+    for k in range(50):
+        th = _theta_draw(rng)
+        if k % 2:
+            th = ThetaParams(*(t + 1j * rng.uniform(-0.3, 0.3) for t in th.as_tuple()))
+        got = connection_matrix(which, th, flip_th1=flip_th1)
+        assert got.tobytes() == _written_out(which, th, flip_th1).tobytes()
+
+
+def test_gamma_pole_names_the_matrix():
+    # Gamma(-1) is a factor of C01c alone, and of Cinf0 as well; each names itself
+    th = ThetaParams(0.5, 0.5, 0.0, 1.0)
+    for which in ("C01c", "Cinf0"):
+        with pytest.raises(ResonanceError, match=f"^{which}: connection-matrix Gamma pole: "
+                                                 r"Gamma pole at z = \(-1\+0j\)$"):
+            connection_matrix(which, th)
 
 
 def test_ode_transport_reproduces_series():

@@ -7,12 +7,14 @@ import math
 import numpy as np
 import pytest
 
+from pvilab import hypergeom
+from pvilab.hypergeom import connection_matrix
 from pvilab.monodromy import (TraceData, build_case_a, build_case_b,
                               build_case_c, check_identity, discover_order,
                               invert_s_case_b, invert_s_case_c,
                               r_from_monodromy, sigma_from_traces)
-from pvilab.numerics import det2, tr2
-from pvilab.pvi import ResonanceError, ThetaParams
+from pvilab.numerics import det2, exp_diag_sigma3, gamma, inv2, mat2, tr2
+from pvilab.pvi import ResonanceError, ThetaParams, _theta_draw
 
 TH = ThetaParams(0.23, 0.57, 0.31, 0.44)
 
@@ -112,6 +114,63 @@ def test_discover_order_matches_the_matrix_product_reference():
             P = mats[perm[0]] @ mats[perm[1]] @ mats[perm[2]]
             for target in (P, np.linalg.inv(P), P + 1e-3):
                 assert discover_order(m0, mx, m1, target) == _matmul_order(m0, mx, m1, target)
+
+
+def _numpy_reps(case, *args):
+    """(M0, Mx, M1, Minf) of the closed forms through numpy's 2x2 products,
+    inv2 and exp_diag_sigma3: the reference for the tuple algebra."""
+    E = exp_diag_sigma3
+    if case == "a":
+        th, flip = args
+        t0, tx, t1, ti = th.as_tuple()
+        t1 = -t1 if flip else t1
+        C0i, C01 = (connection_matrix(w, th, flip_th1=flip) for w in ("C0inf", "C01"))
+        C0i_i = inv2(C0i)
+        return (C0i @ E(t0) @ C0i_i, C0i @ inv2(C01) @ E(tx) @ C01 @ C0i_i, E(-t1), E(-ti))
+    if case == "b":
+        thx, thinf, s, r = args
+        G = mat2(1.0, 1.0, (s + thx) / r, s / r)
+        return (G @ E(thx) @ inv2(G), G @ E(-thx) @ inv2(G), E(-thinf), E(-thinf))
+    th0, thx, s = args
+    th = ThetaParams(th0, thx, 0.0, 1.0)
+    Ci0, C01 = connection_matrix("Cinf0", th), connection_matrix("C01c", th)
+    Ci0_i = inv2(Ci0)
+    return (Ci0_i @ E(th0) @ Ci0, Ci0_i @ inv2(C01) @ E(thx) @ C01 @ Ci0,
+            mat2(1.0, 0.0, 2j * math.pi * s, 1.0), mat2(-1.0, 0.0, 2j * math.pi * (1.0 - s), -1.0))
+
+
+@pytest.mark.parametrize("case", ["a", "b", "c"])
+def test_builds_match_the_numpy_reference(case):
+    rng = np.random.default_rng(29)
+    build = {"a": build_case_a, "b": build_case_b, "c": build_case_c}[case]
+    for k in range(60):
+        th = _theta_draw(rng)
+        if k % 2:
+            th = ThetaParams(*(t + 1j * rng.uniform(-0.3, 0.3) for t in th.as_tuple()))
+        s = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+        args = {"a": (th, k % 3 == 0), "b": (th.thx, th.thinf, s, rng.uniform(0.5, 2.0)),
+                "c": (th.th0, th.thx, s)}[case]
+        rep, ref = build(*args), _numpy_reps(case, *args)
+        assert rep.order == _matmul_order(*ref)
+        for M, R in zip((rep.M0, rep.Mx, rep.M1, rep.Minf), ref):
+            assert type(M) is np.ndarray and M.shape == (2, 2)
+            assert np.max(np.abs(M - R)) <= 4e-15 * max(1.0, np.max(np.abs(R)))
+
+
+def test_build_case_a_evaluates_each_gamma_argument_once(monkeypatch):
+    args = []
+
+    def counted(z):
+        args.append(z)
+        return gamma(z)
+
+    monkeypatch.setattr(hypergeom, "gamma", counted)
+    build_case_a(TH)
+    # C0inf and C01 share their eight half-sum denominators and Gamma(1 +- th0):
+    # 14 distinct arguments among the 32 factors
+    assert len(args) == len(set(args)) == 14
+    build_case_a(TH)
+    assert len(args) == 28 and set(args[14:]) == set(args[:14])
 
 
 def test_check_identity_trace_only_path():
