@@ -426,9 +426,9 @@ def connection_oracle(which: str, theta: ThetaParams, flip_th1=False):
     `which`; Cinf0 (b - a = 2) takes the Norlund logarithmic frame at
     infinity instead.  For the 0-1 connections both series bases converge at
     mu = 1/2 and the matrix is solved directly.  For the 0-infinity
-    connections the basis at 0 is continued to mu = 2i through the upper
-    half-plane, where arg mu stays in (0, pi) and the principal powers of mu
-    at both ends are the continued ones.
+    connections the basis at 0 is carried in one straight leg from
+    mu = 0.3 + 0.3i to mu = 2i.  arg mu stays in (0, pi) on that segment, so
+    the principal powers of mu at both ends are the continued ones.
     """
     p = _gauss_params(which, theta, flip_th1)
     at0, at1, atinf = kummer_bases(p)
@@ -436,7 +436,8 @@ def connection_oracle(which: str, theta: ThetaParams, flip_th1=False):
         # [phi^(0)] = [phi^(1)] C
         return inv2(at1(0.5)) @ at0(0.5)
     mu_t = 2.0j
-    W0 = ode_transport(p, 0.3, at0(0.3), [0.3 + 0.9j, mu_t])
+    mu_0 = 0.3 + 0.3j
+    W0 = ode_transport(p, mu_0, at0(mu_0), [mu_t])
     if which == "Cinf0":
         # [phi^(inf)] = [phi^(0)] C
         return inv2(W0) @ _norlund_atinf(p)(mu_t)

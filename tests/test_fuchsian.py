@@ -146,12 +146,24 @@ def test_loop_rejects_degenerate_radius(sys_a):
     for r in (0.0, -0.1, math.nan):
         with pytest.raises(ValueError):
             fuchsian.transport(sys_a, 1e-2, fuchsian.Loop(1.0, r))
-    # x = 1e-300 gives the loop about 1 a radius of 3.3e-301, and 1 + r == 1
+    # x = 1e-300 gives the loop about 1 a radius of 3.3e-302, and 1 + r == 1
     # would put lambda on the pole
-    with pytest.raises(ValueError, match=r"3\.3+\d*e-301 .*center \(1\+0j\)"):
+    with pytest.raises(ValueError, match=r"3\.3+\d*e-302 .*center \(1\+0j\)"):
         fuchsian.loop_monodromy(sys_a, 1e-300, 1.0)
     with pytest.raises(ValueError, match="vanishes"):
         fuchsian.transport(sys_a, 1e-2, fuchsian.Loop(2.0 + 1.0j, 1e-17))
+
+
+@pytest.mark.parametrize("x", [1e-2, 1e-3, 1e-4, 1e-5, 1e-6])
+def test_loop_around_one_keeps_its_digits_as_x_goes_to_zero(x):
+    """The loop around 1 has radius |x| / 30 about a centre of size 1.  Its
+    trace, 2 cos 2 pi mu with mu^2 = -det A1(x), stays as accurate as x
+    shrinks, because lambda - 1 is formed from the radius term alone."""
+    system = fuchsian.build_case_b(0.31, 0.44, 0.27 + 0.1j, 1.0)
+    m = fuchsian.loop_monodromy(system, x, 1.0, tol=1e-12)
+    mu = cmath.sqrt(-det2(system.residue("1", x)))
+    want = 2.0 * cmath.cos(2.0 * math.pi * mu)
+    assert abs(tr2(m) - want) <= 1e-12 * max(abs(want), np.max(np.abs(m)))
 
 
 def test_transport_rejects_residues_that_are_not_finite():

@@ -5,7 +5,9 @@ against the same right-hand sides formed with numpy array operations.
 complex arithmetic.  The references below form it on numpy arrays and are
 driven through the same `integrate.dp45` on the same paths: the loop
 matrices and the Gauss frames must agree to rounding, and the integrator
-must take the same steps (RHS evaluation counts within 1 %).
+must take the same steps (RHS evaluation counts within 1 %).  The default
+loops of the three systems are also checked against the loop of ten times
+their radius, and their evaluation count is pinned.
 """
 
 import cmath
@@ -36,17 +38,20 @@ def reference_transport(system, x, loop_or_vertices, tol, counts):
     xc = complex(x)
     dp45 = _counting_dp45(counts)
 
-    def leg(m, path):
+    def leg(m, anchor, path):
+        # lambda = anchor + d, with each lambda - p formed as (anchor - p) + d
+        o0, ox, o1 = anchor, anchor - xc, anchor - 1.0
+
         def f(t, y):
-            lam, dlam = path(t)
-            a = a0 / lam + axm / (lam - xc) + a1 / (lam - 1.0)
+            d, dlam = path(t)
+            a = a0 / (o0 + d) + axm / (ox + d) + a1 / (o1 + d)
             return dlam * (a @ np.asarray(y).reshape(2, 2)).ravel()
 
         return dp45(f, 0.0, 1.0, m.ravel(), tol=tol).reshape(2, 2)
 
     def edge(m, z0, z1):
         dz = z1 - z0
-        return m if dz == 0 else leg(m, lambda t: (z0 + t * dz, dz))
+        return m if dz == 0 else leg(m, z0, lambda t: (t * dz, dz))
 
     m = np.eye(2, dtype=complex)
     if isinstance(loop_or_vertices, fuchsian.Loop):
@@ -56,10 +61,10 @@ def reference_transport(system, x, loop_or_vertices, tol, counts):
 
         def circle(t):
             d = r * cmath.exp(w * t)
-            return c + d, w * d
+            return d, w * d
 
         b = c + r if lp.basepoint is None else complex(lp.basepoint)
-        return edge(leg(edge(m, b, c + r), circle), c + r, b)
+        return edge(leg(edge(m, b, c + r), c, circle), c + r, b)
     verts = [complex(v) for v in loop_or_vertices]
     for z0, z1 in zip(verts[:-1], verts[1:]):
         m = edge(m, z0, z1)
@@ -118,6 +123,32 @@ def test_loop_matches_numpy_rhs(monkeypatch, case, x, center):
     c = {"0": 0.0, "x": x, "1": 1.0}[center]
     loop = fuchsian.Loop(complex(c), fuchsian.default_radius(x))
     _assert_same_transport(monkeypatch, SYSTEMS[case](), x, loop)
+
+
+@pytest.mark.parametrize("case", sorted(SYSTEMS))
+@pytest.mark.parametrize("x", [1e-2, 1e-3])
+@pytest.mark.parametrize("center", ["0", "x", "1"])
+def test_default_loop_matches_a_ten_times_wider_loop(case, x, center):
+    """The wide loop, reached radially from the default loop's start c + r,
+    encloses the same pole and is based at the same point: same matrix."""
+    c = complex({"0": 0.0, "x": x, "1": 1.0}[center])
+    r = fuchsian.default_radius(x)
+    system = SYSTEMS[case]()
+    got = fuchsian.loop_monodromy(system, x, c, tol=TOL)
+    want = fuchsian.transport(system, x, fuchsian.Loop(c, 10.0 * r, basepoint=c + r), tol=TOL)
+    assert np.max(np.abs(got - want)) <= 1e-10 * max(1.0, np.max(np.abs(want)))
+
+
+def test_default_loops_evaluation_count(monkeypatch):
+    # 3,606 evaluations; a radius of a third of the pole distance takes 6,551
+    counts = []
+    monkeypatch.setattr(fuchsian, "dp45", _counting_dp45(counts))
+    for case in sorted(SYSTEMS):
+        system = SYSTEMS[case]()
+        for x in (1e-2, 1e-3):
+            for c in (0.0, x, 1.0):
+                fuchsian.loop_monodromy(system, x, c, tol=TOL)
+    assert len(counts) <= 4000
 
 
 def test_basepoint_loop_matches_numpy_rhs(monkeypatch):
