@@ -1,12 +1,15 @@
 """Numeric continuation of PVI solutions along complex-x paths.
 
 Integrates the first-order system (y, y') with the DOP853 integrator
-`integrate.dp45` in the y chart, switching to the one pole chart w = 1/y
-where |y| grows large (movable poles).  Crossings of y = 0, 1, x at a
-regular x are integrated in the y chart: there the simple pole of the
-right-hand side is removable on a solution.  Also provides seed-consistency
-diagnostics (series and critical-behavior seeds vs the integrated
-trajectory).
+`integrate.dp45` in the y chart, switching to the one pole chart
+w = 1/(eps y), eps = SWITCH_THRESHOLD, where |y| grows large (movable
+poles).  The chart is scaled so that w = 1 where it is entered: the step
+controller's mixed error test tol (1 + max|state|) then stays relative
+there, as in the y chart, instead of becoming an absolute test on a state
+of size eps.  Crossings of y = 0, 1, x at a regular x are integrated in
+the y chart: there the simple pole of the right-hand side is removable on
+a solution.  Also provides seed-consistency diagnostics (series and
+critical-behavior seeds vs the integrated trajectory).
 """
 
 from __future__ import annotations
@@ -45,17 +48,27 @@ class ChartThrashError(RuntimeError):
 
 
 def to_chart(chart: str, y, yp):
-    """(y, y') -> chart state (w, w'); exact closed-form change of variables."""
+    """(y, y') -> chart state (w, w'); exact closed-form change of variables.
+
+    The pole chart is w = 1/(eps y) with eps = SWITCH_THRESHOLD, so that w
+    is 1 where the chart is entered (|y| = 1/eps) and w' = -eps y' w^2.
+    Unscaled, the state there would have size about eps, and the step
+    controller's error test tol (1 + max|state|) would be absolute: it
+    would allow about |y| times the relative error the y chart allows.
+    """
     if chart == "y":
         return complex(y), complex(yp)
-    w = 1.0 / y
-    return w, -yp * w * w
+    w = 1.0 / (SWITCH_THRESHOLD * y)
+    return w, -SWITCH_THRESHOLD * yp * w * w
 
 
 def from_chart(chart: str, w, wp):
+    """Chart state (w, w') -> (y, y'); in the pole chart y = 1/(eps w) and
+    y' = -w'/(eps w^2), both from one reciprocal u = 1/w."""
     if chart == "y":
         return complex(w), complex(wp)
-    return 1.0 / w, -wp / (w * w)
+    u = 1.0 / w
+    return u / SWITCH_THRESHOLD, -wp * u * u / SWITCH_THRESHOLD
 
 
 def _seg_point_dist(a: complex, b: complex, p: complex) -> float:
@@ -141,13 +154,14 @@ class Trajectory:
 def integrate(ic, theta: ThetaParams, path, tol=1e-10) -> Trajectory:
     """Continue (y, y') from ic = (x0, y0, y0') along the path.
 
-    Integrates in the y chart, and in the one pole chart w = 1/y while
-    |y| is large: it enters inv_y when |y| > 1/SWITCH_THRESHOLD and
-    leaves it when 1/|y| > HYSTERESIS * SWITCH_THRESHOLD.  Crossings of
-    y = 0, 1, x stay in the y chart, where the pole of the right-hand side
-    is removable on a solution; accuracy there falls as the path passes
-    closer to the crossing.  MAX_SWITCHES switches within one segment
-    raise ChartThrashError.
+    Integrates in the y chart, and in the one pole chart w = 1/(eps y)
+    (to_chart) while |y| is large: it enters inv_y when
+    |y| > 1/SWITCH_THRESHOLD and leaves it when
+    1/|y| > HYSTERESIS * SWITCH_THRESHOLD.  Crossings of y = 0, 1, x stay
+    in the y chart, where the pole of the right-hand side is removable on a
+    solution; accuracy there falls as the path passes closer to the
+    crossing.  MAX_SWITCHES switches within one segment raise
+    ChartThrashError.
     """
     if not isinstance(path, PathPlan):
         path = PathPlan(tuple(path), tol)
@@ -166,16 +180,12 @@ def integrate(ic, theta: ThetaParams, path, tol=1e-10) -> Trajectory:
         state["switches"] = 0
 
         def f(t, s, a=a, dx=dx):
-            x = a + t * dx
             w, wp = s
-            chart = state["chart"]
-            yv, ypv = from_chart(chart, w, wp)
-            ypp = pvi_rhs(x, yv, ypv, p)
-            if chart == "y":
-                wpp = ypp
-            else:
-                wpp = 2.0 * wp * wp / w - w * w * ypp
-            return [dx * wp, dx * wpp]
+            if state["chart"] == "y":
+                return [dx * wp, dx * pvi_rhs(a + t * dx, w, wp, p)]
+            u = 1.0 / w
+            ypp = pvi_rhs(a + t * dx, u / SWITCH_THRESHOLD, -wp * u * u / SWITCH_THRESHOLD, p)
+            return [dx * wp, dx * (2.0 * wp * wp * u - SWITCH_THRESHOLD * w * w * ypp)]
 
         def cb(t, s, a=a, dx=dx):
             x = a + t * dx

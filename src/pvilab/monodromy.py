@@ -110,12 +110,16 @@ def discover_order(M0, Mx, M1, Minf):
                      for M in (M0, Mx, M1, Minf))
     mats = dict(zip(_LABELS, mats))
     tol = 1e-8 * max(abs(v) for m in (*mats.values(), target) for v in m)
+    t00, t01, t10, t11 = target
     found = []
     for perm in itertools.permutations(_LABELS):
-        P = _mul2(_mul2(mats[perm[0]], mats[perm[1]]), mats[perm[2]])
-        if all(abs(p - q) < tol for p, q in zip(P, target)):
+        p00, p01, p10, p11 = _mul2(_mul2(mats[perm[0]], mats[perm[1]]), mats[perm[2]])
+        if (abs(p00 - t00) < tol and abs(p01 - t01) < tol
+                and abs(p10 - t10) < tol and abs(p11 - t11) < tol):
             found.append("*".join(perm))
-        if all(abs(p - q) < tol for p, q in zip(_mul2(P, target), (1.0, 0.0, 0.0, 1.0))):
+        # P Minf - I, entry by entry as _mul2 forms P Minf
+        if (abs(p00 * t00 + p01 * t10 - 1.0) < tol and abs(p00 * t01 + p01 * t11) < tol
+                and abs(p10 * t00 + p11 * t10) < tol and abs(p10 * t01 + p11 * t11 - 1.0) < tol):
             found.append("*".join(perm) + "=inv")
     return tuple(found)
 

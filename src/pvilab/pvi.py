@@ -109,21 +109,24 @@ def pvi_rhs(x: complex, y: complex, yp: complex, p: AbgdParams) -> complex:
 
     Takes the coefficients alpha, beta, gamma, delta as AbgdParams, not the
     thetas: a caller evaluating along a path maps them once with
-    theta_to_abgd.
+    theta_to_abgd.  x-1, y-1, y-x, x (x-1) and the reciprocals of y, y-1,
+    y-x and x (x-1) are each formed once and shared by the y'^2 term, the
+    y' term and the bracket.
     """
-    if abs(x) < 1e-12 or abs(x - 1.0) < 1e-12:
+    xm1 = x - 1.0
+    if abs(x) < 1e-12 or abs(xm1) < 1e-12:
         raise SingularConfigError(f"x = {x} is a fixed critical point")
-    if min(abs(y), abs(y - 1.0), abs(y - x)) < 1e-12:
+    ym1, ymx = y - 1.0, y - x
+    if abs(y) < 1e-12 or abs(ym1) < 1e-12 or abs(ymx) < 1e-12:
         raise SingularConfigError(f"y = {y} within tolerance of 0, 1, x")
-    t1 = 0.5 * (1.0 / y + 1.0 / (y - 1.0) + 1.0 / (y - x)) * yp * yp
-    t2 = (1.0 / x + 1.0 / (x - 1.0) + 1.0 / (y - x)) * yp
-    pref = y * (y - 1.0) * (y - x) / (x * x * ((x - 1.0) * (x - 1.0)))
-    bracket = (
-        p.alpha
-        + p.beta * x / (y * y)
-        + p.gamma * (x - 1.0) / ((y - 1.0) * (y - 1.0))
-        + p.delta * x * (x - 1.0) / ((y - x) * (y - x))
-    )
+    iy, iy1, iyx = 1.0 / y, 1.0 / ym1, 1.0 / ymx
+    xx1 = x * xm1
+    ixx = 1.0 / xx1
+    t1 = 0.5 * (iy + iy1 + iyx) * yp * yp
+    t2 = ((x + xm1) * ixx + iyx) * yp          # 1/x + 1/(x-1) = (2x-1)/(x (x-1))
+    pref = y * ym1 * ymx * ixx * ixx
+    bracket = (p.alpha + p.beta * x * iy * iy + p.gamma * xm1 * iy1 * iy1
+               + p.delta * xx1 * iyx * iyx)
     return t1 - t2 + pref * bracket
 
 

@@ -117,6 +117,34 @@ def test_crossing_stays_in_y_chart(theta, exact, path):
     assert t.events == []
 
 
+@pytest.mark.parametrize("tol, bound", [(1e-10, 1e-8), (1e-12, 1e-10)])
+@pytest.mark.parametrize("theta, exact, pole", [
+    ((1.0, 0.4, -0.7, -0.7), _rational_a, -14.0 / 3.0),
+    ((-2.0, 1.5, 0.2, 0.3), _rational_b, -7.5),
+], ids=["th0=1", "th0=-2"])
+def test_pole_pass_delivers_its_tolerance(theta, exact, pole, tol, bound):
+    # a straight pass 3e-3 from the movable pole, in eight directions; the
+    # unscaled pole chart w = 1/y missed these bounds by up to 60 times
+    # (6e-7 at tol 1e-10 and 1.6e-9 at tol 1e-12, th0 = -2)
+    for k in range(8):
+        v = complex(math.cos(math.pi * k / 4), math.sin(math.pi * k / 4))
+        mid = pole + 3e-3j * v
+        path = (mid - 0.8 * v, mid + 0.8 * v)
+        y0, yp0 = exact(path[0])
+        t = integrate((path[0], y0, yp0), ThetaParams(*theta), PathPlan(path, tol), tol=tol)
+        xf, yf, ypf = t.final()
+        y, yp = exact(xf)
+        assert max(abs(yf - y) / (1.0 + abs(y)), abs(ypf - yp) / (1.0 + abs(yp))) <= bound
+        assert [e["to"] for e in t.events] == ["inv_y", "y"]
+
+
+def test_pole_chart_is_one_where_it_is_entered():
+    y, yp = 1.0 / continuation.SWITCH_THRESHOLD * (0.6 + 0.8j), -2.0e6 + 1.0e5j
+    w, wp = to_chart("inv_y", y, yp)
+    assert abs(abs(w) - 1.0) < 1e-15
+    assert abs(wp + continuation.SWITCH_THRESHOLD * yp * w * w) <= 1e-15 * abs(wp)
+
+
 def test_seed_and_verify_series_seed():
     ser = solve_taylor(TH, "form1", N=12)
     with warnings.catch_warnings():

@@ -40,6 +40,79 @@ def test_rhs_guards():
         pvi_rhs(0.3, 0.3, 0.1, theta_to_abgd(TH))  # y = x
 
 
+def _partial_fraction_rhs(x, y, yp, p):
+    """pvi_rhs as first written: each reciprocal formed where it is used,
+    1/y in the y'^2 term and again as x/(y*y) in the bracket."""
+    if abs(x) < 1e-12 or abs(x - 1.0) < 1e-12:
+        raise SingularConfigError(f"x = {x} is a fixed critical point")
+    if min(abs(y), abs(y - 1.0), abs(y - x)) < 1e-12:
+        raise SingularConfigError(f"y = {y} within tolerance of 0, 1, x")
+    t1 = 0.5 * (1.0 / y + 1.0 / (y - 1.0) + 1.0 / (y - x)) * yp * yp
+    t2 = (1.0 / x + 1.0 / (x - 1.0) + 1.0 / (y - x)) * yp
+    pref = y * (y - 1.0) * (y - x) / (x * x * ((x - 1.0) * (x - 1.0)))
+    bracket = (
+        p.alpha
+        + p.beta * x / (y * y)
+        + p.gamma * (x - 1.0) / ((y - 1.0) * (y - 1.0))
+        + p.delta * x * (x - 1.0) / ((y - x) * (y - x))
+    )
+    return t1 - t2 + pref * bracket
+
+
+def _rhs_draws(rng, n, lo, hi):
+    """n draws of complex (x, y, y'), five in six with x or y at a distance
+    in [10^lo, 10^hi] from x = 0, x = 1, y = 0, y = 1 or y = x."""
+    out = []
+    for i in range(n):
+        x, y, yp = rng.normal(size=3) + 1j * rng.normal(size=3)
+        d = 10.0 ** rng.uniform(lo, hi) * np.exp(2j * np.pi * rng.uniform())
+        kind = i % 6
+        if kind == 1:
+            x = d
+        elif kind == 2:
+            x = 1.0 + d
+        elif kind == 3:
+            y = d
+        elif kind == 4:
+            y = 1.0 + d
+        elif kind == 5:
+            y = x + d
+        out.append((complex(x), complex(y), complex(yp)))
+    return out
+
+
+def _outcome(rhs, x, y, yp, p):
+    try:
+        return rhs(x, y, yp, p), None
+    except SingularConfigError as e:
+        return None, str(e)
+
+
+def test_rhs_matches_the_partial_fraction_form():
+    rng = np.random.default_rng(25)
+    p = theta_to_abgd(ThetaParams(0.23 + 0.1j, 0.57, -0.31, 0.44))
+    for x, y, yp in _rhs_draws(rng, 200, -11.0, -6.0):
+        got, want = pvi_rhs(x, y, yp, p), _partial_fraction_rhs(x, y, yp, p)
+        assert abs(got - want) <= 1e-13 * max(1.0, abs(want))
+
+
+def test_rhs_guards_match_the_partial_fraction_form():
+    # inside and at the edge of the 1e-12 guards, and exactly on them
+    rng = np.random.default_rng(26)
+    p = theta_to_abgd(TH)
+    draws = _rhs_draws(rng, 120, -16.0, -11.5)
+    draws += [(0.0, 0.5, 0.1), (1.0, 0.5, 0.1), (0.3, 0.0, 0.1), (0.3, 1.0, 0.1),
+              (0.3 + 0.2j, 0.3 + 0.2j, 0.1), (1e-13, 1e-13, 0.1)]
+    raised = 0
+    for x, y, yp in draws:
+        got, want = _outcome(pvi_rhs, x, y, yp, p), _outcome(_partial_fraction_rhs, x, y, yp, p)
+        assert got[1] == want[1]
+        if want[1] is None:
+            assert abs(got[0] - want[0]) <= 1e-13 * max(1.0, abs(want[0]))
+        raised += want[1] is not None
+    assert raised >= 80     # 97 of 126: the generic draws and those past 1e-12 run through
+
+
 def _second_derivative(f, x, h=1e-5):
     return (f(x + h) - 2.0 * f(x) + f(x - h)) / (h * h)
 
