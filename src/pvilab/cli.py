@@ -2,10 +2,11 @@
 
 Every subcommand prints a single JSON document (schema_version 1) with
 deterministic bytes: keys sorted, complex numbers as [re, im] pairs,
-matrices row-major.  The library returns complex numbers and arrays; each
-command builds its document from them here, and emit alone encodes it.
-Exit codes: 0 success, 2 validation error (a stated precondition was
-violated), 3 numeric failure.
+matrices row-major.  The library returns complex numbers, Mat2 matrices and
+(series, sweep, selftest and appendix2, the commands that import numpy)
+numpy arrays; each command builds its document from them here, and emit
+alone encodes it.  Exit codes: 0 success, 2 validation error (a stated
+precondition was violated), 3 numeric failure.
 """
 
 from __future__ import annotations
@@ -13,11 +14,11 @@ from __future__ import annotations
 import argparse
 import cmath
 import json
+import re
 import sys
 from typing import TYPE_CHECKING
 
-import numpy as np
-
+from .numerics import Mat2, mat2
 from .pvi import ResonanceError, ThetaParams
 from .symmetries import MapPoleError
 
@@ -75,18 +76,26 @@ def l2c(pair):
     return complex(pair[0], pair[1])
 
 
-def l2m(rows):
-    return np.array([[l2c(c) for c in row] for row in rows], dtype=complex)
+def l2m(rows) -> Mat2:
+    rows = [[l2c(c) for c in row] for row in rows]
+    if [len(row) for row in rows] != [2, 2]:
+        raise ValueError(f"expected 2x2 [re, im] pairs, got rows of {[len(r) for r in rows]}")
+    return mat2(*rows[0], *rows[1])
 
 
 def _plain(v):
-    """v with each complex number (Python or numpy) as its [re, im] pair and
-    each array or tuple as a list."""
+    """v with each complex number as its [re, im] pair, a Mat2 as its rows and
+    each array or tuple as a list; numpy values are recognised through
+    sys.modules, which holds numpy once any exists."""
     if isinstance(v, dict):
         return {k: _plain(x) for k, x in v.items()}
-    if isinstance(v, (list, tuple, np.ndarray)):
+    if isinstance(v, Mat2):
+        a, b, c, d = v.e
+        return [[_plain(a), _plain(b)], [_plain(c), _plain(d)]]
+    np = sys.modules.get("numpy")
+    if isinstance(v, (list, tuple)) or np is not None and isinstance(v, np.ndarray):
         return [_plain(x) for x in v]
-    if isinstance(v, (complex, np.complexfloating)):
+    if isinstance(v, complex) or np is not None and isinstance(v, np.complexfloating):
         return [float(v.real), float(v.imag)]
     return v
 
@@ -135,13 +144,6 @@ def _field(doc, key, convert, path, default=_REQUIRED):
         raise ValueError(f"{src}: bad value for key {key!r}: {e}") from None
 
 
-def _matrix2(rows):
-    m = l2m(rows)
-    if m.shape != (2, 2):
-        raise ValueError(f"expected a 2x2 matrix of [re, im] pairs, got shape {m.shape}")
-    return m
-
-
 def _theta(pairs):
     if pairs is None:
         return None
@@ -159,7 +161,7 @@ def rep_from_json(doc, path=None) -> MonodromyRep:
     key is named together with the --json-in path it was read from."""
     from .monodromy import MonodromyRep
     mats = _field(doc, "matrices", dict, path)
-    M0, Mx, M1, Minf = (_field(mats, k, _matrix2, path) for k in ("M0", "Mx", "M1", "Minf"))
+    M0, Mx, M1, Minf = (_field(mats, k, l2m, path) for k in ("M0", "Mx", "M1", "Minf"))
     return MonodromyRep(M0, Mx, M1, Minf, _field(doc, "order", tuple, path, ()),
                         case=_field(doc, "case", str, path, ""),
                         theta=_field(doc, "theta", _theta, path, None),
@@ -344,7 +346,7 @@ def cmd_hypergeom(args):
     if args.oracle:
         orc = connection_oracle(args.which, th)
         doc["oracle"] = orc
-        doc["deviation"] = float(np.max(np.abs(cmat - orc)))
+        doc["deviation"] = max(abs(u - v) for u, v in zip(cmat.e, orc.e))
     emit(doc, args.out)
     return 0
 
@@ -367,7 +369,7 @@ def _kind(value):
 
 def _coeffs(need):
     def convert(mats):
-        out = [_matrix2(m) for m in mats]
+        out = [l2m(m) for m in mats]
         if len(out) < need:
             raise ValueError(f"expected at least {need} matrices, got {len(out)}")
         return out
@@ -397,7 +399,7 @@ def cmd_fuchsian(args):
         path = args.json_in
         spec = load_json(path)
         kind = _field(spec, "kind", _kind, path)
-        lead = _field(spec, "leading", _matrix2, path)
+        lead = _field(spec, "leading", l2m, path)
         # IRR1 reads D1; IRR2 reads E1 and E2
         coeffs = _field(spec, "coeffs", _coeffs(1 if kind == "IRR1" else 2), path)
         n = _field(spec, "n", _positive_int, path, 1 if kind == "IRR1" else 2)
@@ -442,7 +444,8 @@ def cmd_sweep(args):
     if args.klass in _UNDRAWABLE:
         raise ValueError(f"--class {args.klass} needs {_UNDRAWABLE[args.klass]}, which no "
                          "random theta draw satisfies; solve it with `pvilab series`")
-    rng = np.random.default_rng(args.seed)
+    from numpy.random import default_rng
+    rng = default_rng(args.seed)
     results = []
     for idx in range(args.count):
         th = _theta_draw(rng)
@@ -564,8 +567,21 @@ def build_parser():
     return p
 
 
+def _join_minus_values(argv):
+    """argv with `--flag -value` joined into `--flag=-value` where the value
+    starts with a minus sign and a digit or a point, as "-5.5+0.003i,..."
+    does: argparse would read it as an option.  No option starts so."""
+    out = []
+    for arg in argv:
+        if out and out[-1].startswith("--") and "=" not in out[-1] and re.match(r"-[\d.]", arg):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = build_parser().parse_args(_join_minus_values(sys.argv[1:] if argv is None else argv))
     try:
         return args.fn(args)
     except _VALIDATION as e:

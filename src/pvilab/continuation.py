@@ -8,8 +8,7 @@ controller's mixed error test tol (1 + max|state|) then stays relative
 there, as in the y chart, instead of becoming an absolute test on a state
 of size eps.  Crossings of y = 0, 1, x at a regular x are integrated in
 the y chart: there the simple pole of the right-hand side is removable on
-a solution.  Also provides seed-consistency diagnostics (series and
-critical-behavior seeds vs the integrated trajectory).
+a solution.
 """
 
 from __future__ import annotations
@@ -17,11 +16,7 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from .asymptotics import CriticalSeed, leading_term, seed_value
 from .integrate import dp45
-from .numerics import PRINCIPAL, cpow, clog
 from .pvi import ThetaParams, pvi_rhs, pvi_residual_expr, theta_to_abgd
 
 __all__ = [
@@ -32,7 +27,6 @@ __all__ = [
     "to_chart",
     "from_chart",
     "integrate",
-    "seed_and_verify",
 ]
 
 CHARTS = ("y", "inv_y")
@@ -214,40 +208,3 @@ def integrate(ic, theta: ThetaParams, path, tol=1e-10) -> Trajectory:
     if traj.samples[-1][0] != path.vertices[-1]:
         traj.record(path.vertices[-1], y, yp, state["chart"])
     return traj
-
-
-def seed_and_verify(seed, theta: ThetaParams, x_near, x_far, tol=1e-10) -> dict:
-    """Start from the seed at x_near, integrate to x_far, report drift.
-
-    seed may be a CriticalSeed or a Taylor-series object with eval /
-    eval_deriv.  Diagnostics: ratio of y to the seed's dominant printed
-    term along the trajectory (power-type kinds), a least-squares fit of
-    y/x against a quadratic in ln x (log-generic), or max |Delta y|
-    against the series (series seeds).
-    """
-    x_near, x_far = complex(x_near), complex(x_far)
-    is_seed = isinstance(seed, CriticalSeed)
-    if is_seed:
-        y0, yp0 = seed_value(seed, x_near)
-    else:
-        y0, yp0 = seed.eval(x_near), seed.eval_deriv(x_near)
-    traj = integrate((x_near, y0, yp0), theta, PathPlan((x_near, x_far), tol), tol=tol)
-
-    diag = {"trajectory": traj, "final": traj.final()}
-    xs = [s[0] for s in traj.samples]
-    ys = [s[1] for s in traj.samples]
-    if is_seed and seed.kind in ("power-generic", "trig", "one-param-sum", "one-param-diff"):
-        c, e = leading_term(seed)
-        ratios = [y / (c * cpow(x, e, PRINCIPAL)) for x, y in zip(xs, ys)]
-        diag["ratios"] = ratios
-        diag["ratio_drift"] = max(abs(r - 1.0) for r in ratios)
-    elif is_seed and seed.kind == "log-generic":
-        L = np.array([clog(x, PRINCIPAL) for x in xs])
-        V = np.stack([L * L, L, np.ones_like(L)], axis=1)
-        coef, *_ = np.linalg.lstsq(V, np.array(ys) / np.array(xs), rcond=None)
-        diag["log_fit"] = list(coef)
-        diag["log_leading"] = coef[0]
-    elif not is_seed:
-        dy = [abs(y - seed.eval(x)) for x, y in zip(xs, ys)]
-        diag["max_dy"] = max(dy)
-    return diag

@@ -13,10 +13,8 @@ import cmath
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .integrate import dp45
-from .numerics import PRINCIPAL, cpow, inv2
+from .numerics import PRINCIPAL, Mat2, cpow, mat2
 from .pvi import ResonanceError, ThetaParams, is_int
 
 __all__ = [
@@ -54,33 +52,13 @@ class LinearSystem:
     entries: dict
     params: dict = field(default_factory=dict)
 
-    def residue(self, which: str, x) -> np.ndarray:
-        e = self.entries[which]
-        return np.array([[_ev(e[i][j], x) for j in range(2)] for i in range(2)],
-                        dtype=complex)
+    def residue(self, which: str, x) -> Mat2:
+        (a, b), (c, d) = self.entries[which]
+        return mat2(_ev(a, x), _ev(b, x), _ev(c, x), _ev(d, x))
 
-    def sum_residues(self, x) -> np.ndarray:
-        return sum(self.residue(k, x) for k in _KEYS)
-
-    def conjugated(self, c: np.ndarray) -> "LinearSystem":
-        """Constant gauge C A C^{-1} applied entrywise per power of x."""
-        ci = inv2(c)
-        new = {}
-        for key in _KEYS:
-            e = self.entries[key]
-            powers = sorted({p for i in range(2) for j in range(2)
-                             for p, _ in e[i][j]}, key=lambda z: (complex(z).real, complex(z).imag))
-            out = [[[], []], [[], []]]
-            for p in powers:
-                m = np.array([[sum(cf for q, cf in e[i][j] if q == p)
-                               for j in range(2)] for i in range(2)], dtype=complex)
-                m = c @ m @ ci
-                for i in range(2):
-                    for j in range(2):
-                        if m[i, j] != 0:
-                            out[i][j].append((p, m[i, j]))
-            new[key] = tuple(tuple(tuple(cell) for cell in row) for row in out)
-        return LinearSystem(self.theta, self.tag + "+gauge", new, dict(self.params))
+    def sum_residues(self, x) -> Mat2:
+        a0, ax, a1 = (self.residue(k, x) for k in _KEYS)
+        return a0 + ax + a1
 
 
 def _pack(a0, ax, a1):
@@ -223,7 +201,7 @@ class Loop:
     orientation: int = 1
 
 
-def transport(sys: LinearSystem, x, loop_or_vertices, tol=1e-10) -> np.ndarray:
+def transport(sys: LinearSystem, x, loop_or_vertices, tol=1e-10) -> Mat2:
     """Monodromy of the fundamental solution normalized to I at the start.
 
     Integrates dPsi/dlambda = A(lambda) Psi with the DOP853 integrator along
@@ -240,23 +218,24 @@ def transport(sys: LinearSystem, x, loop_or_vertices, tol=1e-10) -> np.ndarray:
     first and subtracting c again would give d a relative error of about
     eps |c| / radius, which is 30 eps / |x| for the default loop around 1.
 
-    The right-hand side is written out in Python complex arithmetic: on 2x2
-    arrays each numpy operation costs more in dispatch than in arithmetic.
-    Raises ValueError naming x when the residues at x overflow or are not
-    finite.
+    The state and the right-hand side are Python lists of the four entries
+    of Psi, row-major, in Python complex arithmetic.  Raises ValueError
+    naming x when the residues at x overflow or are not finite, and when a
+    basepoint leg would end at center + radius that rounds to the center.
     """
     if isinstance(loop_or_vertices, Loop):
         r = loop_or_vertices.radius
-        if not (math.isfinite(r) and r > 0):
-            raise ValueError(f"loop radius {r} at x = {x} is not a finite positive "
-                             "number (x must stay away from 0 and 1)")
+        if not (math.isfinite(r) and r >= 2.0 ** -1022):    # subnormal radii lose bits
+            raise ValueError(f"loop radius {r} at x = {x} is not a finite positive normal "
+                             "float (x must stay away from 0 and 1)")
         c = complex(loop_or_vertices.center)
-        if c + r == c:
+        if loop_or_vertices.basepoint is not None and c + r == c:
             raise ValueError(f"loop radius {r} vanishes against its center {c} "
-                             "(center + radius rounds to center)")
+                             "(the basepoint leg would end at center + radius, which "
+                             "rounds to center)")
     xc = complex(x)
     try:
-        res = [sys.residue(k, x).ravel().tolist() for k in _KEYS]
+        res = [sys.residue(k, x).e for k in _KEYS]
     except OverflowError as e:
         raise ValueError(f"the residues at x = {xc} overflow "
                          "(their series are expansions at small x)") from e
@@ -281,13 +260,13 @@ def transport(sys: LinearSystem, x, loop_or_vertices, tol=1e-10) -> np.ndarray:
             return [b00 * y00 + b01 * y10, b00 * y01 + b01 * y11,
                     b10 * y00 + b11 * y10, b10 * y01 + b11 * y11]
 
-        return dp45(f, 0.0, 1.0, m.ravel(), tol=tol).reshape(2, 2)
+        return mat2(*dp45(f, 0.0, 1.0, list(m.e), tol=tol))
 
     def edge(m, z0, z1):
         dz = z1 - z0
         return m if dz == 0 else leg(m, z0, lambda t: (t * dz, dz))
 
-    m = np.eye(2, dtype=complex)
+    m = mat2(1.0, 0.0, 0.0, 1.0)
     if isinstance(loop_or_vertices, Loop):
         lp = loop_or_vertices
         c, r = complex(lp.center), float(lp.radius)
@@ -305,7 +284,7 @@ def transport(sys: LinearSystem, x, loop_or_vertices, tol=1e-10) -> np.ndarray:
     return m
 
 
-def loop_monodromy(sys: LinearSystem, x, center, tol=1e-10) -> np.ndarray:
+def loop_monodromy(sys: LinearSystem, x, center, tol=1e-10) -> Mat2:
     """Transport around the default counterclockwise loop at one singularity."""
     return transport(sys, x, Loop(complex(center), default_radius(x)), tol=tol)
 
@@ -330,7 +309,6 @@ def _dn(d_list, n):
     return d_list[min(n, len(d_list)) - 1]
 
 
-@np.errstate(divide="ignore", over="ignore", invalid="ignore")
 def appendix2_recursion(kind, leading, coeff_list, n_max, x=None):
     """Gauge series removing the z^{-n} (n >= 2) tails of the model systems.
 
@@ -348,50 +326,53 @@ def appendix2_recursion(kind, leading, coeff_list, n_max, x=None):
     at x = 0, since the recursion divides by x^2.  An overflow gives
     coefficients that are not finite, without a warning.
     """
-    lead = np.asarray(leading, dtype=complex)
-    w = np.diag(lead)
-    if abs(w[0] - w[1]) < 1e-12 * (1.0 + abs(w).max()):
-        raise ResonanceError("leading diagonal must have distinct eigenvalues")
-    ds = [np.asarray(m, dtype=complex) for m in coeff_list]
+    import numpy as np
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        lead = np.asarray(leading, dtype=complex)
+        w = np.diag(lead)
+        if abs(w[0] - w[1]) < 1e-12 * (1.0 + abs(w).max()):
+            raise ResonanceError("leading diagonal must have distinct eigenvalues")
+        ds = [np.asarray(m, dtype=complex) for m in coeff_list]
 
-    if kind == "IRR1":
-        om1 = np.diag(np.diag(ds[0]))
-        g = [np.zeros((2, 2), dtype=complex) for _ in range(n_max + 2)]  # g[n] = G_n, g[0]=I
-        g[0] = np.eye(2, dtype=complex)
-        for i in range(2):
-            for j in range(2):
-                if i != j:
-                    g[1][i, j] = -ds[0][i, j] / (w[i] - w[j])
-        for n in range(2, n_max + 2):
-            # power 1/z^n fixes diag of G_{n-1} and offdiag of G_n
-            acc = sum(_dn(ds, n - k) @ g[k] for k in range(0, n - 1))  # D_n G_0 + ... + D_2 G_{n-2}
+        if kind == "IRR1":
+            om1 = np.diag(np.diag(ds[0]))
+            g = [np.zeros((2, 2), dtype=complex) for _ in range(n_max + 2)]  # g[n] = G_n, g[0]=I
+            g[0] = np.eye(2, dtype=complex)
             for i in range(2):
-                j = 1 - i
-                g[n - 1][i, i] = (-acc[i, i] - ds[0][i, j] * g[n - 1][j, i]) / (n - 1.0)
-            if n <= n_max + 1:
+                for j in range(2):
+                    if i != j:
+                        g[1][i, j] = -ds[0][i, j] / (w[i] - w[j])
+            for n in range(2, n_max + 2):
+                # power 1/z^n fixes diag of G_{n-1} and offdiag of G_n
+                # D_n G_0 + ... + D_2 G_{n-2}
+                acc = sum(_dn(ds, n - k) @ g[k] for k in range(0, n - 1))
                 for i in range(2):
                     j = 1 - i
-                    g[n][i, j] = ((om1[j, j] - om1[i, i] - (n - 1.0)) * g[n - 1][i, j]
-                                  - ds[0][i, j] * g[n - 1][j, j] - acc[i, j]) / (w[i] - w[j])
-        return [g[n] for n in range(1, n_max + 1)], om1
+                    g[n - 1][i, i] = (-acc[i, i] - ds[0][i, j] * g[n - 1][j, i]) / (n - 1.0)
+                if n <= n_max + 1:
+                    for i in range(2):
+                        j = 1 - i
+                        g[n][i, j] = ((om1[j, j] - om1[i, i] - (n - 1.0)) * g[n - 1][i, j]
+                                      - ds[0][i, j] * g[n - 1][j, j] - acc[i, j]) / (w[i] - w[j])
+            return [g[n] for n in range(1, n_max + 1)], om1
 
-    if kind == "IRR2":
-        if x is None:
-            raise ValueError("IRR2 recursion needs the deformation parameter x")
-        x = complex(x)
-        if x == 0:
-            raise ValueError("IRR2 recursion divides by x^2: x must be nonzero")
-        es = ds
-        lam1 = np.diag(np.diag(es[0]))
-        k1 = np.diag([-es[1][0, 0], -es[1][1, 1]]).astype(complex)
-        k2 = np.zeros((2, 2), dtype=complex)
-        for i in range(2):
-            j = 1 - i
-            k2[i, j] = -es[0][i, j] / (x * x * (w[i] - w[j]))
-        e3 = _dn(es, 3)
-        for i in range(2):
-            j = 1 - i
-            k2[i, i] = (es[1][i, i] ** 2 - e3[i, i] - es[0][i, j] * k2[j, i]) / 2.0
-        return k1, k2, lam1
+        if kind == "IRR2":
+            if x is None:
+                raise ValueError("IRR2 recursion needs the deformation parameter x")
+            x = complex(x)
+            if x == 0:
+                raise ValueError("IRR2 recursion divides by x^2: x must be nonzero")
+            es = ds
+            lam1 = np.diag(np.diag(es[0]))
+            k1 = np.diag([-es[1][0, 0], -es[1][1, 1]]).astype(complex)
+            k2 = np.zeros((2, 2), dtype=complex)
+            for i in range(2):
+                j = 1 - i
+                k2[i, j] = -es[0][i, j] / (x * x * (w[i] - w[j]))
+            e3 = _dn(es, 3)
+            for i in range(2):
+                j = 1 - i
+                k2[i, i] = (es[1][i, i] ** 2 - e3[i, i] - es[0][i, j] * k2[j, i]) / 2.0
+            return k1, k2, lam1
 
-    raise ValueError(f"unknown recursion kind {kind}")
+        raise ValueError(f"unknown recursion kind {kind}")

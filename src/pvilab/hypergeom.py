@@ -16,10 +16,8 @@ import cmath
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .integrate import dp45
-from .numerics import PoleError, clog, cpow, gamma, digamma, inv2, mat2
+from .numerics import Mat2, PoleError, clog, cpow, gamma, digamma, inv2, mat2
 from .pvi import ThetaParams, ResonanceError, is_int
 
 __all__ = [
@@ -233,7 +231,7 @@ def _eip(q):
     return cmath.exp(0.5j * math.pi * q)
 
 
-def connection_matrix(which: str, theta: ThetaParams, flip_th1=False) -> np.ndarray:
+def connection_matrix(which: str, theta: ThetaParams, flip_th1=False) -> Mat2:
     """The four Gamma-product connection matrices.
 
     which: "C0inf" | "C01" (diagonalizable-at-1 constructions, optionally
@@ -307,11 +305,10 @@ def _cinf0_row2(t0, tx, table):
 def _frame(w, dw, dz, cols):
     """Frame [[w^e f, ...], [d/dmu of each]] from columns (e, f(z), f'(z)), where
     dw and dz are the mu-derivatives of w and z; principal powers."""
-    out = np.empty((2, 2), dtype=complex)
-    for j, (e, f, df) in enumerate(cols):
-        pw = cpow(w, e)
-        out[:, j] = pw * f, pw * (e * dw / w * f + df * dz)
-    return out
+    (e1, f1, d1), (e2, f2, d2) = cols
+    p1, p2 = cpow(w, e1), cpow(w, e2)
+    return mat2(p1 * f1, p2 * f2,
+                p1 * (e1 * dw / w * f1 + d1 * dz), p2 * (e2 * dw / w * f2 + d2 * dz))
 
 
 def _gauss_pair(al, be, ga, z):
@@ -389,11 +386,8 @@ def ode_transport(p: GaussParams, z0, W0, path, tol=1e-12):
 
     W0 is the 2x2 frame [[f1, f2], [f1', f2']] at z0; path is a list of
     complex waypoints starting after z0, each leg integrated by the DOP853
-    integrator `integrate.dp45`.  Returns the frame at path[-1].
-
-    The right-hand side is written out in Python complex arithmetic: on
-    arrays of four entries each numpy operation costs more in dispatch than
-    in arithmetic.
+    integrator `integrate.dp45` on the list [f1, f1', f2, f2'] in Python
+    complex arithmetic.  Returns the frame at path[-1] as a Mat2.
     """
     al, be, ga = p.alpha, p.beta, p.gamma
 
@@ -411,12 +405,12 @@ def ode_transport(p: GaussParams, z0, W0, path, tol=1e-12):
 
         return f
 
-    y = np.array([W0[0, 0], W0[1, 0], W0[0, 1], W0[1, 1]], dtype=complex)
+    y = [W0[0, 0], W0[1, 0], W0[0, 1], W0[1, 1]]
     za = complex(z0)
     for zb in path:
         y = dp45(rhs_factory(za, complex(zb)), 0.0, 1.0, y, tol=tol)
         za = complex(zb)
-    return np.array([[y[0], y[2]], [y[1], y[3]]], dtype=complex)
+    return mat2(y[0], y[2], y[1], y[3])
 
 
 def connection_oracle(which: str, theta: ThetaParams, flip_th1=False):
@@ -450,5 +444,5 @@ def reducible_u(theta: ThetaParams, a, x):
     (u1, u2) the Kummer basis at 0 of 2F1(2 - thinf, 1 + thx; 2 - thinf - th1)."""
     _, tx, t1, ti = theta.as_tuple()
     at0 = kummer_bases(GaussParams(2.0 - ti, 1.0 + tx, 2.0 - ti - t1))[0]
-    u, du = at0(x) @ (1.0, a)
-    return complex(u), complex(du)
+    f1, f2, d1, d2 = at0(x).e
+    return f1 + f2 * a, d1 + d2 * a

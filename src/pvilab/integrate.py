@@ -12,13 +12,13 @@ below the float unit roundoff (machine epsilon) is rejected: the mixed error
 test cannot meet it, and the step size would shrink until rounding noise
 happened to pass.
 
-The state is a Python list of complex numbers, and the right-hand side takes
-and returns such lists.  Every user integrates 2- or 4-vectors, where each
-numpy operation costs more in dispatch than in arithmetic, so the stage sums
-are written out in Python complex arithmetic with the tableau coefficients
-as float literals.  A NaN in any component of a trial state or of its error
-estimate rejects the step, as numpy's propagating max did; Python's max()
-would drop it.
+The state is a Python list of complex numbers: dp45 takes any sequence and
+returns a list, and the right-hand side takes and returns such lists.  Every
+user integrates 2- or 4-vectors, where each numpy operation costs more in
+dispatch than in arithmetic, so the stage sums are written out in Python
+complex arithmetic with the tableau coefficients as float literals.  A NaN
+in any component of a trial state or of its error estimate rejects the
+step, as numpy's propagating max did; Python's max() would drop it.
 
 The integrator keeps the name dp45 that it had as a Dormand-Prince 5(4)
 pair: the benchmark's tracer (bench/tracing.py) patches `integrate.dp45` and
@@ -28,8 +28,7 @@ each user's imported `dp45` by that name.
 from __future__ import annotations
 
 import math
-
-import numpy as np
+import sys
 
 __all__ = ["StepUnderflow", "dp45"]
 
@@ -55,7 +54,7 @@ __all__ = ["StepUnderflow", "dp45"]
 # Stage 12 sits at t + h but not at the new state, so f at the new point is
 # evaluated only once a step is accepted and serves as stage 1 of the next:
 # 12 evaluations per accepted step, 11 per rejected one.
-_EPS = float(np.finfo(float).eps)
+_EPS = sys.float_info.epsilon
 
 
 class StepUnderflow(RuntimeError):
@@ -65,7 +64,7 @@ class StepUnderflow(RuntimeError):
 def dp45(f, t0, t1, y0, tol=1e-10, h0=None, min_step=1e-14, step_cb=None):
     """Integrate y' = f(t, y) from t0 to t1 (real parameter t) with DOP853.
 
-    y0 is any 1-D array-like of complex numbers.  f(t, y) receives the state
+    y0 is any sequence of complex numbers.  f(t, y) receives the state
     as a Python list of complex numbers and returns a sequence of the same
     length.  Local error per step <= tol (mixed absolute/relative:
     max_j err_j <= tol (1 + max_j |y_new[j]|), where
@@ -74,7 +73,7 @@ def dp45(f, t0, t1, y0, tol=1e-10, h0=None, min_step=1e-14, step_cb=None):
     component of the new state or of the error rejects the step.  step_cb,
     if given, is called as step_cb(t, y) with the list after every accepted
     step and may return a replacement sequence (chart switches).  Returns
-    y(t1) as a complex ndarray.
+    y(t1) as a list of complex numbers.
 
     f is evaluated once at the start, 12 times per accepted step (stages 2
     to 12 and f at the new point, which is stage 1 of the next step) and 11
@@ -84,7 +83,7 @@ def dp45(f, t0, t1, y0, tol=1e-10, h0=None, min_step=1e-14, step_cb=None):
     at most 2x, shrinks by at most 5x, and does not grow on the step after
     a rejection.
 
-    Raises ValueError for tol below the unit roundoff np.finfo(float).eps,
+    Raises ValueError for tol below the unit roundoff sys.float_info.epsilon,
     and StepUnderflow when the step size falls below min_step.
     """
     if tol < _EPS:
@@ -92,11 +91,11 @@ def dp45(f, t0, t1, y0, tol=1e-10, h0=None, min_step=1e-14, step_cb=None):
                          "that the error test can resolve")
     t = float(t0)
     t1 = float(t1)
-    y = np.asarray(y0, dtype=complex).tolist()
+    y = [complex(v) for v in y0]
     direction = 1.0 if t1 >= t else -1.0
     span = abs(t1 - t)
     if span == 0:
-        return np.array(y, dtype=complex)
+        return y
     h = h0 if h0 is not None else span / 50.0
     h = direction * min(abs(h), span)
     k1 = f(t, y)
@@ -197,4 +196,4 @@ def dp45(f, t0, t1, y0, tol=1e-10, h0=None, min_step=1e-14, step_cb=None):
         h *= fac
         if abs(h) < min_step:
             raise StepUnderflow(f"step size underflow at t = {t}")
-    return np.array(y, dtype=complex)
+    return y

@@ -3,8 +3,7 @@ classes at x=0, the trace identity, sigma extraction, and the r-inversion.
 
 The product-order relation between M0, Mx, M1 and Minf is discovered
 numerically at build time and recorded as data (the loop basis fixes it,
-and we do not assert one basis).  A build does its 2x2 algebra on row-major
-4-tuples in Python complex arithmetic and stores the four matrices as arrays.
+and we do not assert one basis).  The four matrices are `numerics.Mat2`.
 """
 
 from __future__ import annotations
@@ -14,9 +13,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from .numerics import SingularMatrixError, mat2, tr2, gamma
+from .numerics import Mat2, _diag, _entries, _mat, gamma, inv2, mat2, tr2
 from .pvi import ResonanceError, ThetaParams, is_int
 from .hypergeom import _cinf0_row2, _connection
 
@@ -46,10 +43,10 @@ class TraceData:
 
 @dataclass(frozen=True)
 class MonodromyRep:
-    M0: np.ndarray
-    Mx: np.ndarray
-    M1: np.ndarray
-    Minf: np.ndarray
+    M0: Mat2
+    Mx: Mat2
+    M1: Mat2
+    Minf: Mat2
     order: tuple                  # product orders found to reproduce Minf
     case: str = ""
     theta: ThetaParams | None = None
@@ -63,61 +60,35 @@ class MonodromyRep:
         return {"M0": self.M0, "Mx": self.Mx, "M1": self.M1, "Minf": self.Minf}
 
 
-def _mul2(a, b):
-    """The product of two 2x2 matrices given as row-major 4-tuples."""
-    a00, a01, a10, a11 = a
-    b00, b01, b10, b11 = b
-    return (a00 * b00 + a01 * b10, a00 * b01 + a01 * b11,
-            a10 * b00 + a11 * b10, a10 * b01 + a11 * b11)
-
-
-def _inv2(m):
-    """`numerics.inv2` of a row-major 4-tuple: its singularity test, then the adjugate over det."""
-    a, b, c, d = m
-    det = a * d - b * c
-    scale = max(abs(a), abs(b), abs(c), abs(d), 1.0)    # its square may overflow to inf
-    if abs(det) < 1e-14 * scale * scale:
-        raise SingularMatrixError(f"matrix is singular to tolerance, det = {det}")
-    return d / det, -b / det, -c / det, a / det
-
-
-def _diag(theta):
-    """exp(i pi theta sigma3) as a row-major 4-tuple."""
-    e = cmath.exp(1j * math.pi * theta)
-    return e, 0.0, 0.0, 1.0 / e
-
-
 def _conj(L, D, R):
     """L D R for a diagonal D: the columns of L scaled, times R."""
-    return _mul2((L[0] * D[0], L[1] * D[3], L[2] * D[0], L[3] * D[3]), R)
+    l00, l01, l10, l11 = L.e
+    d0, _, _, d1 = D.e
+    return _mat(l00 * d0, l01 * d1, l10 * d0, l11 * d1) @ R
 
 
 def _rep(M0, Mx, M1, Minf, **fields):
-    """The representation of four row-major 4-tuples, its matrices as arrays."""
-    return MonodromyRep(mat2(*M0), mat2(*Mx), mat2(*M1), mat2(*Minf),
-                        discover_order(M0, Mx, M1, Minf), **fields)
+    return MonodromyRep(M0, Mx, M1, Minf, discover_order(M0, Mx, M1, Minf), **fields)
 
 
 def discover_order(M0, Mx, M1, Minf):
     """All orderings of M0*Mx*M1 (up to inversion) that reproduce Minf to
     within 1e-8 of the largest entry of the four matrices.
 
-    The matrices are 2x2 arrays or row-major 4-tuples.  The products are
-    written out in Python complex arithmetic: on 2x2 arrays each numpy
-    operation costs more in dispatch than in arithmetic.
+    The matrices are Mat2 or 2x2 ndarrays.
     """
-    *mats, target = (M if isinstance(M, tuple) else tuple(np.ravel(M).tolist())
-                     for M in (M0, Mx, M1, Minf))
-    mats = dict(zip(_LABELS, mats))
-    tol = 1e-8 * max(abs(v) for m in (*mats.values(), target) for v in m)
-    t00, t01, t10, t11 = target
+    M0, Mx, M1, Minf = (M if isinstance(M, Mat2) else mat2(*_entries(M))
+                        for M in (M0, Mx, M1, Minf))
+    mats = dict(zip(_LABELS, (M0, Mx, M1)))
+    tol = 1e-8 * max(abs(v) for m in (M0, Mx, M1, Minf) for v in m.e)
+    t00, t01, t10, t11 = Minf.e
     found = []
     for perm in itertools.permutations(_LABELS):
-        p00, p01, p10, p11 = _mul2(_mul2(mats[perm[0]], mats[perm[1]]), mats[perm[2]])
+        p00, p01, p10, p11 = (mats[perm[0]] @ mats[perm[1]] @ mats[perm[2]]).e
         if (abs(p00 - t00) < tol and abs(p01 - t01) < tol
                 and abs(p10 - t10) < tol and abs(p11 - t11) < tol):
             found.append("*".join(perm))
-        # P Minf - I, entry by entry as _mul2 forms P Minf
+        # P Minf - I, entry by entry as Mat2's @ forms P Minf
         if (abs(p00 * t00 + p01 * t10 - 1.0) < tol and abs(p00 * t01 + p01 * t11) < tol
                 and abs(p10 * t00 + p11 * t10) < tol and abs(p10 * t01 + p11 * t11 - 1.0) < tol):
             found.append("*".join(perm) + "=inv")
@@ -140,10 +111,10 @@ def build_case_a(theta: ThetaParams, flip_th1=False) -> MonodromyRep:
         t1 = -t1
     _nonresonant(t0, tx, t1, ti)
     table = {}
-    C0i = _connection("C0inf", theta, flip_th1, table)
-    C01 = _connection("C01", theta, flip_th1, table)
-    C0i_i = _inv2(C0i)
-    Mx = _mul2(_conj(_mul2(C0i, _inv2(C01)), _diag(tx), C01), C0i_i)
+    C0i = mat2(*_connection("C0inf", theta, flip_th1, table))
+    C01 = mat2(*_connection("C01", theta, flip_th1, table))
+    C0i_i = inv2(C0i)
+    Mx = _conj(C0i @ inv2(C01), _diag(tx), C01) @ C0i_i
     return _rep(_conj(C0i, _diag(t0), C0i_i), Mx, _diag(-t1), _diag(-ti),
                 case="a", theta=theta, params={"flip_th1": 1.0 if flip_th1 else 0.0})
 
@@ -156,8 +127,8 @@ def build_case_b(thx, thinf, s, r) -> MonodromyRep:
     _nonresonant(thx, thinf)
     if r == 0:
         raise ValueError("r must be nonzero")
-    G = (1.0, 1.0, (s + thx) / r, s / r)
-    Gi = _inv2(G)
+    G = mat2(1.0, 1.0, (s + thx) / r, s / r)
+    Gi = inv2(G)
     M1 = _diag(-thinf)
     return _rep(_conj(G, _diag(thx), Gi), _conj(G, _diag(-thx), Gi), M1, M1, case="b", theta=None,
                 params={"thx": thx, "thinf": thinf, "s": s, "r": r})
@@ -168,12 +139,13 @@ def build_case_c(th0, thx, s) -> MonodromyRep:
     _nonresonant(th0, thx)
     theta = ThetaParams(th0, thx, 0.0, 1.0)
     table = {}
-    Ci0 = _connection("Cinf0", theta, False, table)
-    C01 = _connection("C01c", theta, False, table)
-    Ci0_i = _inv2(Ci0)
-    Mx = _mul2(_conj(_mul2(Ci0_i, _inv2(C01)), _diag(thx), C01), Ci0)
-    return _rep(_conj(Ci0_i, _diag(th0), Ci0), Mx, (1.0, 0.0, 2j * math.pi * s, 1.0),
-                (-1.0, 0.0, 2j * math.pi * (1.0 - s), -1.0), case="c", theta=theta, params={"s": s})
+    Ci0 = mat2(*_connection("Cinf0", theta, False, table))
+    C01 = mat2(*_connection("C01c", theta, False, table))
+    Ci0_i = inv2(Ci0)
+    Mx = _conj(Ci0_i @ inv2(C01), _diag(thx), C01) @ Ci0
+    return _rep(_conj(Ci0_i, _diag(th0), Ci0), Mx, mat2(1.0, 0.0, 2j * math.pi * s, 1.0),
+                mat2(-1.0, 0.0, 2j * math.pi * (1.0 - s), -1.0), case="c", theta=theta,
+                params={"s": s})
 
 
 def check_identity(rep_or_traces, theta: ThetaParams) -> complex:

@@ -1,4 +1,4 @@
-"""Complex scalar special functions, branch-controlled powers, 2x2 matrix helpers.
+"""Complex scalar special functions, branch-controlled powers, 2x2 matrices.
 
 Everything downstream (connection matrices, monodromy, series evaluation)
 goes through these routines, so they are deliberately small and pure.
@@ -9,8 +9,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from numbers import Number
 
 __all__ = [
     "PoleError",
@@ -22,11 +21,11 @@ __all__ = [
     "digamma",
     "cpow",
     "clog",
+    "Mat2",
     "mat2",
     "det2",
     "tr2",
     "inv2",
-    "exp_diag_sigma3",
     "SIGMA3",
 ]
 
@@ -172,32 +171,112 @@ def digamma(z: complex) -> complex:
 
 
 # ----------------------------------------------------------------------
-# 2x2 complex matrices (plain ndarray, helpers enforce the invariants)
-
-SIGMA3 = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
+# 2x2 complex matrices
 
 
-def mat2(a, b, c, d) -> np.ndarray:
-    return np.array([[a, b], [c, d]], dtype=complex)
+class Mat2:
+    """An immutable 2x2 complex matrix: four Python complex numbers, row-major
+    in `e`, with @, + and - between Mat2, * and / by a scalar, m[i, j] and
+    rows m[i].  Other operands get NotImplemented, so an ndarray takes over
+    through __array__, which imports numpy only when it is called."""
+
+    __slots__ = ("e",)
+
+    def __init__(self, a, b, c, d):
+        object.__setattr__(self, "e", (complex(a), complex(b), complex(c), complex(d)))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Mat2 is immutable")
+
+    def __reduce__(self):
+        return Mat2, self.e
+
+    def __repr__(self):
+        return "Mat2({}, {}, {}, {})".format(*self.e)
+
+    def __getitem__(self, index):
+        rows = (self.e[:2], self.e[2:])
+        if isinstance(index, tuple):
+            i, j = index
+            return rows[i][j]
+        return rows[index]
+
+    def __array__(self, dtype=None, copy=None):
+        import numpy as np
+        return np.array([self.e[:2], self.e[2:]], dtype=dtype or complex)
+
+    def __matmul__(self, other):
+        if not isinstance(other, Mat2):
+            return NotImplemented
+        a, b, c, d = self.e
+        p, q, r, s = other.e
+        return _mat(a * p + b * r, a * q + b * s, c * p + d * r, c * q + d * s)
+
+    def __mul__(self, k):
+        if not isinstance(k, Number):
+            return NotImplemented
+        k = complex(k)
+        return _mat(*(v * k for v in self.e))
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, k):
+        if not isinstance(k, Number):
+            return NotImplemented
+        k = complex(k)
+        return _mat(*(v / k for v in self.e))
+
+    def __add__(self, other):
+        if not isinstance(other, Mat2):
+            return NotImplemented
+        return _mat(*(u + v for u, v in zip(self.e, other.e)))
+
+    def __sub__(self, other):
+        if not isinstance(other, Mat2):
+            return NotImplemented
+        return _mat(*(u - v for u, v in zip(self.e, other.e)))
+
+    def __neg__(self):
+        return _mat(*(-v for v in self.e))
 
 
-def det2(m: np.ndarray) -> complex:
-    return m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
+def _mat(a, b, c, d):
+    """A Mat2 of entries that are already Python complex numbers."""
+    m = object.__new__(Mat2)
+    _SET_E(m, (a, b, c, d))
+    return m
 
 
-def tr2(m: np.ndarray) -> complex:
-    return m[0, 0] + m[1, 1]
+_SET_E = Mat2.e.__set__
+mat2 = Mat2
+SIGMA3 = Mat2(1.0, 0.0, 0.0, -1.0)
 
 
-def inv2(m: np.ndarray) -> np.ndarray:
-    d = det2(m)
-    scale = max(float(abs(m).max()), 1.0)    # a float, whose square overflows to inf silently
-    if abs(d) < 1e-14 * scale * scale:
-        raise SingularMatrixError(f"matrix is singular to tolerance, det = {d}")
-    return np.array([[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]], dtype=complex) / d
+def _entries(m):
+    """The row-major entries of a Mat2 or of a 2x2 ndarray."""
+    return m.e if isinstance(m, Mat2) else (m[0, 0], m[0, 1], m[1, 0], m[1, 1])
 
 
-def exp_diag_sigma3(theta: complex) -> np.ndarray:
+def det2(m) -> complex:
+    a, b, c, d = _entries(m)
+    return a * d - b * c
+
+
+def tr2(m) -> complex:
+    a, _, _, d = _entries(m)
+    return a + d
+
+
+def inv2(m) -> Mat2:
+    a, b, c, d = _entries(m)
+    det = a * d - b * c
+    scale = max(abs(a), abs(b), abs(c), abs(d), 1.0)    # its square may overflow to inf
+    if abs(det) < 1e-14 * scale * scale:
+        raise SingularMatrixError(f"matrix is singular to tolerance, det = {det}")
+    return Mat2(d / det, -b / det, -c / det, a / det)
+
+
+def _diag(theta) -> Mat2:
     """diag(e^{i pi theta}, e^{-i pi theta}) = exp(i pi theta sigma3)."""
     e = cmath.exp(1j * math.pi * theta)
-    return np.array([[e, 0.0], [0.0, 1.0 / e]], dtype=complex)
+    return _mat(e, 0j, 0j, 1.0 / e)

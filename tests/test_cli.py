@@ -1,8 +1,11 @@
 """Command-line interface: schemas, determinism, exit codes."""
 
+import argparse
+import cmath
 import contextlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -13,8 +16,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from pvilab import continuation, hypergeom
-from pvilab.cli import emit, main, parse_complex, parse_theta, rep_from_json
+from pvilab import continuation, fuchsian, hypergeom
+from pvilab.cli import build_parser, emit, main, parse_complex, parse_theta, rep_from_json
+from pvilab.numerics import det2
 from pvilab.series import TAYLOR_CLASSES
 from pvilab.symmetries import GENERATORS, XY_GENERATORS
 
@@ -509,18 +513,120 @@ def test_tol_below_unit_roundoff_exits_2_at_once(capsys, argv):
     assert err.startswith("error: tol = 1e-20 is below the float unit roundoff")
 
 
-def test_transport_loop_vanishing_against_center_exits_2():
-    # x = 1e-300 gives the loop about 1 a radius of 3.3e-301 and 1 + r == 1:
-    # without the check lambda sat on the pole, numpy warned and the step
-    # size underflowed
+def test_transport_loop_about_one_at_x_1e_300_exits_0():
+    # x = 1e-300 gives the loop about 1 a radius of 3.3e-302 and 1 + r == 1;
+    # the circle, anchored at its centre, never forms 1 + r
     proc = subprocess.run(
         [sys.executable, "-W", "default", "-m", "pvilab.cli", *TRANSPORT_B,
          "--x=1e-300", "--center=1"],
         capture_output=True, text=True)
-    assert proc.returncode == 2
-    assert proc.stdout == ""
-    assert "Warning" not in proc.stderr and "Traceback" not in proc.stderr
-    assert "vanishes against its center (1+0j)" in proc.stderr
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    mu = cmath.sqrt(-det2(fuchsian.build_case_b(0.31, 0.44, 0.27, 1.0).residue("1", 1e-300)))
+    trace = complex(*json.loads(proc.stdout)["trace"])
+    assert abs(trace - 2.0 * cmath.cos(2.0 * math.pi * mu)) <= 1e-9
+
+
+# every command that computes in Python complex arithmetic, in one fresh
+# interpreter; representation files for invert and identity-check
+_COLD_ARGV = [
+    ["monodromy", "--case", "a", "--theta", THETA],
+    ["monodromy", "--case", "b", "--thx", "0.31", "--thinf", "0.44", "--s", "0.27+0.13i",
+     "--r", "1.1", "--out", "{dir}/b.json"],
+    ["monodromy", "--case", "c", "--th0", "0.23", "--thx", "0.57", "--s", "0.4-0.3i",
+     "--out", "{dir}/c.json"],
+    ["invert", "--what", "s-b", "--json-in", "{dir}/b.json"],
+    ["invert", "--what", "s-c", "--json-in", "{dir}/c.json"],
+    ["invert", "--what", "r", "--theta", THETA, "--t0x", "1.2", "--t1x", "0.9", "--t01", "1.1"],
+    ["identity-check", "--json-in", "{dir}/b.json"],
+    ["hypergeom", "--which", "C0inf", "--theta", THETA, "--oracle"],
+    ["hypergeom", "--which", "C01c", "--theta", "0.23,0.57,0,1", "--oracle"],
+    ["fuchsian", "--action", "build", "--case", "a", "--theta", THETA, "--r", "1"],
+    ["fuchsian", "--action", "transport", *TRANSPORT_B[3:], "--x", "1e-3", "--center", "1"],
+    ["fuchsian", "--action", "y-from-A", *TRANSPORT_B[3:], "--x", "0.01"],
+    CONTINUE_IC,
+    ["seed", "--theta", THETA, "--sigma", "0.3+0.2i", "--r", "0.8", "--x", "1e-3"],
+    ["symmetry", "--gen", "x2", "--theta", THETA, "--xy", "0.4,0.7"],
+]
+
+_COLD_SCRIPT = """
+import contextlib, io, json, sys
+from pvilab.cli import main
+codes = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(main(argv))
+print(json.dumps({"codes": codes, "numpy": "numpy" in sys.modules}))
+"""
+
+
+def test_python_arithmetic_commands_do_not_import_numpy(tmp_path):
+    argvs = [[a.format(dir=tmp_path) for a in argv] for argv in _COLD_ARGV]
+    proc = subprocess.run([sys.executable, "-c", _COLD_SCRIPT, json.dumps(argvs)],
+                          capture_output=True, text=True, check=True)
+    assert json.loads(proc.stdout) == {"codes": [0] * len(argvs), "numpy": False}
+
+
+# commands that give each flag taking a complex value or list a value that
+# starts with a minus sign; identity-check reads the case-a representation
+_MINUS_ARGV = [
+    ["series", "--theta", "-0.3,0.3,-1.5,1.5", "--class", "form2", "--a", "-0.4+0.1i",
+     "--order", "6"],
+    ["seed", "--theta", "-0.23,0.57,0.31,0.44", "--sigma", "-0.3+0.2i", "--r", "-0.8+0.1i",
+     "--x", "-1e-3+1e-4i"],
+    ["continue", "--theta", "1,0.4,-0.7,-0.7",
+     "--ic", "-5.5+0.003i,21.99975808313524+0.06719912909928687i,"
+     "22.399129106811355+0.1612758197036651i", "--path", "-5.5+0.003i;-3.8+0.003i"],
+    ["continue", "--theta", "-2,1.5,0.2,0.3", "--ic", "0.5+0.5i,0.3,0.1",
+     "--path", "0.5+0.5i;0.6+0.6i"],
+    ["monodromy", "--case", "a", "--theta", "-0.23,0.57,0.31,0.44"],
+    ["monodromy", "--case", "b", "--thx", "-0.31+0.01i", "--thinf", "-0.44+0.01i",
+     "--s", "-0.27+0.13i", "--r", "-1.1+0.1i"],
+    ["monodromy", "--case", "c", "--th0", "-0.23+0.01i", "--thx", "-0.57+0.01i",
+     "--s", "-0.4-0.3i"],
+    ["identity-check", "--json-in", "{rep}", "--theta", "-0.23,0.57,0.31,0.44"],
+    ["invert", "--what", "r", "--theta", "-0.23,0.57,0.31,0.44", "--t0x", "-1.2+0.1i",
+     "--t1x", "-0.9+0.1i", "--t01", "-1.1+0.1i", "--sigma", "-0.3+0.2i"],
+    ["symmetry", "--gen", "x3", "--theta", "-0.23,0.57,0.31,0.44", "--sigma", "-0.3+0.2i",
+     "--xy", "-0.4,0.7"],
+    ["hypergeom", "--which", "C0inf", "--theta", "-0.23,0.57,0.31,0.44", "--oracle"],
+    ["fuchsian", "--action", "build", "--case", "a", "--theta", "-0.21,0.33,0.17,0.52",
+     "--r", "-1+0.1i"],
+    ["fuchsian", "--action", "transport", "--case", "b", "--thx", "-0.31+0.01i",
+     "--thinf", "-0.44+0.01i", "--s", "-0.27+0.1i", "--r", "-1+0.1i", "--x", "-1e-3+1e-4i",
+     "--center", "-0.0+0i"],
+    ["fuchsian", "--action", "y-from-A", "--case", "c", "--th0", "-0.21+0.01i",
+     "--thx", "-0.33+0.01i", "--r1", "-1+0.1i", "--rho", "-0.5+0.1i", "--x", "-0.01+0.001i"],
+]
+
+
+def _complex_flags():
+    """(command, flag) for each flag of build_parser() whose value is a
+    complex number or a list of them: the one-value flags without a type or
+    choices, other than file paths, --class and --gen."""
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return [(name, a.option_strings[0]) for name, sp in sub.choices.items()
+            for a in sp._actions
+            if a.option_strings and a.nargs is None and a.type is None and a.choices is None
+            and a.dest not in ("out", "json_in", "csv_out", "klass", "gen")]
+
+
+@pytest.mark.parametrize("command, flag", _complex_flags())
+def test_minus_leading_value_as_separate_argument(capsys, tmp_path, command, flag):
+    """`--flag -value` gives the bytes of `--flag=-value`, for every flag that
+    takes a complex value or list (argparse alone reads -value as an option)."""
+    rep = tmp_path / "rep.json"
+    main(["monodromy", "--case", "a", "--theta", THETA, "--out", str(rep)])
+    argvs = [[a.format(rep=rep) for a in argv] for argv in _MINUS_ARGV
+             if argv[0] == command and flag in argv and argv[argv.index(flag) + 1][0] == "-"]
+    assert argvs, f"no command in _MINUS_ARGV gives {command} {flag} a minus-leading value"
+    for argv in argvs:
+        joined, rest = argv[:1], iter(argv[1:])
+        for a in rest:
+            joined.append(a if a == "--oracle" else f"{a}={next(rest)}")
+        separate = run_cli(capsys, *argv)
+        assert "expected one argument" not in separate[2]
+        assert separate == run_cli(capsys, *joined)
 
 
 def test_transport_residue_overflow_exits_2_naming_x(capsys):

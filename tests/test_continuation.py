@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 
 from pvilab import continuation
-from pvilab.asymptotics import make_seed
+from pvilab.asymptotics import CriticalSeed, leading_term, make_seed, seed_value
 from pvilab.continuation import (CHARTS, ChartThrashError, PathPlan,
-                                 from_chart, integrate, seed_and_verify,
-                                 to_chart)
+                                 from_chart, integrate, to_chart)
+from pvilab.numerics import PRINCIPAL, clog, cpow
 from pvilab.pvi import ThetaParams, rational_solution_theta0_1
 from pvilab.series import solve_taylor
 
@@ -143,6 +143,35 @@ def test_pole_chart_is_one_where_it_is_entered():
     w, wp = to_chart("inv_y", y, yp)
     assert abs(abs(w) - 1.0) < 1e-15
     assert abs(wp + continuation.SWITCH_THRESHOLD * yp * w * w) <= 1e-15 * abs(wp)
+
+
+def seed_and_verify(seed, theta, x_near, x_far, tol=1e-10):
+    """Start from the seed at x_near, integrate to x_far, report drift.
+
+    seed may be a CriticalSeed or a Taylor series with eval / eval_deriv.
+    Diagnostics: the ratio of y to the seed's dominant printed term along the
+    trajectory (power-type kinds), a least-squares fit of y/x against a
+    quadratic in ln x (log-generic), or max |Delta y| against the series.
+    """
+    x_near, x_far = complex(x_near), complex(x_far)
+    is_seed = isinstance(seed, CriticalSeed)
+    if is_seed:
+        y0, yp0 = seed_value(seed, x_near)
+    else:
+        y0, yp0 = seed.eval(x_near), seed.eval_deriv(x_near)
+    traj = integrate((x_near, y0, yp0), theta, PathPlan((x_near, x_far), tol), tol=tol)
+    xs = [s[0] for s in traj.samples]
+    ys = [s[1] for s in traj.samples]
+    if is_seed and seed.kind == "log-generic":
+        L = np.array([clog(x, PRINCIPAL) for x in xs])
+        V = np.stack([L * L, L, np.ones_like(L)], axis=1)
+        coef, *_ = np.linalg.lstsq(V, np.array(ys) / np.array(xs), rcond=None)
+        return {"log_leading": coef[0]}
+    if is_seed:
+        c, e = leading_term(seed)
+        return {"ratio_drift": max(abs(y / (c * cpow(x, e, PRINCIPAL)) - 1.0)
+                                   for x, y in zip(xs, ys))}
+    return {"max_dy": max(abs(y - seed.eval(x)) for x, y in zip(xs, ys))}
 
 
 def test_seed_and_verify_series_seed():

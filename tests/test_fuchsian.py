@@ -28,6 +28,25 @@ def sys_c():
     return fuchsian.build_case_c(0.23, 0.57, 0.6, 1.3)
 
 
+def _conjugated(system, c):
+    """The system under the constant gauge C A C^{-1}, applied entrywise per
+    power of x."""
+    ci = inv2(c)
+    new = {}
+    for key, e in system.entries.items():
+        powers = sorted({p for row in e for cell in row for p, _ in cell},
+                        key=lambda z: (complex(z).real, complex(z).imag))
+        out = [[[], []], [[], []]]
+        for p in powers:
+            m = c @ mat2(*(sum(cf for q, cf in cell if q == p) for row in e for cell in row)) @ ci
+            for i in range(2):
+                for j in range(2):
+                    if m[i, j] != 0:
+                        out[i][j].append((p, m[i, j]))
+        new[key] = tuple(tuple(tuple(cell) for cell in row) for row in out)
+    return fuchsian.LinearSystem(system.theta, system.tag + "+gauge", new, dict(system.params))
+
+
 def test_sum_residues_case_b_quadratic(sys_b):
     # A0 + Ax + A1 = -(thinf/2) sigma3 up to the O(x^2) truncation tail
     devs = [np.max(np.abs(sys_b.sum_residues(x) + 0.44 / 2.0 * SIGMA3))
@@ -97,7 +116,7 @@ def test_transport_gauge_covariance(sys_a):
     c = mat2(1.0, 0.3 + 0.1j, -0.2, 1.1)
     x = 1e-2
     m = fuchsian.loop_monodromy(sys_a, x, 1.0, tol=1e-12)
-    mg = fuchsian.loop_monodromy(sys_a.conjugated(c), x, 1.0, tol=1e-12)
+    mg = fuchsian.loop_monodromy(_conjugated(sys_a, c), x, 1.0, tol=1e-12)
     assert np.max(np.abs(mg - c @ m @ inv2(c))) < 1e-10
 
 
@@ -140,18 +159,33 @@ def test_circle_matches_polygon(sys_a, center):
 
 
 def test_loop_rejects_degenerate_radius(sys_a):
-    for x in (0.0, 1.0):
+    # x = 1e-318 gives a subnormal radius, whose circle keeps few bits
+    for x in (0.0, 1.0, 1e-318):
         with pytest.raises(ValueError, match="x = "):
             fuchsian.loop_monodromy(sys_a, x, 1.0)
-    for r in (0.0, -0.1, math.nan):
+    for r in (0.0, -0.1, math.nan, 1e-320):
         with pytest.raises(ValueError):
             fuchsian.transport(sys_a, 1e-2, fuchsian.Loop(1.0, r))
-    # x = 1e-300 gives the loop about 1 a radius of 3.3e-302, and 1 + r == 1
-    # would put lambda on the pole
+    # x = 1e-300 gives the loop about 1 a radius of 3.3e-302, and 1 + r == 1:
+    # a basepoint leg to center + radius would end on the pole
+    loop = fuchsian.Loop(1.0, fuchsian.default_radius(1e-300), basepoint=0.5)
     with pytest.raises(ValueError, match=r"3\.3+\d*e-302 .*center \(1\+0j\)"):
-        fuchsian.loop_monodromy(sys_a, 1e-300, 1.0)
+        fuchsian.transport(sys_a, 1e-300, loop)
     with pytest.raises(ValueError, match="vanishes"):
-        fuchsian.transport(sys_a, 1e-2, fuchsian.Loop(2.0 + 1.0j, 1e-17))
+        fuchsian.transport(sys_a, 1e-2, fuchsian.Loop(2.0 + 1.0j, 1e-17, basepoint=2.5))
+
+
+@pytest.mark.parametrize("x", [1e-15, 1e-300])
+def test_default_loop_runs_where_center_plus_radius_rounds_to_center(x):
+    """Around 1 at x = 1e-15 the default radius is 3.3e-17, and 1 + r == 1.
+    The circle is anchored at its centre and never forms center + radius, so
+    the loop runs and keeps det M = 1 and tr M = 2 cos 2 pi mu, with
+    mu^2 = -det A1(x)."""
+    system = fuchsian.build_case_b(0.31, 0.44, 0.27 + 0.1j, 1.0)
+    m = fuchsian.loop_monodromy(system, x, 1.0)
+    mu = cmath.sqrt(-det2(system.residue("1", x)))
+    assert abs(det2(m) - 1.0) <= 1e-9
+    assert abs(tr2(m) - 2.0 * cmath.cos(2.0 * math.pi * mu)) <= 1e-9
 
 
 @pytest.mark.parametrize("x", [1e-2, 1e-3, 1e-4, 1e-5, 1e-6])

@@ -12,7 +12,7 @@ def test_linear_system_exponential():
     def f(t, y):
         return (a @ np.reshape(y, (2, 2))).ravel()
 
-    got = dp45(f, 0.0, 1.0, np.eye(2, dtype=complex).ravel(), tol=1e-12).reshape(2, 2)
+    got = np.reshape(dp45(f, 0.0, 1.0, np.eye(2, dtype=complex).ravel(), tol=1e-12), (2, 2))
     # exact expm of the triangular matrix
     l1, l2 = a[0, 0], a[1, 1]
     exact = np.array([[np.exp(l1), a[0, 1] * (np.exp(l1) - np.exp(l2)) / (l1 - l2)],

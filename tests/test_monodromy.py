@@ -13,7 +13,7 @@ from pvilab.monodromy import (TraceData, build_case_a, build_case_b,
                               build_case_c, check_identity, discover_order,
                               invert_s_case_b, invert_s_case_c,
                               r_from_monodromy, sigma_from_traces)
-from pvilab.numerics import det2, exp_diag_sigma3, gamma, inv2, mat2, tr2
+from pvilab.numerics import Mat2, det2, gamma, tr2
 from pvilab.pvi import ResonanceError, ThetaParams, _theta_draw
 
 TH = ThetaParams(0.23, 0.57, 0.31, 0.44)
@@ -116,15 +116,30 @@ def test_discover_order_matches_the_matrix_product_reference():
                 assert discover_order(m0, mx, m1, target) == _matmul_order(m0, mx, m1, target)
 
 
+def E(theta):
+    """exp(i pi theta sigma3) as an ndarray."""
+    e = cmath.exp(1j * math.pi * theta)
+    return np.diag([e, 1.0 / e])
+
+
+def inv2(m):
+    """The inverse of a 2x2 ndarray: its adjugate over its determinant."""
+    det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
+    return np.array([[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]]) / det
+
+
+def mat2(a, b, c, d):
+    return np.array([[a, b], [c, d]], dtype=complex)
+
+
 def _numpy_reps(case, *args):
     """(M0, Mx, M1, Minf) of the closed forms through numpy's 2x2 products,
-    inv2 and exp_diag_sigma3: the reference for the tuple algebra."""
-    E = exp_diag_sigma3
+    the reference for the Mat2 algebra of the builds."""
     if case == "a":
         th, flip = args
         t0, tx, t1, ti = th.as_tuple()
         t1 = -t1 if flip else t1
-        C0i, C01 = (connection_matrix(w, th, flip_th1=flip) for w in ("C0inf", "C01"))
+        C0i, C01 = (np.asarray(connection_matrix(w, th, flip_th1=flip)) for w in ("C0inf", "C01"))
         C0i_i = inv2(C0i)
         return (C0i @ E(t0) @ C0i_i, C0i @ inv2(C01) @ E(tx) @ C01 @ C0i_i, E(-t1), E(-ti))
     if case == "b":
@@ -133,7 +148,7 @@ def _numpy_reps(case, *args):
         return (G @ E(thx) @ inv2(G), G @ E(-thx) @ inv2(G), E(-thinf), E(-thinf))
     th0, thx, s = args
     th = ThetaParams(th0, thx, 0.0, 1.0)
-    Ci0, C01 = connection_matrix("Cinf0", th), connection_matrix("C01c", th)
+    Ci0, C01 = (np.asarray(connection_matrix(w, th)) for w in ("Cinf0", "C01c"))
     Ci0_i = inv2(Ci0)
     return (Ci0_i @ E(th0) @ Ci0, Ci0_i @ inv2(C01) @ E(thx) @ C01 @ Ci0,
             mat2(1.0, 0.0, 2j * math.pi * s, 1.0), mat2(-1.0, 0.0, 2j * math.pi * (1.0 - s), -1.0))
@@ -153,7 +168,7 @@ def test_builds_match_the_numpy_reference(case):
         rep, ref = build(*args), _numpy_reps(case, *args)
         assert rep.order == _matmul_order(*ref)
         for M, R in zip((rep.M0, rep.Mx, rep.M1, rep.Minf), ref):
-            assert type(M) is np.ndarray and M.shape == (2, 2)
+            assert type(M) is Mat2
             assert np.max(np.abs(M - R)) <= 4e-15 * max(1.0, np.max(np.abs(R)))
 
 

@@ -34,7 +34,7 @@ def _counting_dp45(counts):
 
 def reference_transport(system, x, loop_or_vertices, tol, counts):
     """transport with the RHS dlambda * (A(lambda) @ Psi) on 2x2 arrays."""
-    a0, axm, a1 = (system.residue(k, x) for k in ("0", "x", "1"))
+    a0, axm, a1 = (np.asarray(system.residue(k, x)) for k in ("0", "x", "1"))
     xc = complex(x)
     dp45 = _counting_dp45(counts)
 
@@ -47,7 +47,7 @@ def reference_transport(system, x, loop_or_vertices, tol, counts):
             a = a0 / (o0 + d) + axm / (ox + d) + a1 / (o1 + d)
             return dlam * (a @ np.asarray(y).reshape(2, 2)).ravel()
 
-        return dp45(f, 0.0, 1.0, m.ravel(), tol=tol).reshape(2, 2)
+        return np.reshape(dp45(f, 0.0, 1.0, m.ravel(), tol=tol), (2, 2))
 
     def edge(m, z0, z1):
         dz = z1 - z0
