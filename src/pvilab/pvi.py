@@ -4,14 +4,14 @@ The residual operator and its partials are written once over duck-typed
 "ring elements": anything with +, -, * (including scalars on either side)
 works, so the same expression serves pointwise complex evaluation and every
 kind of the truncated series ring in series.py (plain power, log-polynomial
-and x^omega double series).  Both are formed from one set of shared factors
-(`_factors`), so that pvi_residual_series can return the residual and the
-partials from one pass, the partials on fewer rows.
+and x^omega double series).  Both are formed from shared factors, those in
+x alone (`_xfactors`, which a series ring forms once per truncation) and
+those in y (`_factors`), so that pvi_residual_series can return the residual
+and the partials from one pass, the partials on fewer rows.
 """
 
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass
 
 __all__ = [
@@ -20,7 +20,6 @@ __all__ = [
     "ResonanceError",
     "SingularConfigError",
     "theta_to_abgd",
-    "abgd_to_theta",
     "pvi_rhs",
     "pvi_residual_expr",
     "pvi_linearization_expr",
@@ -89,21 +88,6 @@ def theta_to_abgd(theta: ThetaParams) -> AbgdParams:
     )
 
 
-def abgd_to_theta(p: AbgdParams, signs=(1, 1, 1, 1)) -> ThetaParams:
-    """Invert theta_to_abgd; signs pick the square-root branches (0,x,1,inf).
-
-    thinf is defined only up to thinf -> 2 - thinf, so the last sign selects
-    1 + sqrt(2 alpha) vs 1 - sqrt(2 alpha).
-    """
-    s0, sx, s1, si = signs
-    return ThetaParams(
-        th0=s0 * cmath.sqrt(-2.0 * p.beta),
-        thx=sx * cmath.sqrt(1.0 - 2.0 * p.delta),
-        th1=s1 * cmath.sqrt(2.0 * p.gamma),
-        thinf=1.0 + si * cmath.sqrt(2.0 * p.alpha),
-    )
-
-
 def pvi_rhs(x: complex, y: complex, yp: complex, p: AbgdParams) -> complex:
     """y'' as prescribed by PVI at a regular point.
 
@@ -130,23 +114,32 @@ def pvi_rhs(x: complex, y: complex, yp: complex, p: AbgdParams) -> complex:
     return t1 - t2 + pref * bracket
 
 
+def _xfactors(x):
+    """x, x-1, (x-1)^2, x (x-1), x (x-1)^2, then x^2 (x-1)^2 and x (x-1) (2x-1)
+    as the residual and as F0 form them, each keeping its bytes on scalars."""
+    xm1 = x - 1.0
+    xm1_2, x2, xx1 = xm1 * xm1, x * x, x * xm1
+    xq = x * xm1_2
+    return x, xm1, xm1_2, xx1, xq, x2 * xm1_2, xq + x2 * xm1, x * xq, xq + x * xx1
+
+
 def _factors(x, y):
-    """The factors the residual and its partials share: x-1, (x-1)^2, y-1,
-    y-x, y (y-1), u = y (y-1) (y-x), v = (y-1) (y-x) and w = y (y-x)."""
-    xm1, ym1, ymx = x - 1.0, y - 1.0, y - x
+    """The factors in y: y-1, y-x, y (y-1), u = y (y-1) (y-x),
+    v = (y-1) (y-x), w = y (y-x) and s = v + w + y (y-1) = du/dy."""
+    ym1, ymx = y - 1.0, y - x
     yy1 = y * ym1
-    return xm1, xm1 * xm1, ym1, ymx, yy1, yy1 * ymx, ym1 * ymx, y * ymx
+    v, w = ym1 * ymx, y * ymx
+    return ym1, ymx, yy1, yy1 * ymx, v, w, v + w + yy1
 
 
-def _residual(p: AbgdParams, x, yp, ypp, xm1, xm1_2, ym1, ymx, yy1, u, v, w):
-    x2 = x * x
-    # each shared product once, with its operands in the order of the
-    # textbook form, so that the result keeps its bytes
-    q = x2 * xm1_2          # x^2 (x-1)^2
+def _residual(p: AbgdParams, xf, y, yp, ypp, ym1, ymx, yy1, u, v, w, s):
+    x, xm1, _, _, _, q, xt, _, _ = xf
+    # each product with its operands in the order of the textbook form, so
+    # that the result keeps its bytes
     qy = q * yy1            # x^2 (x-1)^2 y (y-1)
     r = qy * ymx * ypp      # the full denominator times y''
-    r = r - 0.5 * q * (v + w + yy1) * (yp * yp)
-    r = r + (x * xm1_2 + x2 * xm1) * yy1 * ymx * yp + qy * yp
+    r = r - 0.5 * q * s * (yp * yp)
+    r = r + xt * yy1 * ymx * yp + qy * yp
     r = r - p.alpha * u * u
     r = r - p.beta * x * v * v
     r = r - p.gamma * xm1 * w * w
@@ -154,16 +147,13 @@ def _residual(p: AbgdParams, x, yp, ypp, xm1, xm1_2, ym1, ymx, yy1, u, v, w):
     return r
 
 
-def _linearization(p: AbgdParams, y, x, yp, ypp, xm1, xm1_2, ym1, ymx, yy1, u, v, w):
-    xx1 = x * xm1           # x (x-1)
-    xq = x * xm1_2          # x (x-1)^2
-    q = x * xq              # x^2 (x-1)^2
-    s = v + w + yy1         # du/dy
+def _linearization(p: AbgdParams, xf, y, yp, ypp, ym1, ymx, yy1, u, v, w, s):
+    x, xm1, xm1_2, xx1, xq, _, _, q, xt = xf
     ty = y + ym1            # 2y - 1, the y-derivative of y (y-1)
     f2 = xm1_2 * u
     f1 = (xm1_2 + xx1) * u + xq * (yy1 - s * yp)
     # ds/dy = 2 (3y - 1 - x), dv/dy = 2y - 1 - x, dw/dy = 2y - x
-    f0 = s * (q * ypp + (xq + x * xx1) * yp) + q * yp * (ty - (ty + ymx) * yp)
+    f0 = s * (q * ypp + xt * yp) + q * yp * (ty - (ty + ymx) * yp)
     f0 = f0 - 2.0 * (p.alpha * (u * s) + p.beta * (x * v * (ymx + ym1))
                      + p.gamma * (xm1 * w * (ymx + y)) + p.delta * (xx1 * yy1 * ty))
     return f0, f1, f2
@@ -175,7 +165,7 @@ def pvi_residual_expr(x, y, yp, ypp, theta: ThetaParams):
     Generic over the ring of x, y: vanishes identically (as a polynomial)
     on exact solutions, including the singular ones, instead of hitting 0/0.
     """
-    return _residual(theta_to_abgd(theta), x, yp, ypp, *_factors(x, y))
+    return _residual(theta_to_abgd(theta), _xfactors(x), y, yp, ypp, *_factors(x, y))
 
 
 def pvi_linearization_expr(x, y, yp, ypp, theta: ThetaParams):
@@ -187,22 +177,22 @@ def pvi_linearization_expr(x, y, yp, ypp, theta: ThetaParams):
     by F0 delta + F1 x delta' + F2 x^2 delta'' to first order.  Generic over
     the ring of x, y, like pvi_residual_expr.
     """
-    return _linearization(theta_to_abgd(theta), y, x, yp, ypp, *_factors(x, y))
+    return _linearization(theta_to_abgd(theta), _xfactors(x), y, yp, ypp, *_factors(x, y))
 
 
 def pvi_residual_series(series, theta: ThetaParams, rows=0):
     """Residual of a series object; returns the residual in the same ring.
 
-    Any ring works whose elements provide .variable() (the element x at the
-    same truncation), .deriv() and .head(rows) (the first `rows` rows), such
+    Any ring works whose elements provide .deriv(), .head(rows) (the first
+    `rows` rows) and .xfactors(rows) (_xfactors of x on the same rows), such
     as series.Series of any kind.  With rows > 0 the same pass also forms
-    (F0, F1, F2) of pvi_linearization_expr from its x, y, y', y'' and shared
-    factors, each cut by .head(rows), and returns (residual, (F0, F1, F2)).
+    (F0, F1, F2) of pvi_linearization_expr, from .xfactors(rows) and the
+    rest cut by .head(rows), and returns (residual, (F0, F1, F2)).
     """
-    x, yp = series.variable(), series.deriv()
-    ops, p = (x, yp, yp.deriv()) + _factors(x, series), theta_to_abgd(theta)
-    r = _residual(p, *ops)
-    return (r, _linearization(p, *(t.head(rows) for t in (series,) + ops))) if rows else r
+    yp, xf = series.deriv(), series.xfactors()
+    ops, p = (series, yp, yp.deriv()) + _factors(xf[0], series), theta_to_abgd(theta)
+    r = _residual(p, xf, *ops)
+    return (r, _linearization(p, series.xfactors(rows), *(t.head(rows) for t in ops))) if rows else r
 
 
 # ----------------------------------------------------------------------

@@ -9,18 +9,19 @@ A 1-D `c` is the width-1 case, a plain power series (the Taylor classes).
 Products are truncated 2-D convolutions of the blocks their operands occupy;
 only the derivative depends on the kind of B.  The solvers seed the printed
 coefficients and free parameters and find the rest through the generic
-residual expression in pvi.py: evaluate the residual, take the move of each
-unknown coefficient from the exact partials (`_lin`), then solve at the
-controlling order.  The Taylor and omega solvers have one unknown per order
-and solve a block of orders at a time with one kernel, `_solve_block`: on
-the block's rows the residual is linear in the block's coefficients, so it
-is evaluated once, every order's move is a row of one matrix
-(`_block_moves`), and forward substitution adds each solved coefficient's
-move to the stored residual.  A Taylor block from n0 holds while the
-controlling order stays below x^(2 n0), its residual and partials from
-one pass; an omega block is one column of the double series.  The log
-solver evaluates the residual once per order and solves the ln-coefficients
-of each P_n together by least squares (`_moves`, `_solve_slots`).
+residual expression in pvi.py: an evaluation forms the factors in y and the
+products, those in x alone coming from the ring once per shape
+(`Series.xfactors`).  Each unknown's move comes from the exact partials
+(`_lin`), and it is solved at its controlling order.  The Taylor and omega
+solvers have one unknown per order and solve a block of orders with one
+kernel, `_solve_block`: the residual is linear in the block's coefficients
+on its rows, so it is evaluated once, every order's move is a row of one
+matrix (`_block_moves`), and forward substitution adds each solved
+coefficient's move to the stored residual.  A Taylor block from n0 holds
+while the controlling order stays below x^(2 n0), its residual and partials
+from one pass; an omega block is one column of the double series.  The log
+solver evaluates once per order and solves the ln-coefficients of each P_n
+together by least squares (`_moves`, `_solve_slots`).
 """
 
 from __future__ import annotations
@@ -30,8 +31,8 @@ import warnings
 import numpy as np
 
 from .numerics import BranchSpec, PRINCIPAL, clog, cpow
-from .pvi import (ThetaParams, ResonanceError, is_int, pvi_linearization_expr,
-                  pvi_residual_series)
+from .pvi import (ThetaParams, ResonanceError, _xfactors, is_int,
+                  pvi_linearization_expr, pvi_residual_series)
 
 __all__ = [
     "Series",
@@ -65,6 +66,9 @@ def _horner(c, z):
     for ck in c[::-1]:
         acc = acc * z + ck
     return acc
+
+
+_XMEMO, _XMEMO_SIZE = {}, 64    # Series.xfactors: (off, shape) -> ((c, off, _nz), ...)
 
 
 class Series:
@@ -122,6 +126,21 @@ class Series:
 
     def variable(self):
         return self._monomial(1.0, 1)
+
+    def xfactors(self, rows=0):
+        """pvi._xfactors of x at the truncation of self, or of self.head(rows),
+        formed once per (off, shape) into _XMEMO (read-only, cleared when full)
+        and wrapped by _new on each call, so omega and a are those of self."""
+        s = self.head(rows) if rows else self
+        got = _XMEMO.get((s.off, s.c.shape))
+        if got is None:
+            got = tuple((f.c, f.off, f._nz) for f in _xfactors(s.variable()))
+            for c, _, _ in got:
+                c.flags.writeable = False
+            if len(_XMEMO) >= _XMEMO_SIZE:
+                _XMEMO.clear()
+            _XMEMO[s.off, s.c.shape] = got
+        return tuple(self._new(c, off, nz) for c, off, nz in got)
 
     def _window(self, off, top):
         """c over the orders off .. top - 1, zero below self.off."""
@@ -537,15 +556,16 @@ def solve_taylor(theta: ThetaParams, klass: str, a=None, N: int = 12) -> Series:
     without one rejects `a`), then solve each b_n from the first residual
     order it reaches, on the residual through x^(n + _WINDOW - 1).  The
     orders come in doubling blocks, each one call of _solve_block: at a
-    block start n0, one pass of pvi_residual_series forms the residual on
-    the rows x^0 .. x^(top + W - 1), top = min(2 n0, N), and G (see _moves)
-    at lambda = n0 on the x^0 .. x^(top + W - n0 - 1) the moves read.  The
-    move of b_n is x^n G(n), for every n0 <= n <= top at once, and forward
-    substitution adds it to the stored residual once b_n is solved, which
-    is exact below x^(2 n0): there the residual is linear in b_n0, b_n0+1,
-    .., and the rows of G that reach them, below x^n0, depend on b_0 ..
-    b_(n0-1) alone.  The block ends at the first order whose controlling
-    row reaches x^(2 n0), so form1 at N = 48 makes 6 evaluations.
+    block start n0, one pass of pvi_residual_series (39 convolutions, the
+    factors in x alone from the ring) forms the residual on the rows x^0 ..
+    x^(top + W - 1), top = min(2 n0, N), and G (see _moves) at lambda = n0
+    on the x^0 .. x^(top + W - n0 - 1) the moves read.  The move of b_n is
+    x^n G(n), for every n0 <= n <= top at once, and forward substitution
+    adds it to the stored residual once b_n is solved, exact below x^(2 n0):
+    there the residual is linear in b_n0, b_n0+1, .., and the rows of G that
+    reach them, below x^n0, depend on b_0 .. b_(n0-1) alone.  The block ends
+    at the first order whose controlling row reaches x^(2 n0), so form1 at
+    N = 48 makes 6 evaluations.
     """
     if N < 0:
         raise ValueError(f"N = {N}: the order must be at least 0")

@@ -1,15 +1,32 @@
 """Parameter maps, right-hand side vs residual, and the exact solutions."""
 
+import cmath
+
 import numpy as np
 import pytest
 
 from pvilab.pvi import (AbgdParams, ResonanceError, SingularConfigError,
-                        ThetaParams, abgd_to_theta, pvi_linearization_expr,
+                        ThetaParams, pvi_linearization_expr,
                         pvi_residual_expr, pvi_rhs, rational_solution_theta0_1,
                         rational_solution_theta0_minus2, reducible_solution,
                         theta_to_abgd)
 
 TH = ThetaParams(0.23, 0.57, 0.31, 0.44)
+
+
+def abgd_to_theta(p: AbgdParams, signs=(1, 1, 1, 1)) -> ThetaParams:
+    """Invert theta_to_abgd; signs pick the square-root branches (0,x,1,inf).
+
+    thinf is defined only up to thinf -> 2 - thinf, so the last sign selects
+    1 + sqrt(2 alpha) vs 1 - sqrt(2 alpha).
+    """
+    s0, sx, s1, si = signs
+    return ThetaParams(
+        th0=s0 * cmath.sqrt(-2.0 * p.beta),
+        thx=sx * cmath.sqrt(1.0 - 2.0 * p.delta),
+        th1=s1 * cmath.sqrt(2.0 * p.gamma),
+        thinf=1.0 + si * cmath.sqrt(2.0 * p.alpha),
+    )
 
 
 def test_theta_abgd_round_trip():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from pvilab import series
+from pvilab import pvi, series
 from pvilab.pvi import (ResonanceError, ThetaParams, _theta_draw, pvi_linearization_expr,
                         pvi_residual_series)
 from pvilab.series import (TAYLOR_CLASSES, ObstructionError, Series,
@@ -711,6 +711,61 @@ def test_omega_taylor_column_evaluation_keeps_the_bits_of_two(monkeypatch, branc
     evals = _recorded_evaluations(monkeypatch)
     solve_omega_series(TH, branch, a=0.15, K=K, M=2)
     _assert_one_pass_keeps_the_bits(evals, TH)
+
+
+@pytest.mark.parametrize("shape,omega,rows,products", [
+    ((20,), None, 0, 22), ((20,), None, 12, 39), ((9, 5), None, 0, 22), ((9, 3), 0.3 + 0.1j, 0, 22)],
+    ids=["taylor", "taylor-with-partials", "log", "omega"])
+def test_one_evaluation_forms_only_the_factors_in_y(monkeypatch, shape, omega, rows, products):
+    rng = np.random.default_rng(7)
+    s = Series(rng.normal(size=shape) + 1j * rng.normal(size=shape), 0, omega)
+    pvi_residual_series(s, TH, rows)    # the ring forms its factors in x once
+    calls, convolve = [], np.convolve
+    monkeypatch.setattr(np, "convolve", lambda a, b: calls.append(1) or convolve(a, b))
+    pvi_residual_series(s, TH, rows)
+    assert len(calls) == products
+
+
+def test_xfactors_are_read_only_and_of_the_callers_kind():
+    c = np.arange(1, 19, dtype=complex).reshape(6, 3)
+    plain, omega = Series(c), Series(c, omega=0.3 + 0.1j, a=0.5)
+    want = pvi._xfactors(plain.variable())
+    for f, g, w in zip(plain.xfactors(), omega.xfactors(), want):
+        assert f.c is g.c and f.off == w.off and f.c.tobytes() == w.c.tobytes()
+        assert (f.omega, f.a, g.omega, g.a) == (None, None, 0.3 + 0.1j, 0.5)
+        with pytest.raises(ValueError):
+            g.c[0, 0] = 1.0
+    assert all(len(f.c) == 4 for f in Series(np.ones(9)).xfactors(4))
+    for n in range(1, 2 * series._XMEMO_SIZE):
+        Series(np.ones(n)).xfactors()
+        assert 0 < len(series._XMEMO) <= series._XMEMO_SIZE
+
+
+def _alone_then_together(solves):
+    """The bytes of each solve run with an empty memo, then of all of them in
+    a row and in the reverse order, each in the order of `solves`."""
+    alone = []
+    for solve in solves:
+        series._XMEMO.clear()
+        alone.append(solve().c.tobytes())
+    series._XMEMO.clear()
+    together = [solve().c.tobytes() for solve in solves]
+    return alone, together, [solve().c.tobytes() for solve in solves[::-1]][::-1]
+
+
+def test_omega_solves_on_the_same_shapes_keep_their_own_bytes():
+    solves = [lambda b=b, sg=sg: solve_omega_series(TH, b, 0.15, K=6, M=2, omega_sign=sg)
+              for b, sg in (("form1", 1), ("riuffa", 1), ("form1", -1))]
+    alone, together, reverse = _alone_then_together(solves)
+    assert len(set(alone)) == 3 and together == alone and reverse == alone
+
+
+def test_a_shorter_ring_after_a_longer_one_keeps_its_own_bytes():
+    solves = [lambda: solve_taylor(TH, "form1", N=48), lambda: solve_taylor(TH, "form1", N=12),
+              lambda: solve_log_series(TH, "shape2", 0.4 + 0.1j, N=8),
+              lambda: solve_log_series(TH, "shape2", 0.4 + 0.1j, N=3)]
+    alone, together, reverse = _alone_then_together(solves)
+    assert together == alone and reverse == alone
 
 
 def _assert_exact_through_controlling_row(got, fresh, m):
