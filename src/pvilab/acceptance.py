@@ -28,7 +28,8 @@ from .monodromy import (build_case_a, build_case_b, build_case_c,
                         check_identity, invert_s_case_b, invert_s_case_c)
 from .numerics import SIGMA3, PoleError, inv2, mat2, tr2, det2
 from .pvi import (ResonanceError, ThetaParams, _theta_draw, pvi_residual_expr,
-                  pvi_residual_series, rational_solution_theta0_minus2)
+                  pvi_residual_series, rational_solution_theta0_1,
+                  rational_solution_theta0_minus2)
 from .series import residual_leading_order, solve_taylor
 from .symmetries import act_theta, transport_solution
 from . import fuchsian
@@ -147,15 +148,6 @@ def taylor_special_vector():
 # 3. rational and singular exact solutions, pointwise residual
 
 
-def _jet_theta0_1(th, x):
-    """(y, y', y'') of the rational solution on th0 = 1."""
-    dd, c0 = 1.0 + th.th1, th.th1 + th.thinf
-    y = x / (dd * x - c0)
-    yp = -c0 / (dd * x - c0) ** 2
-    ypp = 2.0 * c0 * dd / (dd * x - c0) ** 3
-    return y, yp, ypp
-
-
 def exact_solution_residuals():
     rng = np.random.default_rng(303)
     worst = 0.0
@@ -163,22 +155,13 @@ def exact_solution_residuals():
     th = ThetaParams(1.0, 0.4, -0.7, -0.7)
     pole = (th.th1 + th.thinf) / (1.0 + th.th1)
     for x in _points(rng, 100, bad=(pole,), guard=0.3):
-        y, yp, ypp = _jet_theta0_1(th, x)
+        y, yp, ypp = rational_solution_theta0_1(th, x)
         worst = max(worst, abs(pvi_residual_expr(x, y, yp, ypp, th)))
 
     th = ThetaParams(-2.0, 1.5, 0.2, 0.3)
     t1, ti = th.th1, th.thinf
     for x in _points(rng, 100, bad=((ti + t1 - 2.0) / t1,), guard=0.3, box=1.0):
-        q = 2.0 - (ti + t1) + t1 * x
-        nu = q * q - 2.0 + ti + t1 - t1 * x * x
-        de = (1.0 - ti) * q
-        nup = 2.0 * t1 * q - 2.0 * t1 * x
-        nupp = 2.0 * t1 * t1 - 2.0 * t1
-        dep = (1.0 - ti) * t1
-        y = rational_solution_theta0_minus2(th, x)
-        yp = nup / de - nu * dep / de ** 2
-        ypp = (nupp / de - 2.0 * nup * dep / de ** 2
-               + 2.0 * nu * dep ** 2 / de ** 3)
+        y, yp, ypp = rational_solution_theta0_minus2(th, x)
         worst = max(worst, abs(pvi_residual_expr(x, y, yp, ypp, th)))
 
     singular = (
@@ -458,10 +441,10 @@ def symmetry_transport():
     for gen in ("x1", "x2", "x3", "n"):
         th2 = act_theta(gen, th)
         for x in pts:
-            y, yp, ypp = _jet_theta0_1(th, x)
+            y, yp, ypp = rational_solution_theta0_1(th, x)
             xx, yy, yyp, yypp = _map_jet(gen, x, y, yp, ypp)
             worst = max(worst, abs(pvi_residual_expr(xx, yy, yyp, yypp, th2)))
-    samples = [(x, _jet_theta0_1(th, x)[0]) for x in pts]
+    samples = [(x, rational_solution_theta0_1(th, x)[0]) for x in pts]
     ident = 0.0
     for gen in ("n", "x1"):
         twice = transport_solution(gen, transport_solution(gen, samples))

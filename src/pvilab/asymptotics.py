@@ -77,20 +77,30 @@ def make_seed(sigma, theta: ThetaParams, r):
                         sigma_sign=sign)
 
 
+def _generic_term(k, s, t0, tx, r):
+    """(coefficient, exponent) of x^{1-sigma}, x or x^{1+sigma} (k = 0, 1, 2) in the generic behavior."""
+    if k == 0:
+        return ((s * s - (t0 + tx) ** 2) * ((t0 - tx) ** 2 - s * s)) / (16.0 * s ** 3 * r), 1.0 - s
+    return ((t0 * t0 - tx * tx + s * s) / (2.0 * s * s), 1.0) if k == 1 else (-r / s, 1.0 + s)
+
+
+def _power_sum(terms, x, branch, k=0):
+    """The k-th x-derivative of the sum of c x^e over the (c, e) terms."""
+    return sum(math.prod((e - j for j in range(k)), start=c) * cpow(x, e - k, branch) for c, e in terms)
+
+
 def _power_terms(seed: CriticalSeed):
     """List of (coefficient, exponent) pairs for the power-type kinds."""
     t0, tx, t1, ti = seed.theta.as_tuple()
     s, r = seed.sigma, seed.r
     if seed.kind == "power-generic":
-        lead = ((s * s - (t0 + tx) ** 2) * ((t0 - tx) ** 2 - s * s)) / (16.0 * s ** 3 * r)
-        if s.real > 0:
-            return [(lead, 1.0 - s)]
-        return [(-r / s, 1.0 + s)]
+        # the lead is formed on both sides: its overflow raises for either sign
+        lead, sub = _generic_term(0, s, t0, tx, r), _generic_term(2, s, t0, tx, r)
+        return [lead if s.real > 0 else sub]
     if seed.kind == "trig":
         A, phi = trig_amp_phase(s, seed.theta, r)
-        B = (t0 * t0 - tx * tx + s * s) / (2.0 * s * s)
         return [(A / 2.0 * cmath.exp(1j * phi), 1.0 - s),
-                (B, 1.0),
+                _generic_term(1, s, t0, tx, r),
                 (-A / 2.0 * cmath.exp(-1j * phi), 1.0 + s)]
     if seed.kind in ("one-param-sum", "one-param-diff"):
         base = t0 + tx if seed.kind == "one-param-sum" else t0 - tx
@@ -108,15 +118,8 @@ def leading_term(seed: CriticalSeed):
 def three_term_value(sigma, theta: ThetaParams, r, x, branch: BranchSpec = PRINCIPAL):
     """Leading + two subleading powers of the generic behavior, and derivative."""
     t0, tx, _, _ = theta.as_tuple()
-    s = complex(sigma)
-    terms = [
-        (((s * s - (t0 + tx) ** 2) * ((t0 - tx) ** 2 - s * s)) / (16.0 * s ** 3 * r), 1.0 - s),
-        ((t0 * t0 - tx * tx + s * s) / (2.0 * s * s), 1.0),
-        (-r / s, 1.0 + s),
-    ]
-    y = sum(c * cpow(x, e, branch) for c, e in terms)
-    yp = sum(c * e * cpow(x, e - 1.0, branch) for c, e in terms)
-    return y, yp
+    terms = [_generic_term(k, complex(sigma), t0, tx, r) for k in range(3)]
+    return _power_sum(terms, x, branch), _power_sum(terms, x, branch, 1)
 
 
 def seed_value(seed: CriticalSeed, x, branch: BranchSpec = PRINCIPAL, three_term=False):
@@ -127,9 +130,7 @@ def seed_value(seed: CriticalSeed, x, branch: BranchSpec = PRINCIPAL, three_term
         if three_term and seed.kind == "power-generic":
             return three_term_value(seed.sigma, seed.theta, r, x, branch)
         terms = _power_terms(seed)
-        y = sum(c * cpow(x, e, branch) for c, e in terms)
-        yp = sum(c * e * cpow(x, e - 1.0, branch) for c, e in terms)
-        return y, yp
+        return _power_sum(terms, x, branch), _power_sum(terms, x, branch, 1)
     lg = clog(x, branch)
     if seed.kind == "log-generic":
         d = t0 * t0 - tx * tx
@@ -149,8 +150,7 @@ def seed_second(seed: CriticalSeed, x, branch: BranchSpec = PRINCIPAL):
     """Closed-form y'' of the seed (for residual diagnostics)."""
     t0, tx, t1, ti = seed.theta.as_tuple()
     if seed.kind in ("power-generic", "trig", "one-param-sum", "one-param-diff"):
-        terms = _power_terms(seed)
-        return sum(c * e * (e - 1.0) * cpow(x, e - 2.0, branch) for c, e in terms)
+        return _power_sum(_power_terms(seed), x, branch, 2)
     lg = clog(x, branch)
     r = seed.r
     if seed.kind == "log-generic":
@@ -170,7 +170,7 @@ def trig_amp_phase(sigma, theta: ThetaParams, r):
     s = complex(sigma)
     if abs(s) < _TOL or abs(s.real) > _TOL:
         raise ValueError("trig form needs sigma nonzero and purely imaginary")
-    B = (t0 * t0 - tx * tx + s * s) / (2.0 * s * s)
+    B = _generic_term(1, s, t0, tx, r)[0]
     A = cmath.sqrt(t0 * t0 / (s * s) - B * B)
     if abs(A) < 1e-14:
         raise ValueError("degenerate amplitude A = 0")

@@ -7,7 +7,8 @@ the call.  An independent numeric oracle lives here too, so the closed
 forms are never trusted on faith: one builder, `kummer_bases`, gives
 Kummer's local solution bases at 0, 1 and infinity from the Gauss
 parameters (a, b, c) alone, and ODE transport carries them between the
-singular points.
+singular points, as `fuchsian.transport` on the case-1 reduction of
+(a, b - 1, c - 1), whose first component solves Gauss' equation in (a, b, c).
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .integrate import dp45
 from .numerics import Mat2, PoleError, clog, cpow, gamma, digamma, inv2, mat2
 from .pvi import ThetaParams, ResonanceError, is_int
 
@@ -236,9 +236,16 @@ def connection_matrix(which: str, theta: ThetaParams, flip_th1=False) -> Mat2:
 
     which: "C0inf" | "C01" (diagonalizable-at-1 constructions, optionally
     with th1 -> -th1 via flip_th1) or "Cinf0" | "C01c" (the unipotent
-    construction, which only involves th0 and thx).
+    construction, which only involves th0 and thx).  An integer th0 raises
+    ResonanceError: the basis at 0 is logarithmic, and at th0 = 0 C is singular.
     """
+    _regular_at_0(which, theta)
     return mat2(*_connection(which, theta, flip_th1, {}))
+
+
+def _regular_at_0(which, theta):
+    if is_int(theta.th0):
+        raise ResonanceError(f"{which}: integer th0 = {round(theta.th0.real)}: the basis at 0 is logarithmic")
 
 
 def _connection(which, theta, flip_th1, table):
@@ -385,32 +392,24 @@ def ode_transport(p: GaussParams, z0, W0, path, tol=1e-12):
     """Continue a (value, derivative) frame of the Gauss ODE along a path.
 
     W0 is the 2x2 frame [[f1, f2], [f1', f2']] at z0; path is a list of
-    complex waypoints starting after z0, each leg integrated by the DOP853
-    integrator `integrate.dp45` on the list [f1, f1', f2, f2'] in Python
-    complex arithmetic.  Returns the frame at path[-1] as a Mat2.
+    complex waypoints starting after z0.  `fuchsian.transport` carries it
+    along [z0, *path] on the case-1 reduction dY/dz = [B0/z + B1/(z-1)] Y of
+    (a, b, c) = (alpha, beta - 1, gamma - 1), with no residue at x = 0: the
+    first component of Y solves Gauss' equation in (a, b + 1, c + 1) = p.
+    Frame in: each column (f, f') becomes Y = (f, xi) by `xi_from_phi`;
+    frame out, at path[-1], as a Mat2: f' is the first row of [B0/z + B1/(z-1)] Y.
     """
-    al, be, ga = p.alpha, p.beta, p.gamma
-
-    def rhs_factory(za, zb):
-        dz = zb - za
-
-        def f(t, y):
-            # y = [f1, f1', f2, f2']
-            z = za + t * dz
-            f1, d1, f2, d2 = y
-            c = ga - (al + be + 1.0) * z
-            den = z * (1.0 - z)
-            return [d1 * dz, ((al * be) * f1 - c * d1) / den * dz,
-                    d2 * dz, ((al * be) * f2 - c * d2) / den * dz]
-
-        return f
-
-    y = [W0[0, 0], W0[1, 0], W0[0, 1], W0[1, 1]]
-    za = complex(z0)
-    for zb in path:
-        y = dp45(rhs_factory(za, complex(zb)), 0.0, 1.0, y, tol=tol)
-        za = complex(zb)
-    return mat2(y[0], y[2], y[1], y[3])
+    from . import fuchsian
+    a, b, c = p.alpha, p.beta - 1.0, p.gamma - 1.0
+    B0, B1 = reduction_matrices(1, a, b, c)
+    z0, z1 = complex(z0), complex(path[-1])
+    Y = mat2(W0[0, 0], W0[0, 1], *(xi_from_phi(1, W0[0, j], W0[1, j], z0, a, b, c) for j in (0, 1)))
+    cells = {k: tuple(tuple(((0, m[i, j]),) for j in (0, 1)) for i in (0, 1))
+             for k, m in (("0", B0), ("x", mat2(0, 0, 0, 0)), ("1", B1))}
+    system = fuchsian.LinearSystem(ThetaParams(c, 0.0, a + b - c, a - b), "gauss-reduction", cells)
+    Y = fuchsian.transport(system, 0.0, [z0, *path], tol=tol) @ Y
+    dY = (B0 / z1 + B1 / (z1 - 1.0)) @ Y
+    return mat2(Y[0, 0], Y[0, 1], dY[0, 0], dY[0, 1])
 
 
 def connection_oracle(which: str, theta: ThetaParams, flip_th1=False):
@@ -424,6 +423,7 @@ def connection_oracle(which: str, theta: ThetaParams, flip_th1=False):
     mu = 0.3 + 0.3i to mu = 2i.  arg mu stays in (0, pi) on that segment, so
     the principal powers of mu at both ends are the continued ones.
     """
+    _regular_at_0(which, theta)
     p = _gauss_params(which, theta, flip_th1)
     at0, at1, atinf = kummer_bases(p)
     if which in ("C01", "C01c"):

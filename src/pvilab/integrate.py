@@ -1,9 +1,9 @@
 """Embedded Dormand-Prince 8(5,3) integrator (DOP853) for complex-vector ODEs.
 
-Shared by three users: loop transport of the Fuchsian system in lambda
-(`fuchsian.transport`), transport of Gauss ODE frames in z
-(`hypergeom.ode_transport`) and continuation of PVI in x
-(`continuation.integrate`).  All three ask for tolerances of 1e-10 to 1e-12,
+Shared by two users: `fuchsian.transport`, the one linear transport (the
+Fuchsian system in lambda, and the Gauss frames of `hypergeom.ode_transport`
+in z through the paper's first-order reduction), and continuation of PVI in
+x (`continuation.integrate`).  Both ask for tolerances of 1e-10 to 1e-12,
 where an eighth-order method takes a fraction of the steps of a fifth-order
 one (Hairer, Norsett & Wanner, Solving ODEs I, section II.10).  scipy is
 not a dependency, and the event machinery of its DOP853 does not fit

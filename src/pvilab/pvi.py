@@ -199,23 +199,28 @@ def pvi_residual_series(series, theta: ThetaParams, rows=0):
 # exact solutions with vanishing theta sum (reducible monodromy family)
 
 
-def rational_solution_theta0_1(theta: ThetaParams, x: complex) -> complex:
-    """Closed rational solution on th0 = 1, th0+thx+th1+thinf = 0."""
-    t1, ti = theta.th1, theta.thinf
+def rational_solution_theta0_1(theta: ThetaParams, x: complex):
+    """Closed rational solution on th0 = 1, th0+thx+th1+thinf = 0, as the
+    jet (y, y', y'')."""
     if abs(theta.th0 - 1.0) > RESONANCE_TOL or abs(theta.theta_sum()) > 1e-9:
         raise ResonanceError("requires th0 = 1 and vanishing theta sum")
     # the terminating branch of the reducible family: u = x^{th1+thinf-1}
     # (1 - (th1+1)/(th1+thinf) x) substituted into the u-to-y map
-    return x / (x * (1.0 + t1) - (t1 + ti))
+    dd, c0 = 1.0 + theta.th1, theta.th1 + theta.thinf
+    return x / (dd * x - c0), -c0 / (dd * x - c0) ** 2, 2.0 * c0 * dd / (dd * x - c0) ** 3
 
 
-def rational_solution_theta0_minus2(theta: ThetaParams, x: complex) -> complex:
-    """Closed rational solution on th0 = -2, vanishing theta sum."""
+def rational_solution_theta0_minus2(theta: ThetaParams, x: complex):
+    """Closed rational solution y = nu/de on th0 = -2, vanishing theta sum,
+    as the jet (y, y', y'')."""
     t1, ti = theta.th1, theta.thinf
     if abs(theta.th0 + 2.0) > RESONANCE_TOL or abs(theta.theta_sum()) > 1e-9:
         raise ResonanceError("requires th0 = -2 and vanishing theta sum")
     q = 2.0 - (ti + t1) + t1 * x
-    return (q * q - 2.0 + ti + t1 - t1 * x * x) / ((1.0 - ti) * q)
+    nu, de = q * q - 2.0 + ti + t1 - t1 * x * x, (1.0 - ti) * q
+    nup, nupp, dep = 2.0 * t1 * q - 2.0 * t1 * x, 2.0 * t1 * t1 - 2.0 * t1, (1.0 - ti) * t1
+    return (nu / de, nup / de - nu * dep / de ** 2,
+            nupp / de - 2.0 * nup * dep / de ** 2 + 2.0 * nu * dep ** 2 / de ** 3)
 
 
 def reducible_solution(theta: ThetaParams, a: complex, x: complex) -> complex:

@@ -19,6 +19,7 @@ from hypothesis import example, given, settings, strategies as st
 from pvilab import continuation, fuchsian, hypergeom
 from pvilab.cli import build_parser, emit, main, parse_complex, parse_theta, rep_from_json
 from pvilab.numerics import det2
+from pvilab.pvi import ThetaParams, rational_solution_theta0_1
 from pvilab.series import TAYLOR_CLASSES
 from pvilab.symmetries import GENERATORS, XY_GENERATORS
 
@@ -335,7 +336,7 @@ def test_continue_through_y_equals_1(capsys):
     fin = json.loads(out)["final"]
     x, y = complex(*fin["x"]), complex(*fin["y"])
     assert x == 2.8 + 0.1j
-    exact = x / (0.3 * x + 1.4)
+    exact = rational_solution_theta0_1(ThetaParams(1.0, 0.4, -0.7, -0.7), x)[0]
     assert abs(y - exact) / (1.0 + abs(exact)) < 1e-6
 
 
@@ -433,6 +434,17 @@ def test_gamma_pole_exits_2_naming_the_matrix(capsys, argv, which):
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (2, "")
     assert err == f"error: {which}: connection-matrix Gamma pole: Gamma pole at z = (-1+0j)\n"
+
+
+@pytest.mark.parametrize("which,theta", [("C01", "0,0.57,0.31,0.44"),
+                                         ("C0inf", "0,0.57,0.31,0.44"),
+                                         ("C01c", "0,0.57,0,1")])
+def test_integer_th0_exits_2_naming_the_matrix(capsys, which, theta):
+    # at th0 = 0 the Gamma products have no pole, but the matrix is singular,
+    # and the oracle's Kummer basis at 0 degenerates the same way
+    code, out, err = run_cli(capsys, "hypergeom", "--which", which, "--theta", theta, "--oracle")
+    assert (code, out) == (2, "")
+    assert err == f"error: {which}: integer th0 = 0: the basis at 0 is logarithmic\n"
 
 
 def test_singular_conjugator_exits_2(capsys):

@@ -11,7 +11,7 @@ from pvilab.asymptotics import CriticalSeed, leading_term, make_seed, seed_value
 from pvilab.continuation import (CHARTS, ChartThrashError, PathPlan,
                                  from_chart, integrate, to_chart)
 from pvilab.numerics import PRINCIPAL, clog, cpow
-from pvilab.pvi import ThetaParams, rational_solution_theta0_1
+from pvilab.pvi import ThetaParams, rational_solution_theta0_1, rational_solution_theta0_minus2
 from pvilab.series import solve_taylor
 
 TH = ThetaParams(0.21, 0.33, 0.17, 0.52)
@@ -81,22 +81,19 @@ def test_chart_thrash_raises(monkeypatch):
     monkeypatch.setattr(continuation, "MAX_SWITCHES", 2)
     th = ThetaParams(1.0, 0.6, 0.0, -1.6)
     x0 = -2.3
-    y0 = rational_solution_theta0_1(th, x0)
-    yp0 = 1.6 / (x0 + 1.6) ** 2
+    y0, yp0, _ = rational_solution_theta0_1(th, x0)
     with pytest.raises(ChartThrashError):
         integrate((x0, y0, yp0), th, PathPlan((x0, -2.6)), tol=1e-10)
 
 
 def _rational_a(x):
     # th = (1, 0.4, -0.7, -0.7): y = x/(0.3 x + 1.4)
-    return x / (0.3 * x + 1.4), 1.4 / (0.3 * x + 1.4) ** 2
+    return rational_solution_theta0_1(ThetaParams(1.0, 0.4, -0.7, -0.7), x)[:2]
 
 
 def _rational_b(x):
     # th = (-2, 1.5, 0.2, 0.3): y = (q^2 - 1.5 - 0.2 x^2)/(0.7 q), q = 1.5 + 0.2 x
-    q = 1.5 + 0.2 * x
-    nu, de = q * q - 1.5 - 0.2 * x * x, 0.7 * q
-    return nu / de, (0.4 * q - 0.4 * x) / de - nu * 0.14 / de ** 2
+    return rational_solution_theta0_minus2(ThetaParams(-2.0, 1.5, 0.2, 0.3), x)[:2]
 
 
 @pytest.mark.parametrize("theta, exact, path", [

@@ -26,7 +26,7 @@ import pytest
 
 from pvilab import asymptotics, continuation, fuchsian, hypergeom, integrate
 from pvilab.integrate import StepUnderflow, dp45
-from pvilab.pvi import ThetaParams
+from pvilab.pvi import ThetaParams, rational_solution_theta0_1, rational_solution_theta0_minus2
 
 # DOP853 (Prince & Dormand 1981), coefficients of Hairer's dop853.f: the
 # nonzero entries of each row of a, by column
@@ -203,8 +203,9 @@ def test_oracle_frame_matches_numpy_kernel(monkeypatch, which, theta, flip):
         return frames[-1]
 
     monkeypatch.setattr(hypergeom, "ode_transport", recording)
+    # the oracle's frames ride fuchsian.transport, hence its dp45
     _, _, n_got, n_want = _both(
-        monkeypatch, hypergeom, lambda: hypergeom.connection_oracle(which, theta, flip_th1=flip))
+        monkeypatch, fuchsian, lambda: hypergeom.connection_oracle(which, theta, flip_th1=flip))
     got, want = frames
     assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
     assert n_got == n_want
@@ -222,14 +223,8 @@ LEGS = [(THETA_A, (0.5 + 0.1j, 0.5 + 0.4j)),
 
 
 def _exact(theta, x):
-    t0, tx, t1, ti = theta
-    if t0 == 1.0:
-        dd, c0 = 1.0 + t1, t1 + ti
-        return x / (dd * x - c0), -c0 / (dd * x - c0) ** 2
-    q = 2.0 - (ti + t1) + t1 * x
-    nu, de = q * q - 2.0 + ti + t1 - t1 * x * x, (1.0 - ti) * q
-    nup, dep = 2.0 * t1 * q - 2.0 * t1 * x, (1.0 - ti) * t1
-    return nu / de, nup / de - nu * dep / de ** 2
+    jet = rational_solution_theta0_1 if theta[0] == 1.0 else rational_solution_theta0_minus2
+    return jet(ThetaParams(*theta), x)[:2]
 
 
 def _pole_pass():

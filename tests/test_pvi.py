@@ -136,22 +136,24 @@ def _second_derivative(f, x, h=1e-5):
 
 def test_rational_solution_theta0_1():
     th = ThetaParams(1.0, 0.4, -0.7, -0.7)
-    f = lambda x: rational_solution_theta0_1(th, x)
+    f = lambda x: rational_solution_theta0_1(th, x)[0]
     for x in (0.3, 0.7, 2.0, -1.1):
         y = f(x)
         yp = (f(x + 1e-6) - f(x - 1e-6)) / 2e-6
         ypp = _second_derivative(f, x)
         assert abs(pvi_residual_expr(x, y, yp, ypp, th)) < 1e-5
+        assert abs(pvi_residual_expr(x, *rational_solution_theta0_1(th, x), th)) < 1e-12
 
 
 def test_rational_solution_theta0_minus2():
     th = ThetaParams(-2.0, 1.5, 0.2, 0.3)
-    f = lambda x: rational_solution_theta0_minus2(th, x)
+    f = lambda x: rational_solution_theta0_minus2(th, x)[0]
     for x in (0.3, 0.8, -0.5):
         y = f(x)
         yp = (f(x + 1e-6) - f(x - 1e-6)) / 2e-6
         ypp = _second_derivative(f, x)
         assert abs(pvi_residual_expr(x, y, yp, ypp, th)) < 1e-5
+        assert abs(pvi_residual_expr(x, *rational_solution_theta0_minus2(th, x), th)) < 1e-12
 
 
 def test_rational_solutions_reject_wrong_theta():

@@ -1,13 +1,16 @@
-"""The written-out right-hand sides of the two linear transport oracles
-against the same right-hand sides formed with numpy array operations.
+"""The written-out right-hand side of the linear transport against the
+same right-hand side formed with numpy array operations.
 
-`fuchsian.transport` and `hypergeom.ode_transport` form their RHS in Python
-complex arithmetic.  The references below form it on numpy arrays and are
-driven through the same `integrate.dp45` on the same paths: the loop
-matrices and the Gauss frames must agree to rounding, and the integrator
-must take the same steps (RHS evaluation counts within 1 %).  The default
-loops of the three systems are also checked against the loop of ten times
-their radius, and their evaluation count is pinned.
+`fuchsian.transport` forms its RHS in Python complex arithmetic, and
+`hypergeom.ode_transport` carries Gauss frames on it through the paper's
+first-order reduction.  The references below form the RHS on numpy arrays
+and are driven through the same `integrate.dp45` on the same paths: the
+loop matrices must agree to rounding, and the integrator must take the same
+steps (RHS evaluation counts within 1 %).  The Gauss frames are checked
+against an independent reference that integrates Gauss' second-order
+equation itself.  The default loops of the three systems are also checked
+against the loop of ten times their radius, and their evaluation count is
+pinned.
 """
 
 import cmath
@@ -72,7 +75,8 @@ def reference_transport(system, x, loop_or_vertices, tol, counts):
 
 
 def reference_ode_transport(p, z0, W0, path, tol, counts):
-    """ode_transport with the RHS on strided slices of the state array."""
+    """Gauss' equation for the frame, with the RHS on strided slices of the
+    state array: a reference that shares no code with the reduction."""
     al, be, ga = p.alpha, p.beta, p.gamma
     dp45 = _counting_dp45(counts)
 
@@ -170,19 +174,28 @@ ORACLES = [("C0inf", ThetaParams(0.23, 0.57, 0.31, 0.44), False),
 
 @pytest.mark.parametrize("which,theta,flip", ORACLES)
 def test_oracle_frame_matches_numpy_rhs(monkeypatch, which, theta, flip):
-    calls, got_counts = [], []
-    real = hypergeom.ode_transport
+    """The oracle's frame against Gauss' equation integrated on numpy arrays,
+    and its steps against `reference_transport` on the reduction system that
+    `ode_transport` hands to `fuchsian.transport`."""
+    calls, systems, got_counts = [], [], []
+    real, real_transport = hypergeom.ode_transport, fuchsian.transport
 
     def recording(p, z0, W0, path, tol=1e-12):
         calls.append((p, z0, W0, path, tol, real(p, z0, W0, path, tol=tol)))
         return calls[-1][-1]
 
+    def recording_transport(system, x, vertices, tol):
+        systems.append((system, x, vertices, tol))
+        return real_transport(system, x, vertices, tol=tol)
+
     monkeypatch.setattr(hypergeom, "ode_transport", recording)
-    monkeypatch.setattr(hypergeom, "dp45", _counting_dp45(got_counts))
+    monkeypatch.setattr(fuchsian, "transport", recording_transport)
+    monkeypatch.setattr(fuchsian, "dp45", _counting_dp45(got_counts))
     hypergeom.connection_oracle(which, theta, flip_th1=flip)
-    assert len(calls) == 1
+    assert len(calls) == 1 and len(systems) == 1
     p, z0, W0, path, tol, got = calls[0]
-    want_counts = []
-    want = reference_ode_transport(p, z0, W0, path, tol, want_counts)
+    want = reference_ode_transport(p, z0, W0, path, tol, [])
     assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
+    want_counts = []
+    reference_transport(*systems[0], want_counts)
     assert abs(len(got_counts) - len(want_counts)) <= 0.01 * len(want_counts)
