@@ -89,7 +89,7 @@ def _retry(make, n=400):
 
 def _nonint(rng, margin=0.1):
     while True:
-        v = rng.uniform(0.12, 0.88) * rng.choice((-1.0, 1.0))
+        v = rng.uniform(0.12, 0.88) * (-1.0, 1.0)[rng.integers(2)]
         if abs(v - round(v)) > margin:
             return v
 
@@ -211,7 +211,7 @@ def monodromy_constructors():
             s = complex(rng.uniform(-0.8, 0.8), rng.uniform(-0.4, 0.4))
             if abs(s) < 0.05 or abs(s + thx) < 0.05:
                 raise ValueError("degenerate s")
-            r = complex(rng.uniform(0.3, 1.5) * rng.choice((-1.0, 1.0)),
+            r = complex(rng.uniform(0.3, 1.5) * (-1.0, 1.0)[rng.integers(2)],
                         rng.uniform(-0.5, 0.5))
             return thx, thinf, s, _ordered(build_case_b(thx, thinf, s, r))
         thx, thinf, s, rep = _retry(draw_b)
@@ -463,7 +463,7 @@ def trig_three_term_identity():
     worst = 0.0
     for _ in range(10):
         def draw():
-            u = rng.uniform(0.15, 0.85) * rng.choice((-1.0, 1.0))
+            u = rng.uniform(0.15, 0.85) * (-1.0, 1.0)[rng.integers(2)]
             th = ThetaParams(*(_nonint(rng) for _ in range(4)))
             r = complex(rng.uniform(0.3, 1.5), rng.uniform(-0.5, 0.5))
             return make_seed(1j * u, th, r)

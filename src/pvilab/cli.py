@@ -418,7 +418,9 @@ def cmd_fuchsian(args):
         _finite_positive(args, "tol")
         center = parse_complex(args.center, "--center")
         m = fuchsian.loop_monodromy(sys_, x, center, tol=args.tol)
-        emit({"center": center, "x": x, "matrix": m, "trace": tr2(m)}, args.out)
+        # the matrix is based at center + radius
+        emit({"center": center, "x": x, "radius": fuchsian.default_radius(x),
+              "matrix": m, "trace": tr2(m)}, args.out)
         return 0
     if args.action == "y-from-A":
         emit({"x": x, "y": fuchsian.y_from_A(sys_, x)}, args.out)

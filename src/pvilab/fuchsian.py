@@ -166,24 +166,29 @@ def build_case_c(th0, thx, r1, rho) -> LinearSystem:
 
 
 def default_radius(x) -> float:
-    """Radius of the default loop: min(|x|, |1 - x|, 1) / 30.
+    """Radius of the default loop: min(|x|, |1 - x|, 1) / 1e4.
 
     Most of a loop's time is the integrator's fixed cost per step, and the
     step count is set by the width ln(d / r) / 2 pi of the strip of
     analyticity in the loop parameter t, d being the distance from the
     centre to the nearest other pole.  For the loops around 0 and x, d / r
-    is the divisor itself.  RHS evaluations of the 18 loops of the
-    `monodromy-oracles` bench at tol 1e-12 (three systems, x = 1e-2 and
-    1e-3, centres 0, x and 1), averaged over its seeds 1-3:
+    is the divisor itself.  A loop that encloses one pole alone has trace
+    2 cos 2 pi mu at any radius, so the circle is kept small: it then
+    integrates little more than exp(2 pi i A_c t).  RHS evaluations of the
+    18 loops of the `monodromy-oracles` bench at tol 1e-12 (three systems,
+    x = 1e-2 and 1e-3, centres 0, x and 1), averaged over its seeds 1-3:
 
-        divisor       3      10      30     100    1000
-        evaluations 6543   4378   3610   3178   2522
+        divisor       30    100   1e3   1e4   1e5   1e6   1e8
+        evaluations 3610   3178  2522  2065  1887  1822  1810
 
-    30 is the knee: past it, each factor of ten saves less than a fifth.
-    `transport` forms lambda - p from the exact centre offset, so the
-    smaller circle costs no digits.
+    1810 is the floor, reached at 1e8 and below; 1e4 costs within 15 % of
+    it.  The worst trace error against 2 cos 2 pi mu is 1.9e-13 to 4.0e-13
+    and the worst |det M - 1| 4.9e-13 or less at every divisor from 30 to
+    1e10, within the tolerance.  `transport` forms lambda - p from the exact
+    centre offset, so the smaller circle costs no digits.  The radius is a
+    normal float for |x| down to about 2.2e-304.
     """
-    return min(abs(complex(x)) / 30.0, abs(1.0 - complex(x)) / 30.0, 1.0 / 30.0)
+    return min(abs(complex(x)), abs(1.0 - complex(x)), 1.0) / 1e4
 
 
 @dataclass(frozen=True)
@@ -216,7 +221,7 @@ def transport(sys: LinearSystem, x, loop_or_vertices, tol=1e-10) -> Mat2:
     poles 0, x and 1 are formed once per leg, and lambda - p is formed as
     (anchor - p) + d, so a circle's centre term is exact: forming c + d
     first and subtracting c again would give d a relative error of about
-    eps |c| / radius, which is 30 eps / |x| for the default loop around 1.
+    eps |c| / radius, which is 1e4 eps / |x| for the default loop around 1.
 
     The state and the right-hand side are Python lists of the four entries
     of Psi, row-major, in Python complex arithmetic.  Raises ValueError

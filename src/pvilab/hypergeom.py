@@ -422,9 +422,16 @@ def connection_oracle(which: str, theta: ThetaParams, flip_th1=False):
     connections the basis at 0 is carried in one straight leg from
     mu = 0.3 + 0.3i to mu = 2i.  arg mu stays in (0, pi) on that segment, so
     the principal powers of mu at both ends are the continued ones.
+
+    An integer th0, and for C0inf an integer thinf - th1 (thinf + th1 with
+    flip_th1), raise ResonanceError naming `which`: a basis is logarithmic.
     """
     _regular_at_0(which, theta)
     p = _gauss_params(which, theta, flip_th1)
+    if which == "C0inf" and is_int(p.alpha - p.beta):
+        d = p.alpha - p.beta + 1.0
+        raise ResonanceError(f"{which}: integer thinf {'+' if flip_th1 else '-'} th1 = "
+                             f"{round(d.real)}: the basis at infinity is logarithmic")
     at0, at1, atinf = kummer_bases(p)
     if which in ("C01", "C01c"):
         # [phi^(0)] = [phi^(1)] C

@@ -63,7 +63,7 @@ class ThetaParams:
 def _theta_draw(rng, margin=0.08):
     """Real theta with every relevant combination away from the integers."""
     while True:
-        t0, tx, t1, ti = (rng.uniform(0.12, 0.88) * rng.choice((-1.0, 1.0))
+        t0, tx, t1, ti = (rng.uniform(0.12, 0.88) * (-1.0, 1.0)[rng.integers(2)]
                           for _ in range(4))
         combos = (t0, tx, t1, ti, ti - 1.0, t1 - ti, t1 + ti, t0 + tx, t0 - tx)
         if all(abs(c - round(c)) > margin for c in combos):

@@ -7,6 +7,7 @@ detail string carries the measured numbers so a failure is self-explaining.
 
 import math
 
+import numpy as np
 import pytest
 
 from pvilab import acceptance, fuchsian
@@ -24,6 +25,21 @@ def test_details_are_deterministic():
     # runtimes gate the checks but stay out of the details, so selftest
     # output is the same bytes on every run
     assert acceptance.run_all() == acceptance.run_all()
+
+
+def test_nonint_keeps_the_choice_stream():
+    # rng.integers(2) takes the same bits as rng.choice((-1.0, 1.0)), so the
+    # checks' random inputs are those of a choice-based sign draw
+    def reference(rng, margin=0.1):
+        while True:
+            v = rng.uniform(0.12, 0.88) * rng.choice((-1.0, 1.0))
+            if abs(v - round(v)) > margin:
+                return v
+
+    got_rng, want_rng = np.random.default_rng(11), np.random.default_rng(11)
+    for _ in range(2000):
+        assert acceptance._nonint(got_rng) == reference(want_rng)
+    assert got_rng.random() == want_rng.random()
 
 
 def _y_bound(tag):

@@ -526,7 +526,7 @@ def test_tol_below_unit_roundoff_exits_2_at_once(capsys, argv):
 
 
 def test_transport_loop_about_one_at_x_1e_300_exits_0():
-    # x = 1e-300 gives the loop about 1 a radius of 3.3e-302 and 1 + r == 1;
+    # x = 1e-300 gives the loop about 1 a radius of 1e-304 and 1 + r == 1;
     # the circle, anchored at its centre, never forms 1 + r
     proc = subprocess.run(
         [sys.executable, "-W", "default", "-m", "pvilab.cli", *TRANSPORT_B,
@@ -639,6 +639,15 @@ def test_minus_leading_value_as_separate_argument(capsys, tmp_path, command, fla
         separate = run_cli(capsys, *argv)
         assert "expected one argument" not in separate[2]
         assert separate == run_cli(capsys, *joined)
+
+
+def test_transport_document_records_the_default_radius(capsys):
+    # the matrix is based at center + radius
+    code, out, err = run_cli(capsys, *TRANSPORT_B, "--x=1e-3", "--center=1")
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert sorted(doc) == ["center", "matrix", "radius", "schema_version", "trace", "x"]
+    assert doc["radius"] == fuchsian.default_radius(1e-3)
 
 
 def test_transport_residue_overflow_exits_2_naming_x(capsys):

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import re
 
 import numpy as np
 import pytest
@@ -166,10 +167,11 @@ def test_loop_rejects_degenerate_radius(sys_a):
     for r in (0.0, -0.1, math.nan, 1e-320):
         with pytest.raises(ValueError):
             fuchsian.transport(sys_a, 1e-2, fuchsian.Loop(1.0, r))
-    # x = 1e-300 gives the loop about 1 a radius of 3.3e-302, and 1 + r == 1:
+    # x = 1e-300 gives the loop about 1 a radius of 1e-304, and 1 + r == 1:
     # a basepoint leg to center + radius would end on the pole
-    loop = fuchsian.Loop(1.0, fuchsian.default_radius(1e-300), basepoint=0.5)
-    with pytest.raises(ValueError, match=r"3\.3+\d*e-302 .*center \(1\+0j\)"):
+    r = fuchsian.default_radius(1e-300)
+    loop = fuchsian.Loop(1.0, r, basepoint=0.5)
+    with pytest.raises(ValueError, match=rf"radius {re.escape(str(r))} .*center \(1\+0j\)"):
         fuchsian.transport(sys_a, 1e-300, loop)
     with pytest.raises(ValueError, match="vanishes"):
         fuchsian.transport(sys_a, 1e-2, fuchsian.Loop(2.0 + 1.0j, 1e-17, basepoint=2.5))
@@ -177,7 +179,7 @@ def test_loop_rejects_degenerate_radius(sys_a):
 
 @pytest.mark.parametrize("x", [1e-15, 1e-300])
 def test_default_loop_runs_where_center_plus_radius_rounds_to_center(x):
-    """Around 1 at x = 1e-15 the default radius is 3.3e-17, and 1 + r == 1.
+    """Around 1 at x = 1e-15 the default radius is 1e-19, and 1 + r == 1.
     The circle is anchored at its centre and never forms center + radius, so
     the loop runs and keeps det M = 1 and tr M = 2 cos 2 pi mu, with
     mu^2 = -det A1(x)."""
@@ -188,9 +190,30 @@ def test_default_loop_runs_where_center_plus_radius_rounds_to_center(x):
     assert abs(tr2(m) - 2.0 * cmath.cos(2.0 * math.pi * mu)) <= 1e-9
 
 
+@pytest.mark.parametrize("center", ["0", "x"])
+def test_default_loops_at_x_1e_300(center):
+    """At x = 1e-300 the default radius is 1e-304, still a normal float: the
+    loops about 0 and x (about 1, see above) keep det M = 1 and
+    tr M = 2 cos 2 pi mu, mu^2 = -det A_c(x), with x 1e4 radii away."""
+    x = 1e-300
+    system = fuchsian.build_case_b(0.31, 0.44, 0.27 + 0.1j, 1.0)
+    m = fuchsian.loop_monodromy(system, x, {"0": 0.0, "x": x}[center])
+    mu = cmath.sqrt(-det2(system.residue(center, x)))
+    assert abs(det2(m) - 1.0) <= 1e-9
+    assert abs(tr2(m) - 2.0 * cmath.cos(2.0 * math.pi * mu)) <= 1e-9
+
+
+def test_default_loop_at_x_1e_306_is_refused():
+    # the default radius 1e-310 is subnormal: |x| must be above about 2.2e-304
+    system = fuchsian.build_case_b(0.31, 0.44, 0.27 + 0.1j, 1.0)
+    with pytest.raises(ValueError, match=r"^loop radius 1e-310 at x = 1e-306 is not a finite "
+                                         r"positive normal float \(x must stay away from 0 and 1\)$"):
+        fuchsian.loop_monodromy(system, 1e-306, 0.0)
+
+
 @pytest.mark.parametrize("x", [1e-2, 1e-3, 1e-4, 1e-5, 1e-6])
 def test_loop_around_one_keeps_its_digits_as_x_goes_to_zero(x):
-    """The loop around 1 has radius |x| / 30 about a centre of size 1.  Its
+    """The loop around 1 has radius |x| / 1e4 about a centre of size 1.  Its
     trace, 2 cos 2 pi mu with mu^2 = -det A1(x), stays as accurate as x
     shrinks, because lambda - 1 is formed from the radius term alone."""
     system = fuchsian.build_case_b(0.31, 0.44, 0.27 + 0.1j, 1.0)

@@ -134,6 +134,17 @@ def test_reducible_u_matches_mpmath():
     assert abs(du - complex(mpmath.diff(ref, mpmath.mpc(x)))) < 1e-12
 
 
+@pytest.mark.parametrize("flip_th1,th1,sign", [(False, 0.44, "-"), (True, -0.44, "+")])
+def test_connection_oracle_names_an_integer_thinf_minus_th1(flip_th1, th1, sign):
+    # the basis at infinity is logarithmic; the closed form has a Gamma pole there
+    theta = ThetaParams(0.23, 0.57, th1, 0.44)
+    with pytest.raises(ResonanceError, match=rf"^C0inf: integer thinf \{sign} th1 = 0: "
+                                             "the basis at infinity is logarithmic$"):
+        connection_oracle("C0inf", theta, flip_th1=flip_th1)
+    with pytest.raises(ResonanceError, match="^C0inf: "):
+        connection_matrix("C0inf", theta, flip_th1=flip_th1)
+
+
 def test_connection_matrix_resonance_raises():
     with pytest.raises(ResonanceError):
         connection_matrix("C01", ThetaParams(0.23, 1.0, 0.31, 0.44))

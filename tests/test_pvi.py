@@ -6,12 +6,30 @@ import numpy as np
 import pytest
 
 from pvilab.pvi import (AbgdParams, ResonanceError, SingularConfigError,
-                        ThetaParams, pvi_linearization_expr,
+                        ThetaParams, _theta_draw, pvi_linearization_expr,
                         pvi_residual_expr, pvi_rhs, rational_solution_theta0_1,
                         rational_solution_theta0_minus2, reducible_solution,
                         theta_to_abgd)
 
 TH = ThetaParams(0.23, 0.57, 0.31, 0.44)
+
+
+def test_theta_draw_keeps_the_choice_stream():
+    """The sign draws index (-1.0, 1.0) with rng.integers(2), which takes the
+    same bits from the generator as rng.choice((-1.0, 1.0)): the draws and
+    the generator state after them match a choice-based draw."""
+    def reference(rng, margin=0.08):
+        while True:
+            t = [rng.uniform(0.12, 0.88) * rng.choice((-1.0, 1.0)) for _ in range(4)]
+            t0, tx, t1, ti = t
+            combos = (t0, tx, t1, ti, ti - 1.0, t1 - ti, t1 + ti, t0 + tx, t0 - tx)
+            if all(abs(c - round(c)) > margin for c in combos):
+                return tuple(t)
+
+    got_rng, want_rng = np.random.default_rng(7), np.random.default_rng(7)
+    for _ in range(500):
+        assert _theta_draw(got_rng).as_tuple() == reference(want_rng)
+    assert got_rng.random() == want_rng.random()
 
 
 def abgd_to_theta(p: AbgdParams, signs=(1, 1, 1, 1)) -> ThetaParams:
