@@ -10,7 +10,7 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .numerics import BranchSpec, PRINCIPAL, clog, cpow
+from .numerics import clog, cpow
 from .pvi import ThetaParams
 
 __all__ = [
@@ -84,9 +84,9 @@ def _generic_term(k, s, t0, tx, r):
     return ((t0 * t0 - tx * tx + s * s) / (2.0 * s * s), 1.0) if k == 1 else (-r / s, 1.0 + s)
 
 
-def _power_sum(terms, x, branch, k=0):
+def _power_sum(terms, x, k=0):
     """The k-th x-derivative of the sum of c x^e over the (c, e) terms."""
-    return sum(math.prod((e - j for j in range(k)), start=c) * cpow(x, e - k, branch) for c, e in terms)
+    return sum(math.prod((e - j for j in range(k)), start=c) * cpow(x, e - k) for c, e in terms)
 
 
 def _power_terms(seed: CriticalSeed):
@@ -115,23 +115,23 @@ def leading_term(seed: CriticalSeed):
     return min(_power_terms(seed), key=lambda t: complex(t[1]).real)
 
 
-def three_term_value(sigma, theta: ThetaParams, r, x, branch: BranchSpec = PRINCIPAL):
+def three_term_value(sigma, theta: ThetaParams, r, x):
     """Leading + two subleading powers of the generic behavior, and derivative."""
     t0, tx, _, _ = theta.as_tuple()
     terms = [_generic_term(k, complex(sigma), t0, tx, r) for k in range(3)]
-    return _power_sum(terms, x, branch), _power_sum(terms, x, branch, 1)
+    return _power_sum(terms, x), _power_sum(terms, x, 1)
 
 
-def seed_value(seed: CriticalSeed, x, branch: BranchSpec = PRINCIPAL, three_term=False):
+def seed_value(seed: CriticalSeed, x, three_term=False):
     """(y, y') of the seed's printed leading behavior at x."""
     t0, tx, t1, ti = seed.theta.as_tuple()
     r = seed.r
     if seed.kind in ("power-generic", "trig", "one-param-sum", "one-param-diff"):
         if three_term and seed.kind == "power-generic":
-            return three_term_value(seed.sigma, seed.theta, r, x, branch)
+            return three_term_value(seed.sigma, seed.theta, r, x)
         terms = _power_terms(seed)
-        return _power_sum(terms, x, branch), _power_sum(terms, x, branch, 1)
-    lg = clog(x, branch)
+        return _power_sum(terms, x), _power_sum(terms, x, 1)
+    lg = clog(x)
     if seed.kind == "log-generic":
         d = t0 * t0 - tx * tx
         u = lg + (4.0 * r + 2.0 * t0) / d
@@ -146,12 +146,12 @@ def seed_value(seed: CriticalSeed, x, branch: BranchSpec = PRINCIPAL, three_term
     raise ValueError(f"unknown seed kind {seed.kind}")
 
 
-def seed_second(seed: CriticalSeed, x, branch: BranchSpec = PRINCIPAL):
+def seed_second(seed: CriticalSeed, x):
     """Closed-form y'' of the seed (for residual diagnostics)."""
     t0, tx, t1, ti = seed.theta.as_tuple()
     if seed.kind in ("power-generic", "trig", "one-param-sum", "one-param-diff"):
-        return _power_sum(_power_terms(seed), x, branch, 2)
-    lg = clog(x, branch)
+        return _power_sum(_power_terms(seed), x, 2)
+    lg = clog(x)
     r = seed.r
     if seed.kind == "log-generic":
         d = t0 * t0 - tx * tx

@@ -327,7 +327,7 @@ def cmd_symmetry(args):
     th = parse_theta(args.theta)
     doc = {"generator": args.gen, "theta_image": act_theta(args.gen, th).as_tuple()}
     if args.sigma is not None:
-        doc["sigma_image"] = sigma_image(args.gen, parse_complex(args.sigma, "--sigma"), th)
+        doc["sigma_image"] = sigma_image(args.gen, parse_complex(args.sigma, "--sigma"))
     if args.xy is not None:
         if args.gen not in XY_GENERATORS:
             raise ValueError(f"generator {args.gen!r} has no pointwise (x,y)-action")

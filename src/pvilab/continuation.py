@@ -13,7 +13,6 @@ a solution.
 
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass, field
 
 from .integrate import dp45
@@ -23,13 +22,10 @@ __all__ = [
     "ChartThrashError",
     "PathPlan",
     "Trajectory",
-    "CHARTS",
     "to_chart",
     "from_chart",
     "integrate",
 ]
-
-CHARTS = ("y", "inv_y")
 
 SWITCH_THRESHOLD = 1e-3
 HYSTERESIS = 3.0
@@ -76,16 +72,11 @@ def _seg_point_dist(a: complex, b: complex, p: complex) -> float:
 
 @dataclass(frozen=True)
 class PathPlan:
-    """Polyline in x with per-segment tolerance and arg bookkeeping.
-
-    Vertices (and the segments between them) must keep clearance from the
-    fixed critical points x = 0, 1; arg(x) is accumulated continuously
-    along the polyline for branch-sensitive seeds.
-    """
+    """Polyline in x.  Vertices (and the segments between them) must keep
+    X_CLEARANCE from the fixed critical points x = 0, 1."""
 
     vertices: tuple
-    tol: float = 1e-10
-    clearance: float = X_CLEARANCE
+    tol: float = 1e-10    # never read (integrate takes its own tol); callers pass it positionally
 
     def __post_init__(self):
         vs = tuple(complex(v) for v in self.vertices)
@@ -93,28 +84,20 @@ class PathPlan:
         if len(vs) < 2:
             raise ValueError("a path needs at least two vertices")
         for v in vs:
-            if abs(v) < self.clearance or abs(v - 1.0) < self.clearance:
+            if abs(v) < X_CLEARANCE or abs(v - 1.0) < X_CLEARANCE:
                 raise ValueError(f"vertex {v} within clearance of a fixed critical point")
         for a, b in zip(vs[:-1], vs[1:]):
             for p in (0.0, 1.0):
-                if _seg_point_dist(a, b, p) < self.clearance:
+                if _seg_point_dist(a, b, p) < X_CLEARANCE:
                     raise ValueError(f"segment {a} -> {b} passes within clearance of x = {p}")
 
     def segments(self):
         return list(zip(self.vertices[:-1], self.vertices[1:]))
 
-    def cumulative_args(self):
-        """arg(x) at each vertex, continued continuously along the path."""
-        args = [cmath.phase(self.vertices[0])]
-        for a, b in self.segments():
-            args.append(args[-1] + cmath.phase(b / a))
-        return args
-
 
 @dataclass
 class Trajectory:
     theta: ThetaParams
-    tol: float
     samples: list = field(default_factory=list)   # (x, y, yp, chart)
     events: list = field(default_factory=list)
 
@@ -145,8 +128,8 @@ class Trajectory:
         return worst
 
 
-def integrate(ic, theta: ThetaParams, path, tol=1e-10) -> Trajectory:
-    """Continue (y, y') from ic = (x0, y0, y0') along the path.
+def integrate(ic, theta: ThetaParams, path: PathPlan, tol=1e-10) -> Trajectory:
+    """Continue (y, y') from ic = (x0, y0, y0') along the PathPlan.
 
     Integrates in the y chart, and in the one pole chart w = 1/(eps y)
     (to_chart) while |y| is large: it enters inv_y when
@@ -157,13 +140,11 @@ def integrate(ic, theta: ThetaParams, path, tol=1e-10) -> Trajectory:
     crossing.  MAX_SWITCHES switches within one segment raise
     ChartThrashError.
     """
-    if not isinstance(path, PathPlan):
-        path = PathPlan(tuple(path), tol)
     x0, y0, yp0 = (complex(v) for v in ic)
     if abs(x0 - path.vertices[0]) > 1e-12:
         raise ValueError("initial x must coincide with the first path vertex")
 
-    traj = Trajectory(theta, tol)
+    traj = Trajectory(theta)
     p = theta_to_abgd(theta)
     state = {"chart": "y"}
     y, yp = y0, yp0

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass, field
 
 from .integrate import dp45
-from .numerics import PRINCIPAL, Mat2, cpow, mat2
+from .numerics import Mat2, cpow, mat2
 from .pvi import ResonanceError, ThetaParams, is_int
 
 __all__ = [
@@ -35,7 +35,7 @@ _KEYS = ("0", "x", "1")
 
 def _ev(terms, x):
     """Evaluate a list of (power, coeff) terms at x (principal powers)."""
-    return sum(c * cpow(x, p, PRINCIPAL) for p, c in terms)
+    return sum(c * cpow(x, p) for p, c in terms)
 
 
 @dataclass(frozen=True)
@@ -193,51 +193,42 @@ def default_radius(x) -> float:
 
 @dataclass(frozen=True)
 class Loop:
-    """Circle lambda = center + radius e^{2 pi i orientation t}, t in [0, 1].
-
-    The loop starts and ends at center + radius.  With a basepoint it runs a
-    straight leg from the basepoint to that start and back after the circle.
-    orientation 1 is counterclockwise, -1 clockwise.
-    """
+    """Counterclockwise circle lambda = center + radius e^{2 pi i t}, t in [0, 1],
+    based at its start center + radius."""
 
     center: complex
     radius: float
-    basepoint: complex | None = None
-    orientation: int = 1
 
 
 def transport(sys: LinearSystem, x, loop_or_vertices, tol=1e-10) -> Mat2:
     """Monodromy of the fundamental solution normalized to I at the start.
 
-    Integrates dPsi/dlambda = A(lambda) Psi with the DOP853 integrator along
-    a Loop (its circle in one dp45 call, in the parameter t of Loop, plus the
-    straight basepoint legs) or edge by edge along a polygon given as a list
-    of vertices.  The result M satisfies Psi_continued = Psi * M for
-    Psi(start) = I.
+    Integrates dPsi/dlambda = A(lambda) Psi with the DOP853 integrator around
+    a Loop (its circle in one dp45 call, in the parameter t of Loop) or edge
+    by edge along a polygon given as a list of vertices.  The result M
+    satisfies Psi_continued = Psi * M for Psi(start) = I.  A loop based
+    elsewhere is a composition: transport along the legs to and from
+    center + radius, on both sides of the plain loop's matrix.
 
     Each leg writes lambda = anchor + d(t): a circle is anchored at its
-    centre with d = radius e^{2 pi i orientation t}, a straight edge at its
-    first vertex with d = t (z1 - z0).  The offsets of the anchor from the
-    poles 0, x and 1 are formed once per leg, and lambda - p is formed as
-    (anchor - p) + d, so a circle's centre term is exact: forming c + d
-    first and subtracting c again would give d a relative error of about
-    eps |c| / radius, which is 1e4 eps / |x| for the default loop around 1.
+    centre with d = radius e^{2 pi i t}, a straight edge at its first vertex
+    with d = t (z1 - z0).  The offsets of the anchor from the poles 0, x and
+    1 are formed once per leg, and lambda - p is formed as (anchor - p) + d,
+    so a circle's centre term is exact: forming c + d first and subtracting
+    c again would give d a relative error of about eps |c| / radius, which
+    is 1e4 eps / |x| for the default loop around 1.  The circle never forms
+    center + radius, so it runs where that sum rounds to the centre.
 
     The state and the right-hand side are Python lists of the four entries
     of Psi, row-major, in Python complex arithmetic.  Raises ValueError
     naming x when the residues at x overflow or are not finite, and when a
-    basepoint leg would end at center + radius that rounds to the center.
+    loop's radius is not a finite positive normal float.
     """
     if isinstance(loop_or_vertices, Loop):
         r = loop_or_vertices.radius
         if not (math.isfinite(r) and r >= 2.0 ** -1022):    # subnormal radii lose bits
             raise ValueError(f"loop radius {r} at x = {x} is not a finite positive normal "
                              "float (x must stay away from 0 and 1)")
-        c = complex(loop_or_vertices.center)
-        if loop_or_vertices.basepoint is not None and c + r == c:
-            raise ValueError(f"loop radius {r} vanishes against its center {c} "
-                             "(the basepoint leg would end at center + radius, which "
-                             "rounds to center)")
     xc = complex(x)
     try:
         res = [sys.residue(k, x).e for k in _KEYS]
@@ -267,25 +258,21 @@ def transport(sys: LinearSystem, x, loop_or_vertices, tol=1e-10) -> Mat2:
 
         return mat2(*dp45(f, 0.0, 1.0, list(m.e), tol=tol))
 
-    def edge(m, z0, z1):
-        dz = z1 - z0
-        return m if dz == 0 else leg(m, z0, lambda t: (t * dz, dz))
-
     m = mat2(1.0, 0.0, 0.0, 1.0)
     if isinstance(loop_or_vertices, Loop):
-        lp = loop_or_vertices
-        c, r = complex(lp.center), float(lp.radius)
-        w = 2j * math.pi * lp.orientation
+        r = float(loop_or_vertices.radius)
+        w = 2j * math.pi
 
         def circle(t):
             d = r * cmath.exp(w * t)
             return d, w * d
 
-        b = c + r if lp.basepoint is None else complex(lp.basepoint)
-        return edge(leg(edge(m, b, c + r), c, circle), c + r, b)
+        return leg(m, complex(loop_or_vertices.center), circle)
     verts = [complex(v) for v in loop_or_vertices]
     for z0, z1 in zip(verts[:-1], verts[1:]):
-        m = edge(m, z0, z1)
+        dz = z1 - z0
+        if dz != 0:
+            m = leg(m, z0, lambda t, dz=dz: (t * dz, dz))
     return m
 
 

@@ -50,12 +50,11 @@ class GaussParams:
 
 def poch(q: complex, n: int) -> complex:
     """Pochhammer (q)_n, n any integer; (q)_{-n} = 1/((q-1)...(q-n))."""
+    out = 1.0 + 0.0j
     if n >= 0:
-        out = 1.0 + 0.0j
         for k in range(n):
             out *= q + k
         return out
-    out = 1.0 + 0.0j
     for k in range(1, -n + 1):
         out /= q - k
     return out
@@ -108,11 +107,9 @@ def norlund_g1(u, v, w: int, z, ln_minus_z=None):
     ln_minus_z overrides the branch of ln(-z); default is the principal
     value of log(-z) (negative real for -1 < z < 0).
     """
-    if not (isinstance(w, int) or (is_int(w) and complex(w).real > 0)):
+    if not (is_int(w) and complex(w).real > 0.5):
         raise ValueError("w must be a positive integer")
     w = int(round(complex(w).real))
-    if w < 1:
-        raise ValueError("w must be >= 1")
     z = complex(z)
     if abs(z) >= 1.0:
         raise ValueError("g1 series requires |z| < 1")
@@ -239,13 +236,13 @@ def connection_matrix(which: str, theta: ThetaParams, flip_th1=False) -> Mat2:
     construction, which only involves th0 and thx).  An integer th0 raises
     ResonanceError: the basis at 0 is logarithmic, and at th0 = 0 C is singular.
     """
-    _regular_at_0(which, theta)
+    _regular_at(which, 0, "th0", theta.th0)
     return mat2(*_connection(which, theta, flip_th1, {}))
 
 
-def _regular_at_0(which, theta):
-    if is_int(theta.th0):
-        raise ResonanceError(f"{which}: integer th0 = {round(theta.th0.real)}: the basis at 0 is logarithmic")
+def _regular_at(which, at, name, v):
+    if is_int(v):
+        raise ResonanceError(f"{which}: integer {name} = {round(complex(v).real)}: the basis at {at} is logarithmic")
 
 
 def _connection(which, theta, flip_th1, table):
@@ -423,15 +420,18 @@ def connection_oracle(which: str, theta: ThetaParams, flip_th1=False):
     mu = 0.3 + 0.3i to mu = 2i.  arg mu stays in (0, pi) on that segment, so
     the principal powers of mu at both ends are the continued ones.
 
-    An integer th0, and for C0inf an integer thinf - th1 (thinf + th1 with
-    flip_th1), raise ResonanceError naming `which`: a basis is logarithmic.
+    ResonanceError names `which`, before any frame is formed, where a basis
+    breaks down and connection_matrix has a Gamma pole: at an integer th0,
+    thinf -+ th1 (C0inf) or thx (C01, C01c), and an odd th0 +- thx (Cinf0).
     """
-    _regular_at_0(which, theta)
+    _regular_at(which, 0, "th0", theta.th0)
     p = _gauss_params(which, theta, flip_th1)
-    if which == "C0inf" and is_int(p.alpha - p.beta):
-        d = p.alpha - p.beta + 1.0
-        raise ResonanceError(f"{which}: integer thinf {'+' if flip_th1 else '-'} th1 = "
-                             f"{round(d.real)}: the basis at infinity is logarithmic")
+    if which == "C0inf":
+        _regular_at(which, "infinity", f"thinf {'+' if flip_th1 else '-'} th1", p.alpha - p.beta + 1.0)
+    if which in ("C01", "C01c"):
+        _regular_at(which, 1, "thx", theta.thx)
+    if which == "Cinf0" and (is_int(p.alpha) or is_int(p.gamma - p.alpha)):
+        raise ResonanceError(f"{which}: odd integer th0 +- thx: Norlund's frame at infinity degenerates")
     at0, at1, atinf = kummer_bases(p)
     if which in ("C01", "C01c"):
         # [phi^(0)] = [phi^(1)] C

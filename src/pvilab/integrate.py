@@ -55,13 +55,14 @@ __all__ = ["StepUnderflow", "dp45"]
 # evaluated only once a step is accepted and serves as stage 1 of the next:
 # 12 evaluations per accepted step, 11 per rejected one.
 _EPS = sys.float_info.epsilon
+_MIN_STEP = 1e-14
 
 
 class StepUnderflow(RuntimeError):
     pass
 
 
-def dp45(f, t0, t1, y0, tol=1e-10, h0=None, min_step=1e-14, step_cb=None):
+def dp45(f, t0, t1, y0, tol=1e-10, step_cb=None):
     """Integrate y' = f(t, y) from t0 to t1 (real parameter t) with DOP853.
 
     y0 is any sequence of complex numbers.  f(t, y) receives the state
@@ -75,16 +76,16 @@ def dp45(f, t0, t1, y0, tol=1e-10, h0=None, min_step=1e-14, step_cb=None):
     step and may return a replacement sequence (chart switches).  Returns
     y(t1) as a list of complex numbers.
 
-    f is evaluated once at the start, 12 times per accepted step (stages 2
-    to 12 and f at the new point, which is stage 1 of the next step) and 11
-    times per rejected one.  When step_cb returns a replacement, f is
-    evaluated again at the new state, so f may read state that step_cb
-    changes, provided step_cb then returns a replacement.  The step grows by
-    at most 2x, shrinks by at most 5x, and does not grow on the step after
-    a rejection.
+    The first trial step is a fiftieth of the span.  f is evaluated once at
+    the start, 12 times per accepted step (stages 2 to 12 and f at the new
+    point, which is stage 1 of the next step) and 11 times per rejected one.
+    When step_cb returns a replacement, f is evaluated again at the new
+    state, so f may read state that step_cb changes, provided step_cb then
+    returns a replacement.  The step grows by at most 2x, shrinks by at most
+    5x, and does not grow on the step after a rejection.
 
     Raises ValueError for tol below the unit roundoff sys.float_info.epsilon,
-    and StepUnderflow when the step size falls below min_step.
+    and StepUnderflow when the step size falls below _MIN_STEP = 1e-14 in t.
     """
     if tol < _EPS:
         raise ValueError(f"tol = {tol} is below the float unit roundoff {_EPS:.3g} "
@@ -96,8 +97,7 @@ def dp45(f, t0, t1, y0, tol=1e-10, h0=None, min_step=1e-14, step_cb=None):
     span = abs(t1 - t)
     if span == 0:
         return y
-    h = h0 if h0 is not None else span / 50.0
-    h = direction * min(abs(h), span)
+    h = direction * (span / 50.0)
     k1 = f(t, y)
     rejected = False
     while (t1 - t) * direction > 1e-16:
@@ -194,6 +194,6 @@ def dp45(f, t0, t1, y0, tol=1e-10, h0=None, min_step=1e-14, step_cb=None):
             fac = max(0.2, 0.85 * err ** -0.125)
             rejected = True
         h *= fac
-        if abs(h) < min_step:
+        if abs(h) < _MIN_STEP:
             raise StepUnderflow(f"step size underflow at t = {t}")
     return y

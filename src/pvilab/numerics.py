@@ -1,4 +1,4 @@
-"""Complex scalar special functions, branch-controlled powers, 2x2 matrices.
+"""Complex scalar special functions, principal-branch powers, 2x2 matrices.
 
 Everything downstream (connection matrices, monodromy, series evaluation)
 goes through these routines, so they are deliberately small and pure.
@@ -8,15 +8,11 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from numbers import Number
 
 __all__ = [
     "PoleError",
     "SingularMatrixError",
-    "BranchSpec",
-    "PRINCIPAL",
-    "ARG_0_2PI",
     "gamma",
     "digamma",
     "cpow",
@@ -39,46 +35,21 @@ class SingularMatrixError(ValueError):
 
 
 # ----------------------------------------------------------------------
-# branch bookkeeping
+# principal log and power
 
 
-@dataclass(frozen=True)
-class BranchSpec:
-    """Half-open argument interval (lower, lower + 2*pi] for log and power.
-
-    The default reproduces the principal branch arg in (-pi, pi].  A
-    non-principal branch is passed explicitly at its call site, never via
-    global state.
-    """
-
-    lower: float = -math.pi
-
-    def __post_init__(self):
-        if not math.isfinite(self.lower):
-            raise ValueError("branch base point must be finite")
-
-    def arg(self, z: complex) -> float:
-        a = cmath.phase(z)  # (-pi, pi]
-        # shift into (lower, lower + 2pi]
-        while a <= self.lower:
-            a += 2.0 * math.pi
-        while a > self.lower + 2.0 * math.pi:
-            a -= 2.0 * math.pi
-        return a
-
-
-PRINCIPAL = BranchSpec()
-ARG_0_2PI = BranchSpec(0.0)
-
-
-def clog(z: complex, branch: BranchSpec = PRINCIPAL) -> complex:
+def clog(z: complex) -> complex:
+    """Principal log, arg in (-pi, pi].  cmath.phase gives -pi at z = -x - 0i,
+    below the cut; that edge is taken to +pi, so both zeros of the negative
+    real axis have arg pi."""
     if z == 0:
         raise ValueError("log of zero")
-    return complex(math.log(abs(z)), branch.arg(z))
+    a = cmath.phase(z)
+    return complex(math.log(abs(z)), math.pi if a == -math.pi else a)
 
 
-def cpow(z: complex, w: complex, branch: BranchSpec = PRINCIPAL) -> complex:
-    """z**w with the argument of z taken in the given branch."""
+def cpow(z: complex, w: complex) -> complex:
+    """z**w = exp(w clog z), on the principal branch of clog."""
     z = complex(z)
     w = complex(w)
     if z == 0:
@@ -87,7 +58,7 @@ def cpow(z: complex, w: complex, branch: BranchSpec = PRINCIPAL) -> complex:
         if w.real > 0:
             return 0.0 + 0.0j
         raise ValueError("0 raised to exponent with non-positive real part")
-    return cmath.exp(w * clog(z, branch))
+    return cmath.exp(w * clog(z))
 
 
 # ----------------------------------------------------------------------
@@ -253,7 +224,11 @@ SIGMA3 = Mat2(1.0, 0.0, 0.0, -1.0)
 
 
 def _entries(m):
-    """The row-major entries of a Mat2 or of a 2x2 ndarray."""
+    """The row-major entries of a Mat2 or of a 2x2 ndarray.
+
+    The library passes only Mat2, but the ndarray path stays: the benchmark's
+    negative checks (bench/negative.py) plant `m @ np.diag(...)`, an ndarray,
+    and its monodromy check (bench/wl_monodromy.py) calls tr2 and det2 on it."""
     return m.e if isinstance(m, Mat2) else (m[0, 0], m[0, 1], m[1, 0], m[1, 1])
 
 

@@ -30,7 +30,7 @@ import warnings
 
 import numpy as np
 
-from .numerics import BranchSpec, PRINCIPAL, clog, cpow
+from .numerics import clog, cpow
 from .pvi import (ThetaParams, ResonanceError, _xfactors, is_int,
                   pvi_linearization_expr, pvi_residual_series)
 
@@ -258,7 +258,7 @@ class Series:
         r = 0.5 * abs(self.c[n - 1]) / abs(self.c[n]) if self.c[n] != 0 else 0.3
         return min(max(r, 1e-6), 0.3)
 
-    def eval(self, x, a=None, branch: BranchSpec = PRINCIPAL):
+    def eval(self, x, a=None):
         """Value at x; Y = a x^omega takes a from self.a unless given.
 
         A plain power series warns beyond its trust radius.
@@ -269,17 +269,17 @@ class Series:
                               f"{self.trust_radius():.3g}", TrustRadiusWarning)
             return _horner(self.c, x)
         if self.omega is None:
-            B = clog(x, branch)
+            B = clog(x)
         else:
             a = self.a if a is None else a
             if a is None:
                 raise ValueError("parameter a required for evaluation")
-            B = a * cpow(x, self.omega, branch)
-        return sum(_horner(row, B) * cpow(x, k + self.off, branch)
+            B = a * cpow(x, self.omega)
+        return sum(_horner(row, B) * cpow(x, k + self.off)
                    for k, row in enumerate(self.c))
 
-    def eval_deriv(self, x, a=None, branch: BranchSpec = PRINCIPAL):
-        return self.deriv().eval(x, a, branch)
+    def eval_deriv(self, x, a=None):
+        return self.deriv().eval(x, a)
 
 
 # the ring under the names of the three kinds it covers

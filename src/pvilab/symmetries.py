@@ -11,8 +11,9 @@ Generators:
 
 The (x, y)-actions of w* and l* are deliberately not implemented (only
 their parameter actions are known in closed form here).  Sigma-images are
-tabulated only for l1..l4, w2 and x3; the other generators' images are not
-known here.
+tabulated only for l1..l4, w2 and x3, none of which depends on theta; the
+other generators' images are not known here.  A word of generators is
+applied by nesting act_theta (or sigma_image) calls, innermost first.
 """
 
 from __future__ import annotations
@@ -23,10 +24,8 @@ __all__ = [
     "GENERATORS",
     "XY_GENERATORS",
     "act_theta",
-    "act_theta_word",
     "act_xy",
     "sigma_image",
-    "sigma_image_word",
     "transport_solution",
 ]
 
@@ -73,13 +72,6 @@ def act_theta(gen: str, th: ThetaParams) -> ThetaParams:
     raise ValueError(f"unknown generator {gen!r}")
 
 
-def act_theta_word(word, th: ThetaParams) -> ThetaParams:
-    """Apply generators left to right."""
-    for g in word:
-        th = act_theta(g, th)
-    return th
-
-
 def act_xy(gen: str, x, y):
     """Pointwise (x, y) -> (x', y'): the transformed solution takes value y' at x'."""
     if gen == "x1":
@@ -105,8 +97,9 @@ def act_xy(gen: str, x, y):
     raise ValueError(f"generator {gen!r} has no printed (x,y)-action")
 
 
-def sigma_image(gen: str, sigma, th: ThetaParams):
-    """Image of the x->0 exponent sigma under one generator."""
+def sigma_image(gen: str, sigma):
+    """Image of the x->0 exponent sigma under one generator; the tabulated
+    images are shifts by an integer or the identity, free of theta."""
     table = {
         "l1": sigma + 1.0,
         "l4": sigma + 1.0,
@@ -118,13 +111,6 @@ def sigma_image(gen: str, sigma, th: ThetaParams):
     if gen not in table:
         raise ValueError(f"no tabulated sigma-image for generator {gen!r}")
     return table[gen]
-
-
-def sigma_image_word(word, sigma, th: ThetaParams):
-    for g in word:
-        sigma = sigma_image(g, sigma, th)
-        th = act_theta(g, th)
-    return sigma
 
 
 def transport_solution(gen: str, samples):

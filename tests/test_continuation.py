@@ -8,16 +8,15 @@ import pytest
 
 from pvilab import continuation
 from pvilab.asymptotics import CriticalSeed, leading_term, make_seed, seed_value
-from pvilab.continuation import (CHARTS, ChartThrashError, PathPlan,
-                                 from_chart, integrate, to_chart)
-from pvilab.numerics import PRINCIPAL, clog, cpow
+from pvilab.continuation import ChartThrashError, PathPlan, from_chart, integrate, to_chart
+from pvilab.numerics import clog, cpow
 from pvilab.pvi import ThetaParams, rational_solution_theta0_1, rational_solution_theta0_minus2
 from pvilab.series import solve_taylor
 
 TH = ThetaParams(0.21, 0.33, 0.17, 0.52)
 
 
-@pytest.mark.parametrize("chart", CHARTS)
+@pytest.mark.parametrize("chart", ["y", "inv_y"])
 def test_chart_round_trip(chart):
     y, yp = 0.61 - 0.2j, 1.3 + 0.05j
     w, wp = to_chart(chart, y, yp)
@@ -32,14 +31,6 @@ def test_pathplan_clearance_guards():
         PathPlan((1e-9, 0.5))  # vertex on x = 0
     with pytest.raises(ValueError):
         PathPlan((0.5 - 1j, 0.5 + 1j, 2.0, -1.0))  # last segment crosses x = 1
-
-
-def test_pathplan_cumulative_args():
-    plan = PathPlan((2.0, 2.0j, -2.0 + 0.002j))
-    args = plan.cumulative_args()
-    assert args[0] == pytest.approx(0.0)
-    assert args[1] == pytest.approx(np.pi / 2.0)
-    assert args[2] == pytest.approx(np.pi, abs=1e-2)
 
 
 def test_integrate_requires_matching_start():
@@ -160,13 +151,13 @@ def seed_and_verify(seed, theta, x_near, x_far, tol=1e-10):
     xs = [s[0] for s in traj.samples]
     ys = [s[1] for s in traj.samples]
     if is_seed and seed.kind == "log-generic":
-        L = np.array([clog(x, PRINCIPAL) for x in xs])
+        L = np.array([clog(x) for x in xs])
         V = np.stack([L * L, L, np.ones_like(L)], axis=1)
         coef, *_ = np.linalg.lstsq(V, np.array(ys) / np.array(xs), rcond=None)
         return {"log_leading": coef[0]}
     if is_seed:
         c, e = leading_term(seed)
-        return {"ratio_drift": max(abs(y / (c * cpow(x, e, PRINCIPAL)) - 1.0)
+        return {"ratio_drift": max(abs(y / (c * cpow(x, e)) - 1.0)
                                    for x, y in zip(xs, ys))}
     return {"max_dy": max(abs(y - seed.eval(x)) for x, y in zip(xs, ys))}
 

@@ -98,7 +98,7 @@ def _abs(z):
     return np.hypot(z.real, z.imag)
 
 
-def numpy_dop853(f, t0, t1, y0, tol=1e-10, h0=None, min_step=1e-14, step_cb=None):
+def numpy_dop853(f, t0, t1, y0, tol=1e-10, step_cb=None):
     """The reference: the same method, controller and callback contract with
     the state and the stages in numpy arrays.  f and step_cb receive the
     state as a list, as from dp45."""
@@ -109,8 +109,7 @@ def numpy_dop853(f, t0, t1, y0, tol=1e-10, h0=None, min_step=1e-14, step_cb=None
     span = abs(t1 - t)
     if span == 0:
         return y
-    h = h0 if h0 is not None else span / 50.0
-    h = direction * min(abs(h), span)
+    h = direction * (span / 50.0)
     k = np.empty((13, y.size), dtype=complex)
     k[0] = f(t, y.tolist())
     rejected = False
@@ -142,7 +141,7 @@ def numpy_dop853(f, t0, t1, y0, tol=1e-10, h0=None, min_step=1e-14, step_cb=None
             fac = max(0.2, 0.85 * err ** -0.125)
             rejected = True
         h *= fac
-        if abs(h) < min_step:
+        if abs(h) < 1e-14:
             raise StepUnderflow(f"step size underflow at t = {t}")
     return y
 

@@ -2,7 +2,6 @@
 
 import cmath
 import math
-import re
 
 import numpy as np
 import pytest
@@ -122,10 +121,11 @@ def test_transport_gauge_covariance(sys_a):
 
 
 def test_reversed_loop_is_the_inverse(sys_a):
+    # the loop run clockwise, as a reversed polygon from the same start 1.2
     x = 1e-2
     ccw = fuchsian.transport(sys_a, x, fuchsian.Loop(1.0, 0.2), tol=1e-12)
-    cw = fuchsian.transport(sys_a, x, fuchsian.Loop(1.0, 0.2, orientation=-1),
-                            tol=1e-12)
+    poly = [1.0 + 0.2 * cmath.exp(2j * math.pi * k / 16) for k in range(17)]
+    cw = fuchsian.transport(sys_a, x, poly[::-1], tol=1e-12)
     assert np.max(np.abs(cw @ ccw - np.eye(2))) < 1e-10
 
 
@@ -139,12 +139,14 @@ def test_transport_determinant(sys_a):
 
 
 def test_basepoint_loop_is_conjugated_plain_loop(sys_a):
-    """Legs in from and out to a basepoint conjugate the plain loop by the
-    transport U along the leg."""
+    """A loop based at b, as one polygon b -> c + r -> around c -> c + r -> b,
+    is the plain loop conjugated by the transport U along the leg: transports
+    compose, as the radius oracle in test_rhs_reference relies on."""
     x, c, r, b = 1e-2, 1.0, 0.2, 1.5 + 0.1j
     m = fuchsian.transport(sys_a, x, fuchsian.Loop(c, r), tol=1e-12)
     u = fuchsian.transport(sys_a, x, [b, c + r], tol=1e-12)
-    mb = fuchsian.transport(sys_a, x, fuchsian.Loop(c, r, basepoint=b), tol=1e-12)
+    circle = [c + r * cmath.exp(2j * math.pi * k / 64) for k in range(65)]
+    mb = fuchsian.transport(sys_a, x, [b, *circle, b], tol=1e-12)
     assert np.max(np.abs(mb - inv2(u) @ m @ u)) < 1e-10
 
 
@@ -167,14 +169,6 @@ def test_loop_rejects_degenerate_radius(sys_a):
     for r in (0.0, -0.1, math.nan, 1e-320):
         with pytest.raises(ValueError):
             fuchsian.transport(sys_a, 1e-2, fuchsian.Loop(1.0, r))
-    # x = 1e-300 gives the loop about 1 a radius of 1e-304, and 1 + r == 1:
-    # a basepoint leg to center + radius would end on the pole
-    r = fuchsian.default_radius(1e-300)
-    loop = fuchsian.Loop(1.0, r, basepoint=0.5)
-    with pytest.raises(ValueError, match=rf"radius {re.escape(str(r))} .*center \(1\+0j\)"):
-        fuchsian.transport(sys_a, 1e-300, loop)
-    with pytest.raises(ValueError, match="vanishes"):
-        fuchsian.transport(sys_a, 1e-2, fuchsian.Loop(2.0 + 1.0j, 1e-17, basepoint=2.5))
 
 
 @pytest.mark.parametrize("x", [1e-15, 1e-300])

@@ -145,6 +145,26 @@ def test_connection_oracle_names_an_integer_thinf_minus_th1(flip_th1, th1, sign)
         connection_matrix("C0inf", theta, flip_th1=flip_th1)
 
 
+@pytest.mark.parametrize("which,theta,reason", [
+    ("C01", (0.23, 1.0, 0.31, 0.44), "integer thx = 1: the basis at 1 is logarithmic"),
+    ("C01", (0.23, 0.0, 0.31, 0.44), "integer thx = 0: the basis at 1 is logarithmic"),
+    ("C01c", (0.23, 1.0, 0.0, 1.0), "integer thx = 1: the basis at 1 is logarithmic"),
+    ("Cinf0", (0.5, 0.5, 0.0, 1.0), "odd integer th0 \\+- thx: Norlund's frame at infinity degenerates"),
+])
+def test_connection_oracle_names_a_logarithmic_basis_at_1_or_infinity(monkeypatch, which, theta,
+                                                                      reason):
+    """Where the closed form has a Gamma pole and a basis at 1 or at infinity
+    breaks down, the oracle raises ResonanceError naming the matrix before it
+    forms a frame.  Unguarded, the frames raised an unnamed ResonanceError,
+    SingularMatrixError or ZeroDivisionError."""
+    theta = ThetaParams(*theta)
+    with pytest.raises(ResonanceError, match=f"^{which}: "):
+        connection_matrix(which, theta)
+    monkeypatch.setattr(hypergeom, "_frame", lambda *a: pytest.fail("a frame was formed"))
+    with pytest.raises(ResonanceError, match=f"^{which}: {reason}$"):
+        connection_oracle(which, theta)
+
+
 def test_connection_matrix_resonance_raises():
     with pytest.raises(ResonanceError):
         connection_matrix("C01", ThetaParams(0.23, 1.0, 0.31, 0.44))

@@ -51,7 +51,7 @@ def test_step_callback_replaces_state():
             return [v + 1j for v in y]  # one-time shift, as chart switches do
         return None
 
-    y = dp45(f, 0.0, 1.0, np.array([0.0 + 0j]), tol=1e-10, h0=0.1, step_cb=cb)
+    y = dp45(f, 0.0, 1.0, np.array([0.0 + 0j]), tol=1e-10, step_cb=cb)
     assert calls, "callback never ran"
     assert y[0].real == pytest.approx(1.0, abs=1e-10)
     assert y[0].imag == pytest.approx(1.0)
@@ -59,11 +59,12 @@ def test_step_callback_replaces_state():
 
 def test_step_underflow():
     def f(t, y):
-        # unbounded stiffness near t = 0.5 forces the controller under min_step
+        # unbounded stiffness near t = 0.5 forces the controller under its
+        # step floor, 1e-14
         return np.array([y[0] / (0.5 - t)])
 
     with pytest.raises(StepUnderflow):
-        dp45(f, 0.0, 1.0, np.array([1.0 + 0j]), tol=1e-10, min_step=1e-6)
+        dp45(f, 0.0, 1.0, np.array([1.0 + 0j]), tol=1e-10)
 
 
 def test_zero_span_returns_initial():
@@ -106,7 +107,7 @@ def test_first_stage_recomputed_after_replacement():
         return None
 
     steps = []
-    y = dp45(f, 0.0, 1.0, np.array([0.0 + 0j]), tol=1e-3, h0=0.1,
+    y = dp45(f, 0.0, 1.0, np.array([0.0 + 0j]), tol=1e-3,
              step_cb=lambda t, y: steps.append(t) or cb(t, y))
     t_sw = switch[0]
     assert y[0].real == pytest.approx(t_sw + 2.0 * (1.0 - t_sw), abs=1e-12)
@@ -116,8 +117,7 @@ def test_first_stage_recomputed_after_replacement():
 def test_eighth_order_integrates_a_degree_seven_polynomial_exactly():
     # the eighth-order weights integrate t**7 exactly, so y(1) = 1 to
     # rounding even at a coarse tolerance; a fifth-order method misses it
-    y = dp45(lambda t, y: [8.0 * t ** 7 + 0j], 0.0, 1.0, np.array([0.0 + 0j]),
-             tol=1e-3, h0=0.5)
+    y = dp45(lambda t, y: [8.0 * t ** 7 + 0j], 0.0, 1.0, np.array([0.0 + 0j]), tol=1e-3)
     assert abs(y[0] - 1.0) <= 1e-14
 
 

@@ -1,4 +1,4 @@
-"""Scalar special functions, branch-controlled powers, 2x2 matrices."""
+"""Scalar special functions, principal-branch powers, 2x2 matrices."""
 
 import cmath
 import copy
@@ -11,8 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pvilab.monodromy import build_case_b
-from pvilab.numerics import (ARG_0_2PI, PRINCIPAL, BranchSpec, Mat2, PoleError,
-                             SIGMA3, SingularMatrixError, _diag, clog,
+from pvilab.numerics import (Mat2, PoleError, SIGMA3, SingularMatrixError, _diag, clog,
                              cpow, det2, digamma, gamma, inv2, mat2, tr2)
 
 finite = st.floats(min_value=-30.0, max_value=30.0,
@@ -56,17 +55,19 @@ def test_gamma_functional_equation():
 
 
 def test_clog_branches():
-    z = -1.0 - 1e-9j  # just below the negative real axis
-    assert clog(z, PRINCIPAL).imag == pytest.approx(-math.pi, abs=1e-8)
-    assert clog(z, ARG_0_2PI).imag == pytest.approx(math.pi, abs=1e-8)
+    """The principal branch, arg in (-pi, pi]: just below the cut arg tends
+    to -pi, but on the cut's lower edge, -2 - 0i, where cmath.phase gives
+    -pi, it is +pi."""
+    assert clog(-1.0 - 1e-9j).imag == pytest.approx(-math.pi, abs=1e-8)
+    assert cmath.phase(complex(-2.0, -0.0)) == -math.pi
+    assert clog(complex(-2.0, -0.0)).imag == math.pi
 
 
 def test_cpow_branch_consistency():
-    # (z^w) on the 0..2pi branch differs by e^{2 pi i w} below the cut
-    z = 0.5 - 1e-12j
-    w = 0.3 + 0.1j
-    ratio = cpow(z, w, ARG_0_2PI) / cpow(z, w, PRINCIPAL)
-    assert abs(ratio - cmath.exp(2j * math.pi * w)) < 1e-12
+    # both zeros of the negative real axis take the upper edge of the cut
+    for w in (0.3 + 0.1j, -0.7, 1.0 + 0.5j):
+        below, above = cpow(complex(-2.0, -0.0), w), cpow(complex(-2.0, 0.0), w)
+        assert (below.real, below.imag) == (above.real, above.imag)
 
 
 def test_cpow_at_zero():
@@ -74,12 +75,6 @@ def test_cpow_at_zero():
     assert cpow(0.0, 0.0) == 1.0
     with pytest.raises(ValueError):
         cpow(0.0, -1.0)
-
-
-def test_branchspec_interval_is_half_open():
-    b = BranchSpec(0.0)
-    assert b.arg(1.0 + 0j) == pytest.approx(2.0 * math.pi)
-    assert b.arg(-1.0 + 0j) == pytest.approx(math.pi)
 
 
 def test_inv2_and_det2():

@@ -52,25 +52,20 @@ def reference_transport(system, x, loop_or_vertices, tol, counts):
 
         return np.reshape(dp45(f, 0.0, 1.0, m.ravel(), tol=tol), (2, 2))
 
-    def edge(m, z0, z1):
-        dz = z1 - z0
-        return m if dz == 0 else leg(m, z0, lambda t: (t * dz, dz))
-
     m = np.eye(2, dtype=complex)
     if isinstance(loop_or_vertices, fuchsian.Loop):
-        lp = loop_or_vertices
-        c, r = complex(lp.center), float(lp.radius)
-        w = 2j * math.pi * lp.orientation
+        r, w = float(loop_or_vertices.radius), 2j * math.pi
 
         def circle(t):
             d = r * cmath.exp(w * t)
             return d, w * d
 
-        b = c + r if lp.basepoint is None else complex(lp.basepoint)
-        return edge(leg(edge(m, b, c + r), c, circle), c + r, b)
+        return leg(m, complex(loop_or_vertices.center), circle)
     verts = [complex(v) for v in loop_or_vertices]
     for z0, z1 in zip(verts[:-1], verts[1:]):
-        m = edge(m, z0, z1)
+        dz = z1 - z0
+        if dz != 0:
+            m = leg(m, z0, lambda t, dz=dz: (t * dz, dz))
     return m
 
 
@@ -133,13 +128,16 @@ def test_loop_matches_numpy_rhs(monkeypatch, case, x, center):
 @pytest.mark.parametrize("x", [1e-2, 1e-3])
 @pytest.mark.parametrize("center", ["0", "x", "1"])
 def test_default_loop_matches_a_ten_times_wider_loop(case, x, center):
-    """The wide loop, reached radially from the default loop's start c + r,
-    encloses the same pole and is based at the same point: same matrix."""
+    """The wide loop, reached radially from the default loop's start c + r and
+    left radially back to it, encloses the same pole and is based at the same
+    point: same matrix."""
     c = complex({"0": 0.0, "x": x, "1": 1.0}[center])
     r = fuchsian.default_radius(x)
     system = SYSTEMS[case]()
     got = fuchsian.loop_monodromy(system, x, c, tol=TOL)
-    want = fuchsian.transport(system, x, fuchsian.Loop(c, 10.0 * r, basepoint=c + r), tol=TOL)
+    want = (fuchsian.transport(system, x, [c + 10.0 * r, c + r], tol=TOL)
+            @ fuchsian.transport(system, x, fuchsian.Loop(c, 10.0 * r), tol=TOL)
+            @ fuchsian.transport(system, x, [c + r, c + 10.0 * r], tol=TOL))
     assert np.max(np.abs(got - want)) <= 1e-10 * max(1.0, np.max(np.abs(want)))
 
 
@@ -154,11 +152,6 @@ def test_default_loops_evaluation_count(monkeypatch):
             for c in (0.0, x, 1.0):
                 fuchsian.loop_monodromy(system, x, c, tol=TOL)
     assert len(counts) <= 2160
-
-
-def test_basepoint_loop_matches_numpy_rhs(monkeypatch):
-    loop = fuchsian.Loop(1.0, 0.2, basepoint=1.5 + 0.1j, orientation=-1)
-    _assert_same_transport(monkeypatch, SYSTEMS["b"](), 1e-2, loop)
 
 
 def test_polygon_matches_numpy_rhs(monkeypatch):

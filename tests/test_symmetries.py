@@ -4,9 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pvilab.pvi import ThetaParams
-from pvilab.symmetries import (GENERATORS, XY_GENERATORS, act_theta,
-                               act_theta_word, act_xy, sigma_image,
-                               sigma_image_word, transport_solution)
+from pvilab.symmetries import (GENERATORS, XY_GENERATORS, act_theta, act_xy,
+                               sigma_image, transport_solution)
 
 TH = ThetaParams(0.23, 0.57, 0.31, 0.44)
 
@@ -17,21 +16,21 @@ def _close(a: ThetaParams, b: ThetaParams, tol=1e-13):
 
 @pytest.mark.parametrize("gen", ["x1", "x3", "w1", "w3", "w4", "t", "q"])
 def test_involutions_on_theta(gen):
-    assert _close(act_theta_word([gen, gen], TH), TH)
+    assert _close(act_theta(gen, act_theta(gen, TH)), TH)
 
 
 def test_w2_is_an_involution():
-    assert _close(act_theta_word(["w2", "w2"], TH), TH)
+    assert _close(act_theta("w2", act_theta("w2", TH)), TH)
 
 
 def test_x2_and_n_are_involutions():
-    assert _close(act_theta_word(["x2", "x2"], TH), TH)
-    assert _close(act_theta_word(["n", "n"], TH), TH)
+    assert _close(act_theta("x2", act_theta("x2", TH)), TH)
+    assert _close(act_theta("n", act_theta("n", TH)), TH)
 
 
 def test_shifts_commute_and_translate():
-    a = act_theta_word(["l1", "l3"], TH)
-    b = act_theta_word(["l3", "l1"], TH)
+    a = act_theta("l3", act_theta("l1", TH))
+    b = act_theta("l1", act_theta("l3", TH))
     assert _close(a, b)
     assert abs(a.th0 - (TH.th0 + 1.0)) < 1e-15
     assert abs(a.thx - (TH.thx + 1.0)) < 1e-15
@@ -43,7 +42,7 @@ def test_unknown_generator_raises():
     with pytest.raises(ValueError):
         act_xy("w1", 0.3, 0.5)  # no printed (x,y)-action
     with pytest.raises(ValueError):
-        sigma_image("n", 0.3, TH)
+        sigma_image("n", 0.3)
 
 
 @pytest.mark.parametrize("gen", ["x1", "x2", "x3", "n", "q"])
@@ -62,25 +61,24 @@ def test_xy_pole_guards():
 
 
 def test_sigma_image_shifts():
-    assert sigma_image("l1", 0.3, TH) == pytest.approx(1.3)
-    assert sigma_image("l2", 0.3, TH) == pytest.approx(-0.7)
+    assert sigma_image("l1", 0.3) == pytest.approx(1.3)
+    assert sigma_image("l2", 0.3) == pytest.approx(-0.7)
 
 
 @pytest.mark.parametrize("gen", ["w1", "t", "w3", "w4", "x1", "x2"])
 def test_sigma_image_not_tabulated(gen):
     # no closed-form image of sigma is known for these generators
     with pytest.raises(ValueError, match="no tabulated sigma-image"):
-        sigma_image(gen, 0.3, TH)
+        sigma_image(gen, 0.3)
 
 
 _FINITE = st.complex_numbers(max_magnitude=10.0, allow_nan=False, allow_infinity=False)
 
 
 @settings(max_examples=50, deadline=None)
-@given(gen=st.sampled_from(["w2", "x3"]), sigma=_FINITE,
-       theta=st.tuples(_FINITE, _FINITE, _FINITE, _FINITE))
-def test_involutive_generators_restore_sigma(gen, sigma, theta):
-    assert sigma_image_word([gen, gen], sigma, ThetaParams(*theta)) == sigma
+@given(gen=st.sampled_from(["w2", "x3"]), sigma=_FINITE)
+def test_involutive_generators_restore_sigma(gen, sigma):
+    assert sigma_image(gen, sigma_image(gen, sigma)) == sigma
 
 
 def test_transport_solution_maps_grids():
