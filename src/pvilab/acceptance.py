@@ -180,12 +180,6 @@ def exact_solution_residuals():
 # 4. monodromy constructors: invariants, trace identity, s-inversions
 
 
-def _ordered(rep):
-    if not rep.order:
-        raise ValueError("ambiguous product order")
-    return rep
-
-
 def _rep_checks(rep, targets, devs):
     for key, m in rep.matrices().items():
         devs["det"].append(abs(det2(m) - 1.0))
@@ -199,7 +193,7 @@ def monodromy_constructors():
     for _ in range(20):
         def draw_a():
             th = _theta_draw(rng)
-            return th, _ordered(build_case_a(th))
+            return th, build_case_a(th)
         th, rep = _retry(draw_a)
         _rep_checks(rep, {"M0": th.th0, "Mx": th.thx, "M1": th.th1,
                           "Minf": th.thinf}, devs)
@@ -213,7 +207,7 @@ def monodromy_constructors():
                 raise ValueError("degenerate s")
             r = complex(rng.uniform(0.3, 1.5) * (-1.0, 1.0)[rng.integers(2)],
                         rng.uniform(-0.5, 0.5))
-            return thx, thinf, s, _ordered(build_case_b(thx, thinf, s, r))
+            return thx, thinf, s, build_case_b(thx, thinf, s, r)
         thx, thinf, s, rep = _retry(draw_b)
         _rep_checks(rep, {"M0": thx, "Mx": thx, "M1": thinf, "Minf": thinf},
                     devs)
@@ -228,7 +222,7 @@ def monodromy_constructors():
             s = complex(rng.uniform(-0.8, 0.8), rng.uniform(-0.4, 0.4))
             if abs(s) < 0.05:
                 raise ValueError("degenerate s")
-            return th0, thx, s, _ordered(build_case_c(th0, thx, s))
+            return th0, thx, s, build_case_c(th0, thx, s)
         th0, thx, s, rep = _retry(draw_c)
         _rep_checks(rep, {"M0": th0, "Mx": thx, "M1": 0.0, "Minf": 1.0}, devs)
         devs["ident"].append(abs(check_identity(rep, rep.theta)))

@@ -162,7 +162,7 @@ def rep_from_json(doc, path=None) -> MonodromyRep:
     from .monodromy import MonodromyRep
     mats = _field(doc, "matrices", dict, path)
     M0, Mx, M1, Minf = (_field(mats, k, l2m, path) for k in ("M0", "Mx", "M1", "Minf"))
-    return MonodromyRep(M0, Mx, M1, Minf, _field(doc, "order", tuple, path, ()),
+    return MonodromyRep(M0, Mx, M1, Minf,
                         case=_field(doc, "case", str, path, ""),
                         theta=_field(doc, "theta", _theta, path, None),
                         params=_field(doc, "params", _params, path, {}))
@@ -528,7 +528,7 @@ def build_parser():
     sp.add_argument("--sigma", default=None)
     sp.add_argument("--t0x")
     sp.add_argument("--t1x")
-    sp.add_argument("--t01")
+    sp.add_argument("--t01", help="tr(M0 M1) in the loop basis M1 Mx M0 = Minf")
 
     sp = add("symmetry", cmd_symmetry, help="generator actions on parameters")
     sp.add_argument("--gen", required=True)

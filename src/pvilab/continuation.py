@@ -183,7 +183,7 @@ def integrate(ic, theta: ThetaParams, path: PathPlan, tol=1e-10) -> Trajectory:
             return None
 
         w0, wp0 = to_chart(state["chart"], y, yp)
-        s = dp45(f, 0.0, 1.0, [w0, wp0], tol=tol, step_cb=cb)
+        s = dp45(f, [w0, wp0], tol=tol, step_cb=cb)
         y, yp = from_chart(state["chart"], s[0], s[1])
 
     if traj.samples[-1][0] != path.vertices[-1]:

@@ -256,7 +256,7 @@ def transport(sys: LinearSystem, x, loop_or_vertices, tol=1e-10) -> Mat2:
             return [b00 * y00 + b01 * y10, b00 * y01 + b01 * y11,
                     b10 * y00 + b11 * y10, b10 * y01 + b11 * y11]
 
-        return mat2(*dp45(f, 0.0, 1.0, list(m.e), tol=tol))
+        return mat2(*dp45(f, list(m.e), tol=tol))
 
     m = mat2(1.0, 0.0, 0.0, 1.0)
     if isinstance(loop_or_vertices, Loop):

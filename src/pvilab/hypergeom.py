@@ -95,7 +95,7 @@ def gauss_f_deriv(alpha, beta, gamma_, z) -> complex:
     return alpha * beta / gamma_ * gauss_f(alpha + 1.0, beta + 1.0, gamma_ + 1.0, z)
 
 
-def norlund_g1(u, v, w: int, z, ln_minus_z=None):
+def norlund_g1(u, v, w: int, z, ln_minus_z):
     """Norlund's logarithmic solution g1(u, v, w; z), w a positive integer,
     and its z-derivative, as the pair (g1, g1').
 
@@ -104,8 +104,7 @@ def norlund_g1(u, v, w: int, z, ln_minus_z=None):
          + sum_{n>=0} (u)_n (v)_n / (n! (w)_n)
              [psi(1-u-n) + psi(v+n) - psi(w+n) - psi(1+n)] z^n,   |z| < 1.
 
-    ln_minus_z overrides the branch of ln(-z); default is the principal
-    value of log(-z) (negative real for -1 < z < 0).
+    ln_minus_z is the branch of ln(-z) to use.
     """
     if not (is_int(w) and complex(w).real > 0.5):
         raise ValueError("w must be a positive integer")
@@ -120,8 +119,6 @@ def norlund_g1(u, v, w: int, z, ln_minus_z=None):
         acc += t
         dacc -= n * t / z
         sign = -sign
-    if ln_minus_z is None:
-        ln_minus_z = cmath.log(-z)
     f = gauss_f(u, v, w, z)
     acc += f * ln_minus_z
     dacc += gauss_f_deriv(u, v, w, z) * ln_minus_z + f / z
@@ -385,7 +382,7 @@ def _gauss_params(which: str, theta: ThetaParams, flip_th1=False) -> GaussParams
 # numeric continuation of the hypergeometric ODE and the basis-change oracle
 
 
-def ode_transport(p: GaussParams, z0, W0, path, tol=1e-12):
+def ode_transport(p: GaussParams, z0, W0, path):
     """Continue a (value, derivative) frame of the Gauss ODE along a path.
 
     W0 is the 2x2 frame [[f1, f2], [f1', f2']] at z0; path is a list of
@@ -395,6 +392,7 @@ def ode_transport(p: GaussParams, z0, W0, path, tol=1e-12):
     first component of Y solves Gauss' equation in (a, b + 1, c + 1) = p.
     Frame in: each column (f, f') becomes Y = (f, xi) by `xi_from_phi`;
     frame out, at path[-1], as a Mat2: f' is the first row of [B0/z + B1/(z-1)] Y.
+    The transport runs at tol = 1e-12.
     """
     from . import fuchsian
     a, b, c = p.alpha, p.beta - 1.0, p.gamma - 1.0
@@ -404,7 +402,7 @@ def ode_transport(p: GaussParams, z0, W0, path, tol=1e-12):
     cells = {k: tuple(tuple(((0, m[i, j]),) for j in (0, 1)) for i in (0, 1))
              for k, m in (("0", B0), ("x", mat2(0, 0, 0, 0)), ("1", B1))}
     system = fuchsian.LinearSystem(ThetaParams(c, 0.0, a + b - c, a - b), "gauss-reduction", cells)
-    Y = fuchsian.transport(system, 0.0, [z0, *path], tol=tol) @ Y
+    Y = fuchsian.transport(system, 0.0, [z0, *path], tol=1e-12) @ Y
     dY = (B0 / z1 + B1 / (z1 - 1.0)) @ Y
     return mat2(Y[0, 0], Y[0, 1], dY[0, 0], dY[0, 1])
 

@@ -62,8 +62,8 @@ class StepUnderflow(RuntimeError):
     pass
 
 
-def dp45(f, t0, t1, y0, tol=1e-10, step_cb=None):
-    """Integrate y' = f(t, y) from t0 to t1 (real parameter t) with DOP853.
+def dp45(f, y0, tol=1e-10, step_cb=None):
+    """Integrate y' = f(t, y) from t = 0 to t = 1 with DOP853.
 
     y0 is any sequence of complex numbers.  f(t, y) receives the state
     as a Python list of complex numbers and returns a sequence of the same
@@ -74,14 +74,14 @@ def dp45(f, t0, t1, y0, tol=1e-10, step_cb=None):
     component of the new state or of the error rejects the step.  step_cb,
     if given, is called as step_cb(t, y) with the list after every accepted
     step and may return a replacement sequence (chart switches).  Returns
-    y(t1) as a list of complex numbers.
+    y(1) as a list of complex numbers.
 
-    The first trial step is a fiftieth of the span.  f is evaluated once at
-    the start, 12 times per accepted step (stages 2 to 12 and f at the new
-    point, which is stage 1 of the next step) and 11 times per rejected one.
-    When step_cb returns a replacement, f is evaluated again at the new
-    state, so f may read state that step_cb changes, provided step_cb then
-    returns a replacement.  The step grows by at most 2x, shrinks by at most
+    The first trial step is 1/50.  f is evaluated once at the start, 12
+    times per accepted step (stages 2 to 12 and f at the new point, which
+    is stage 1 of the next step) and 11 times per rejected one.  When
+    step_cb returns a replacement, f is evaluated again at the new state,
+    so f may read state that step_cb changes, provided step_cb then returns
+    a replacement.  The step grows by at most 2x, shrinks by at most
     5x, and does not grow on the step after a rejection.
 
     Raises ValueError for tol below the unit roundoff sys.float_info.epsilon,
@@ -90,19 +90,14 @@ def dp45(f, t0, t1, y0, tol=1e-10, step_cb=None):
     if tol < _EPS:
         raise ValueError(f"tol = {tol} is below the float unit roundoff {_EPS:.3g} "
                          "that the error test can resolve")
-    t = float(t0)
-    t1 = float(t1)
+    t = 0.0
     y = [complex(v) for v in y0]
-    direction = 1.0 if t1 >= t else -1.0
-    span = abs(t1 - t)
-    if span == 0:
-        return y
-    h = direction * (span / 50.0)
+    h = 0.02
     k1 = f(t, y)
     rejected = False
-    while (t1 - t) * direction > 1e-16:
-        if abs(h) > abs(t1 - t):
-            h = t1 - t
+    while 1.0 - t > 1e-16:
+        if h > 1.0 - t:
+            h = 1.0 - t
         k2 = f(t + 0.05260015195876773 * h,
                [v + h * (0.05260015195876773 * a) for v, a in zip(y, k1)])
         k3 = f(t + 0.0789002279381516 * h,
@@ -170,7 +165,7 @@ def dp45(f, t0, t1, y0, tol=1e-10, step_cb=None):
                      - 0.4226823213237919 * r - 0.1521609496625161 * s
                      + 0.20136540080403034 * u + 0.02265179219836082 * w)
             # |e5|^2 / hypot(|e5|, 0.1 |e3|), formed without squaring e5 (no overflow)
-            errs.append(abs(h) * e5 * (e5 / math.hypot(e5, 0.1 * e3)) if e5 else 0.0)
+            errs.append(h * e5 * (e5 / math.hypot(e5, 0.1 * e3)) if e5 else 0.0)
         norms = [abs(v) for v in yi]
         # max() drops a NaN that does not come first; a sum of the
         # non-negative terms is NaN exactly when one of them is
@@ -194,6 +189,6 @@ def dp45(f, t0, t1, y0, tol=1e-10, step_cb=None):
             fac = max(0.2, 0.85 * err ** -0.125)
             rejected = True
         h *= fac
-        if abs(h) < _MIN_STEP:
+        if h < _MIN_STEP:
             raise StepUnderflow(f"step size underflow at t = {t}")
     return y

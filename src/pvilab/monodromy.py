@@ -1,19 +1,22 @@
 """Closed-form 2x2 monodromy representations for the three Taylor-solution
 classes at x=0, the trace identity, sigma extraction, and the r-inversion.
 
-The product-order relation between M0, Mx, M1 and Minf is discovered
-numerically at build time and recorded as data (the loop basis fixes it,
-and we do not assert one basis).  The four matrices are `numerics.Mat2`.
+The loop basis is the one in which
+
+    M1 Mx M0 = Minf,
+
+so the monodromy data t0x = tr(M0 Mx), t1x = tr(M1 Mx) and t01 = tr(M0 M1)
+are traces in that basis (M. Jimbo, Publ. RIMS 18 (1982)).  Every build
+checks the product against Minf.  The four matrices are `numerics.Mat2`.
 """
 
 from __future__ import annotations
 
 import cmath
-import itertools
 import math
 from dataclasses import dataclass, field
 
-from .numerics import Mat2, _diag, _entries, _mat, gamma, inv2, mat2, tr2
+from .numerics import Mat2, _diag, _mat, gamma, inv2, mat2, tr2
 from .pvi import ResonanceError, ThetaParams, is_int
 from .hypergeom import _cinf0_row2, _connection
 
@@ -23,16 +26,12 @@ __all__ = [
     "build_case_a",
     "build_case_b",
     "build_case_c",
-    "discover_order",
     "check_identity",
     "sigma_from_traces",
     "r_from_monodromy",
     "invert_s_case_b",
     "invert_s_case_c",
 ]
-
-_LABELS = ("M0", "Mx", "M1")
-
 
 @dataclass(frozen=True)
 class TraceData:
@@ -47,10 +46,10 @@ class MonodromyRep:
     Mx: Mat2
     M1: Mat2
     Minf: Mat2
-    order: tuple                  # product orders found to reproduce Minf
     case: str = ""
     theta: ThetaParams | None = None
     params: dict = field(default_factory=dict)
+    order = ("M1*Mx*M0",)         # the loop basis: M1 Mx M0 = Minf
 
     def traces(self) -> TraceData:
         return TraceData(tr2(self.M0 @ self.Mx), tr2(self.M1 @ self.Mx),
@@ -67,32 +66,15 @@ def _conj(L, D, R):
     return _mat(l00 * d0, l01 * d1, l10 * d0, l11 * d1) @ R
 
 
-def _rep(M0, Mx, M1, Minf, **fields):
-    return MonodromyRep(M0, Mx, M1, Minf, discover_order(M0, Mx, M1, Minf), **fields)
-
-
-def discover_order(M0, Mx, M1, Minf):
-    """All orderings of M0*Mx*M1 (up to inversion) that reproduce Minf to
-    within 1e-8 of the largest entry of the four matrices.
-
-    The matrices are Mat2 or 2x2 ndarrays.
-    """
-    M0, Mx, M1, Minf = (M if isinstance(M, Mat2) else mat2(*_entries(M))
-                        for M in (M0, Mx, M1, Minf))
-    mats = dict(zip(_LABELS, (M0, Mx, M1)))
+def _rep(M0, Mx, M1, Minf, case, **fields):
+    """The representation, once M1 Mx M0 reproduces Minf to within 1e-8 of
+    the largest entry of the four matrices; a miss is a RuntimeError."""
     tol = 1e-8 * max(abs(v) for m in (M0, Mx, M1, Minf) for v in m.e)
-    t00, t01, t10, t11 = Minf.e
-    found = []
-    for perm in itertools.permutations(_LABELS):
-        p00, p01, p10, p11 = (mats[perm[0]] @ mats[perm[1]] @ mats[perm[2]]).e
-        if (abs(p00 - t00) < tol and abs(p01 - t01) < tol
-                and abs(p10 - t10) < tol and abs(p11 - t11) < tol):
-            found.append("*".join(perm))
-        # P Minf - I, entry by entry as Mat2's @ forms P Minf
-        if (abs(p00 * t00 + p01 * t10 - 1.0) < tol and abs(p00 * t01 + p01 * t11) < tol
-                and abs(p10 * t00 + p11 * t10) < tol and abs(p10 * t01 + p11 * t11 - 1.0) < tol):
-            found.append("*".join(perm) + "=inv")
-    return tuple(found)
+    miss = max(abs(p - t) for p, t in zip((M1 @ Mx @ M0).e, Minf.e))
+    if not miss < tol:
+        raise RuntimeError(f"case {case}: M1*Mx*M0 misses Minf by {miss:.3g} "
+                           f"(tolerance {tol:.3g})")
+    return MonodromyRep(M0, Mx, M1, Minf, case=case, **fields)
 
 
 def _nonresonant(*thetas):
@@ -148,37 +130,23 @@ def build_case_c(th0, thx, s) -> MonodromyRep:
                 params={"s": s})
 
 
-def check_identity(rep_or_traces, theta: ThetaParams) -> complex:
-    """Residual of the trace relation forced by M_i M_j M_k = Minf.
+def check_identity(rep: MonodromyRep, theta: ThetaParams) -> complex:
+    """Residual of the trace relation forced by M1 Mx M0 = Minf.
 
-    Expanding tr(M_i M_j M_k) over SL2 gives
+    Expanding tr(M1 Mx M0) over SL2 gives
 
         cos(pi th0) t1x + cos(pi th1) t0x + cos(pi thx) t01
-            = cos(pi thinf) + tr(M_k M_j M_i)/2
+            = cos(pi thinf) + tr(M0 Mx M1)/2
               + 4 cos(pi th1) cos(pi th0) cos(pi thx),
 
-    valid under the recorded loop-order convention (i,j,k).  The trace of
-    the reversed product is an invariant of the triple (it does not depend
-    on which cyclic order is recorded, nor on the loop basis), and equals
-    2 cos(pi thinf) exactly when both orderings of the product are
-    conjugate to Minf -- then the right side collapses to
-    2 cos(pi thinf) + 4 cos cos cos, which is the form used when only
-    trace data (no matrices) is supplied.
+    with tr(M0 Mx M1), the trace of the reversed product, read from the
+    matrices: it is not fixed by the local exponents.
     """
     t0, tx, t1, ti = theta.as_tuple()
     c0, cx, c1, ci = (cmath.cos(math.pi * v) for v in (t0, tx, t1, ti))
-    if isinstance(rep_or_traces, MonodromyRep):
-        t = rep_or_traces.traces()
-        order = rep_or_traces.order[0].split("=")[0].split("*") if rep_or_traces.order else None
-    else:
-        t = rep_or_traces
-        order = None
+    t = rep.traces()
     lhs = c0 * t.t1x + c1 * t.t0x + cx * t.t01
-    if order is not None:
-        mats = rep_or_traces.matrices()
-        rev = mats[order[2]] @ mats[order[1]] @ mats[order[0]]
-        return lhs - ci - 0.5 * tr2(rev) - 4.0 * c1 * c0 * cx
-    return lhs - 2.0 * ci - 4.0 * c1 * c0 * cx
+    return lhs - ci - 0.5 * tr2(rep.M0 @ rep.Mx @ rep.M1) - 4.0 * c1 * c0 * cx
 
 
 def sigma_from_traces(t0x) -> complex:

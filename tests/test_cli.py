@@ -294,6 +294,18 @@ def test_identity_check_theta_flag_needs_no_stored_theta(capsys, tmp_path):
     assert code == 0 and json.loads(out)["abs_residual"] < 1e-12
 
 
+@pytest.mark.parametrize("case", ["a", "c"])
+def test_identity_check_ignores_the_order_key(capsys, tmp_path, case):
+    # the loop basis is fixed, so a document without "order" checks the
+    # same product, M1 Mx M0 = Minf
+    p = tmp_path / "rep.json"
+    assert run_cli(capsys, *_monodromy_argv(case, _MONODROMY_BASE[case], p))[0] == 0
+    code, full, _ = run_cli(capsys, "identity-check", "--json-in", str(p))
+    _drop_key(p, "order", null=False)
+    assert code == 0 and run_cli(capsys, "identity-check", "--json-in", str(p)) == (0, full, "")
+    assert json.loads(full)["abs_residual"] <= 1e-12
+
+
 def test_validation_errors_exit_2(capsys):
     code, _, err = run_cli(capsys, "series", "--theta", "0.23,0.57,0.31,1",
                            "--class", "form1")

@@ -48,18 +48,18 @@ def test_norlund_g1_satisfies_the_ode():
     u, v, w = 0.37, 0.83, 3
     z = -0.3
     h = 1e-5
-    f, fp = norlund_g1(u, v, w, z)
-    fpp = (norlund_g1(u, v, w, z + h)[1]
-           - norlund_g1(u, v, w, z - h)[1]) / (2.0 * h)
+    f, fp = norlund_g1(u, v, w, z, cmath.log(-z))
+    fpp = (norlund_g1(u, v, w, z + h, cmath.log(-(z + h)))[1]
+           - norlund_g1(u, v, w, z - h, cmath.log(-(z - h)))[1]) / (2.0 * h)
     res = z * (1.0 - z) * fpp + (w - (u + v + 1.0) * z) * fp - u * v * f
     assert abs(res) < 1e-3
 
 
 def test_norlund_g1_guards():
     with pytest.raises(ValueError):
-        norlund_g1(0.3, 0.4, 0, -0.2)
+        norlund_g1(0.3, 0.4, 0, -0.2, cmath.log(0.2))
     with pytest.raises(ValueError):
-        norlund_g1(0.3, 0.4, 2, -1.5)
+        norlund_g1(0.3, 0.4, 2, -1.5, cmath.log(1.5))
 
 
 def test_reduction_eigenvalue_invariants():
@@ -247,7 +247,7 @@ def test_ode_transport_reproduces_series():
                          [gauss_f_deriv(p.alpha, p.beta, p.gamma, z), 1.0]],
                         dtype=complex)
 
-    got = ode_transport(p, z0, frame(z0), [z1], tol=1e-13)
+    got = ode_transport(p, z0, frame(z0), [z1])
     assert abs(got[0, 0] - frame(z1)[0, 0]) < 1e-11
 
 
@@ -268,7 +268,7 @@ def test_local_frames_solve_the_gauss_equation(p, frame, z0, z1):
     """Each local frame, carried by ODE transport, must match itself at the
     endpoint: value and derivative columns solve the same Gauss equation."""
     at = hypergeom._norlund_atinf(p) if frame == "norlund" else kummer_bases(p)[frame]
-    got = ode_transport(p, z0, at(z0), [z1], tol=1e-13)
+    got = ode_transport(p, z0, at(z0), [z1])
     want = at(z1)
     assert np.max(np.abs(got - want)) < 1e-10 * np.max(np.abs(want))
 

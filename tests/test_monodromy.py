@@ -1,16 +1,15 @@
 """Closed-form monodromy constructors, trace identity, and inversions."""
 
 import cmath
-import itertools
 import math
 
 import numpy as np
 import pytest
 
-from pvilab import hypergeom
+from pvilab import hypergeom, monodromy
 from pvilab.hypergeom import connection_matrix
 from pvilab.monodromy import (TraceData, build_case_a, build_case_b,
-                              build_case_c, check_identity, discover_order,
+                              build_case_c, check_identity,
                               invert_s_case_b, invert_s_case_c,
                               r_from_monodromy, sigma_from_traces)
 from pvilab.numerics import Mat2, det2, gamma, tr2
@@ -30,7 +29,6 @@ def test_case_a_invariants():
     rep = build_case_a(TH)
     _det_and_trace_checks(rep, {"M0": TH.th0, "Mx": TH.thx,
                                 "M1": TH.th1, "Minf": TH.thinf})
-    assert rep.order, "no product ordering reproduces Minf"
     assert abs(check_identity(rep, TH)) < 1e-10
 
 
@@ -68,52 +66,6 @@ def test_constructors_reject_integer_exponents():
         build_case_b(1.0, 0.44, 0.2, 1.0)
     with pytest.raises(ValueError):
         build_case_b(0.31, 0.44, 0.2, 0.0)
-
-
-def test_discover_order_finds_planted_product():
-    rng = np.random.default_rng(7)
-
-    def sl2():
-        m = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        return m / np.sqrt(complex(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]))
-
-    m0, mx, m1 = sl2(), sl2(), sl2()
-    found = discover_order(m0, mx, m1, mx @ m0 @ m1)
-    assert "Mx*M0*M1" in found
-
-
-def _matmul_order(M0, Mx, M1, Minf):
-    """discover_order through numpy's matrix products, the reference."""
-    mats = {"M0": M0, "Mx": Mx, "M1": M1}
-    scale = max(np.max(np.abs(M)) for M in (M0, Mx, M1, Minf))
-    found = []
-    for perm in itertools.permutations(mats):
-        P = mats[perm[0]] @ mats[perm[1]] @ mats[perm[2]]
-        if np.max(np.abs(P - Minf)) < 1e-8 * scale:
-            found.append("*".join(perm))
-        if np.max(np.abs(P @ Minf - np.eye(2))) < 1e-8 * scale:
-            found.append("*".join(perm) + "=inv")
-    return tuple(found)
-
-
-def test_discover_order_matches_the_matrix_product_reference():
-    # every ordering planted as Minf or its inverse, on commuting and generic
-    # triples, and a Minf that no ordering reproduces
-    rng = np.random.default_rng(11)
-
-    def sl2():
-        m = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        return m / np.sqrt(complex(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]))
-
-    for trial in range(20):
-        m0, mx, m1 = sl2(), sl2(), (sl2() if trial % 4 else np.diag([1j, -1j]))
-        if trial % 5 == 0:
-            mx = m0 @ m0
-        mats = {"M0": m0, "Mx": mx, "M1": m1}
-        for perm in itertools.permutations(mats):
-            P = mats[perm[0]] @ mats[perm[1]] @ mats[perm[2]]
-            for target in (P, np.linalg.inv(P), P + 1e-3):
-                assert discover_order(m0, mx, m1, target) == _matmul_order(m0, mx, m1, target)
 
 
 def E(theta):
@@ -166,7 +118,9 @@ def test_builds_match_the_numpy_reference(case):
         args = {"a": (th, k % 3 == 0), "b": (th.thx, th.thinf, s, rng.uniform(0.5, 2.0)),
                 "c": (th.th0, th.thx, s)}[case]
         rep, ref = build(*args), _numpy_reps(case, *args)
-        assert rep.order == _matmul_order(*ref)
+        M0, Mx, M1, Minf = ref
+        scale = max(np.max(np.abs(M)) for M in ref)
+        assert np.max(np.abs(M1 @ Mx @ M0 - Minf)) < 1e-8 * scale
         for M, R in zip((rep.M0, rep.Mx, rep.M1, rep.Minf), ref):
             assert type(M) is Mat2
             assert np.max(np.abs(M - R)) <= 4e-15 * max(1.0, np.max(np.abs(R)))
@@ -188,12 +142,32 @@ def test_build_case_a_evaluates_each_gamma_argument_once(monkeypatch):
     assert len(args) == 28 and set(args[14:]) == set(args[:14])
 
 
-def test_check_identity_trace_only_path():
-    # the trace-only form applies when both product orderings reproduce Minf,
-    # which holds in the M0 Mx = I family
-    rep = build_case_b(0.31, 0.44, 0.27 + 0.1j, 1.3)
-    eff = ThetaParams(0.31, 0.31, 0.44, 0.44)
-    assert abs(check_identity(rep.traces(), eff)) < 1e-10
+def test_check_identity_on_a_generic_triple():
+    # M0, Mx, M1 random conjugates of exp(i pi theta sigma3) and
+    # Minf = M1 Mx M0: no two of them commute, and tr(M0 Mx M1) is not
+    # fixed by the exponents
+    rng = np.random.default_rng(31)
+
+    def conj(theta):
+        g = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        return Mat2(*(g @ E(theta) @ inv2(g)).ravel())
+
+    for _ in range(20):
+        th0, thx, th1 = (complex(rng.uniform(-0.9, 0.9), rng.uniform(-0.3, 0.3))
+                         for _ in range(3))
+        M0, Mx, M1 = conj(th0), conj(thx), conj(th1)
+        Minf = M1 @ Mx @ M0
+        thinf = cmath.acos(tr2(Minf) / 2.0) / math.pi
+        rep = monodromy.MonodromyRep(M0, Mx, M1, Minf)
+        assert abs(check_identity(rep, ThetaParams(th0, thx, th1, thinf))) < 1e-12
+
+
+def test_planted_minf_is_refused():
+    M0, Mx, M1 = (Mat2(*E(t).ravel()) for t in (0.23, 0.57, 0.31))
+    Minf = M1 @ Mx @ M0
+    monodromy._rep(M0, Mx, M1, Minf, "a")
+    with pytest.raises(RuntimeError, match=r"^case a: M1\*Mx\*M0 misses Minf by 0\.001 "):
+        monodromy._rep(M0, Mx, M1, Minf + Mat2(1e-3, 0, 0, 0), "a")
 
 
 def test_sigma_from_traces_strip_normalization():

@@ -50,7 +50,7 @@ def reference_transport(system, x, loop_or_vertices, tol, counts):
             a = a0 / (o0 + d) + axm / (ox + d) + a1 / (o1 + d)
             return dlam * (a @ np.asarray(y).reshape(2, 2)).ravel()
 
-        return np.reshape(dp45(f, 0.0, 1.0, m.ravel(), tol=tol), (2, 2))
+        return np.reshape(dp45(f, m.ravel(), tol=tol), (2, 2))
 
     m = np.eye(2, dtype=complex)
     if isinstance(loop_or_vertices, fuchsian.Loop):
@@ -94,7 +94,7 @@ def reference_ode_transport(p, z0, W0, path, tol, counts):
     y = np.array([W0[0, 0], W0[1, 0], W0[0, 1], W0[1, 1]], dtype=complex)
     za = complex(z0)
     for zb in path:
-        y = dp45(rhs_factory(za, complex(zb)), 0.0, 1.0, y, tol=tol)
+        y = dp45(rhs_factory(za, complex(zb)), y, tol=tol)
         za = complex(zb)
     return np.array([[y[0], y[2]], [y[1], y[3]]], dtype=complex)
 
@@ -174,8 +174,8 @@ def test_oracle_frame_matches_numpy_rhs(monkeypatch, which, theta, flip):
     calls, systems, got_counts = [], [], []
     real, real_transport = hypergeom.ode_transport, fuchsian.transport
 
-    def recording(p, z0, W0, path, tol=1e-12):
-        calls.append((p, z0, W0, path, tol, real(p, z0, W0, path, tol=tol)))
+    def recording(p, z0, W0, path):
+        calls.append((p, z0, W0, path, real(p, z0, W0, path)))
         return calls[-1][-1]
 
     def recording_transport(system, x, vertices, tol):
@@ -187,8 +187,8 @@ def test_oracle_frame_matches_numpy_rhs(monkeypatch, which, theta, flip):
     monkeypatch.setattr(fuchsian, "dp45", _counting_dp45(got_counts))
     hypergeom.connection_oracle(which, theta, flip_th1=flip)
     assert len(calls) == 1 and len(systems) == 1
-    p, z0, W0, path, tol, got = calls[0]
-    want = reference_ode_transport(p, z0, W0, path, tol, [])
+    p, z0, W0, path, got = calls[0]
+    want = reference_ode_transport(p, z0, W0, path, TOL, [])
     assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
     want_counts = []
     reference_transport(*systems[0], want_counts)
